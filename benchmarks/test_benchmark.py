@@ -30,6 +30,16 @@ def test_p90_needs_100_samples():
     assert run.percentile(list(range(1, 1001)), 99) == 990
 
 
+def test_latency_metrics_keep_the_fastest_quarter_of_whole_passes():
+    passes = [{"latencies": [0.1 * k, 0.2]} for k in range(12, 0, -1)]
+    kept = run.fastest_passes(passes)
+    assert [r["latencies"][0] for r in kept] == pytest.approx([0.1, 0.2, 0.3])
+    assert run.job_time_s(kept) == pytest.approx(0.4)
+    assert run.latencies_ms(kept[:1]) == pytest.approx([100.0, 200.0])
+    assert len(run.fastest_passes(passes * 2)) == 6
+    assert len(run.fastest_passes(passes[:2])) == 2
+
+
 def test_self_time_subtracts_direct_children_and_bookkeeping():
     # root [0, 10] holds a [1, 4] (which holds b [2, 3]) and c [5, 9];
     # c spent its last 0.5 s in tracer bookkeeping
