@@ -1,6 +1,8 @@
 """Command-line frontend: JSON in, CSV/JSON tables out.
 
-Exit codes: 0 success, 1 validation failure, 2 I/O or parse failure.
+Exit codes: 0 success, 1 validation failure, 2 I/O or parse failure,
+3 internal error (two computation paths disagreed or an impossible case
+was reached).
 """
 from __future__ import annotations
 
@@ -181,9 +183,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         v = exc.violation
         print(f"invalid diagram: {v.code}[{v.element}]: {v.message}", file=sys.stderr)
         return 1
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     _emit(text, getattr(args, "out", None))
     return 0
 

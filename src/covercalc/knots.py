@@ -4,7 +4,11 @@ The order of the first homology of the p-fold branched cyclic cover of a
 knot is the absolute value of the product of its Alexander polynomial over
 all p-th roots of unity, with the convention that a vanishing product
 encodes positive first Betti number. Everything here runs in exact integer
-arithmetic through the Laurent-polynomial resultant.
+arithmetic through ``LaurentPoly.resultant_with_cyclotomic``, which picks
+one of two paths from the input size: a d x d determinant in the ring
+Z[y]/(monic lift of A), O(d^3 + d^2 log p), when p is large against the
+degree d, and the p x p circulant determinant, O(p^3), otherwise. For
+p <= 16 the first path is cross-checked against the second.
 """
 from __future__ import annotations
 

@@ -179,6 +179,16 @@ def test_invalid_knot_exits_1(capsys, tmp_path):
     assert "±1" in err or "Alexander" in err
 
 
+def test_internal_disagreement_exits_3(capsys, monkeypatch, trefoil_file):
+    from covercalc import laurent
+
+    monkeypatch.setattr(laurent, "_ring_product", lambda coeffs, p: 12345)
+    code, out, err = run(capsys, ["h1", trefoil_file, "--p", "7"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: internal disagreement")
+
+
 def test_output_to_file_is_deterministic(capsys, tmp_path, trefoil_file):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

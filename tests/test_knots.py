@@ -132,3 +132,36 @@ def test_json_round_trip():
     again = KnotDescriptor.from_json_dict(k.to_json_dict())
     assert again == k
     assert again.label == "trefoil"
+
+
+# -- large p, out of reach of a p x p determinant --------------------------
+
+TREFOIL_PERIOD = (0, 1, 3, 4, 3, 1)  # |H_1| of the trefoil's p-fold cover by p mod 6
+
+
+def lucas(n):
+    a, b = 2, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def test_trefoil_period_six_up_to_ten_thousand():
+    # a stride of 13 = 1 mod 6 visits every residue class
+    for p in list(range(1, 10_001, 13)) + [9_999, 10_000]:
+        assert h1_order(trefoil(), p) == TREFOIL_PERIOD[p % 6], p
+
+
+@pytest.mark.parametrize("p", [500, 2000])
+def test_figure_eight_is_lucas_minus_two(p):
+    assert h1_order(figure_eight(), p) == lucas(2 * p) - 2
+
+
+def test_wheel_table_at_p_1009_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    p = 1009
+    rows = f_table(p, 3)
+    for n, value in rows:
+        poly = sympy.Poly(sympy.expand((1 - (1 - t) ** n) * (t**n - (t - 1) ** n)), t)
+        assert value == abs(sympy.resultant(poly, sympy.Poly(t**p - 1, t))), n

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from covercalc import laurent
 from covercalc.laurent import LaurentPoly, _bareiss_det
 
 T = LaurentPoly.gen("t")
@@ -221,3 +222,72 @@ def test_json_round_trip_preserves_big_integers():
     p = LaurentPoly(("t",), {(-3,): big, (4,): -1})
     assert LaurentPoly.from_json_dict(p.to_json_dict()) == p
     assert p.to_json_dict()["terms"][0]["coef"] == str(big)
+
+
+# -- the two |H_1| paths ---------------------------------------------------
+
+
+def test_resultant_matches_sympy_oracle():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(29)
+    cases = [(ONE - T, 3), (uni({0: 1, 1: 1}), 4), (uni({0: 5}), 1), (uni({0: -2, 3: 1}), 2)]
+    for _ in range(40):
+        # nonzero coefficients, so the leading one is non-monic most of the time
+        poly = uni({rng.randint(-4, 8): rng.choice([-5, -3, -2, -1, 1, 2, 3, 4]) for _ in range(rng.randint(1, 6))})
+        d = max(e for (e,) in poly.terms) - min(e for (e,) in poly.terms)
+        for p in {1, rng.randint(2, 6), max(1, d), max(1, 3 * d - 1), max(1, 3 * d), 17}:
+            cases.append((poly, p))
+    for poly, p in cases:
+        shift = min(e for (e,) in poly.terms)
+        shifted = sum(c * t ** (e - shift) for (e,), c in poly.terms.items())
+        want = abs(sympy.resultant(sympy.Poly(shifted, t), sympy.Poly(t**p - 1, t)))
+        assert abs(poly.resultant_with_cyclotomic(p)) == want, (poly, p)
+
+
+def _count_paths(monkeypatch):
+    calls = {"ring": 0, "circulant": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(laurent, "_ring_product", counted("ring", laurent._ring_product))
+    monkeypatch.setattr(laurent, "_circulant_product", counted("circulant", laurent._circulant_product))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "coeffs, p, ring, circulant",
+    [
+        ({-1: 1, 0: -1, 1: 1}, 5, 0, 1),  # trefoil, 3d > p
+        ({-1: 1, 0: -1, 1: 1}, 6, 1, 1),  # 3d <= p <= 16: ring path, cross-checked
+        ({-1: 1, 0: -1, 1: 1}, 17, 1, 0),  # above the cross-check threshold
+        ({0: 3, 1: 1, 20: 2}, 10, 1, 1),  # folds to 5 + t, so the ring path runs
+        ({0: 1, 3: -1}, 3, 0, 0),  # folds to zero: the product vanishes
+        ({0: 1, 18: 10}, 91, 0, 1),  # d^3 ceil(log2 |a_d|) > 256 p: the lift costs too much
+        ({0: 1, 18: 10}, 92, 1, 0),
+    ],
+)
+def test_resultant_path_selection(monkeypatch, coeffs, p, ring, circulant):
+    calls = _count_paths(monkeypatch)
+    uni(coeffs).resultant_with_cyclotomic(p)
+    assert calls == {"ring": ring, "circulant": circulant}
+
+
+def test_resultant_paths_agree_with_sign():
+    rng = random.Random(31)
+    for _ in range(200):
+        coeffs = [rng.randint(-4, 4) for _ in range(rng.randint(1, 7))]
+        coeffs[0] = coeffs[0] or 1
+        coeffs[-1] = coeffs[-1] or -3
+        p = rng.randint(1, 12)
+        assert laurent._ring_product(coeffs, p) == laurent._circulant_product(coeffs, p)
+
+
+def test_resultant_cross_check_disagreement_raises(monkeypatch):
+    monkeypatch.setattr(laurent, "_ring_product", lambda coeffs, p: 12345)
+    with pytest.raises(RuntimeError, match="internal disagreement"):
+        uni({-1: 1, 0: -1, 1: 1}).resultant_with_cyclotomic(7)
