@@ -1,12 +1,13 @@
 """Exact leading-order invariants of p-fold branched cyclic covers of knots.
 
 Submodules:
-    laurent   -- exact integer Laurent polynomials and roots-of-unity sums
+    laurent   -- exact one-variable integer Laurent polynomials, |H_1| resultants
     knots     -- homology orders of branched covers, the wheel-knot family
     diagrams  -- trivalent graphs with legs, completeness validation
     lifts     -- the mod-p lift equations and their solver
     signs     -- twist chains and comparison signs
-    engine    -- leading-term multipliers and Casson-Walker-Lescop deltas
+    engine    -- roots-of-unity filters in Z[Z_p^b]: leg-state and LMO
+                 multipliers, Casson-Walker-Lescop deltas
     cli       -- command-line frontend
 """
 

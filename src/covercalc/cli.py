@@ -86,13 +86,7 @@ def cmd_wheel_table(args) -> str:
 def cmd_cwl(args) -> str:
     knot = _load_knot(args.knot)
     diagram = _load_diagram(args.diagram)
-    term = engine.cwl_delta(
-        knot,
-        diagram,
-        args.p,
-        signed=not args.unsigned,
-        leg_cap=args.leg_cap,
-    )
+    term = engine.cwl_delta(knot, diagram, args.p, signed=not args.unsigned)
     return json.dumps(term.to_json_dict(), indent=2) + "\n"
 
 
@@ -149,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--unsigned", action="store_true",
                     help="drop the alternating leg-state signs")
-    sp.add_argument("--leg-cap", type=int, default=engine.DEFAULT_LEG_CAP)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_cwl)
 

@@ -92,12 +92,14 @@ class DecoratedDiagram:
             Leg(l["id"], l["vertex"], int(l["sign"]), l["edge"])
             for l in data.get("legs", [])
         )
+        # JSON object keys are strings: map each back to the edge id it names
+        edge_ids = {str(e.id): e.id for e in edges}
         return cls(
             label=str(data.get("label", "")),
             vertices=tuple(data.get("vertices", [])),
             edges=edges,
             legs=legs,
-            twists={k: int(v) for k, v in data.get("twists", {}).items()},
+            twists={edge_ids.get(k, k): int(v) for k, v in data.get("twists", {}).items()},
         )
 
 

@@ -1,16 +1,20 @@
 """Leading-term calculus for branched cyclic covers of decorated knots.
 
-The first non-vanishing coefficient produced by a complete graph Y-link
-decoration is a signed count of leg states whose cycle windings all vanish
-mod p, scaled by p. For theta-shaped decorations this feeds the
-Casson-Walker-Lescop delta 2|H_1| per admissible copy; for a chain of n
-legs on one edge it reduces to the exact roots-of-unity sum of (1-t)^n.
+Each leading-order number here is a roots-of-unity filter: p times the
+coefficient at 0 of an element of the group ring Z[Z_p^b]. For a complete
+graph Y-link decoration with b basis cycles that element is
+x^c * prod over legs of (1 -/+ x^v), with c the constant cycle windings and
+v a leg's winding contributions, so the filter is p times the signed count
+of leg states whose cycle windings all vanish mod p. For theta-shaped
+decorations this feeds the Casson-Walker-Lescop delta 2|H_1| per admissible
+copy. The LMO multiplier of l legs is the b = 1 case (1 - x)^l, whose
+filter is the binomial sum p * sum over k = 0 mod p of (-1)^k C(l, k).
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,9 +28,8 @@ from .diagrams import (
     surplus,
 )
 from .knots import KnotDescriptor, h1_order
-from .laurent import LaurentPoly
 
-DEFAULT_LEG_CAP = 24
+MAX_STATES = 2**24  # grouped leg states prod(m_i + 1) one multiplier call may enumerate
 
 
 @dataclass(frozen=True)
@@ -51,24 +54,17 @@ class LeadingTerm:
         return data
 
 
-def _multiplier_enumeration(forms, legs, p, signed):
+def _multiplier_enumeration(constants, groups, p, signed):
     """Signed count of admissible leg states, times p.
 
-    Legs with identical contribution vectors across the basis cycles are
-    interchangeable, so states are enumerated per group with binomial
-    multiplicities. Worst case is still 2^legs (all vectors distinct).
+    Legs with identical winding vectors are interchangeable, so states are
+    enumerated per group with binomial multiplicities: prod(m_i + 1) states
+    for groups of sizes m_i.
     """
-    groups: dict[tuple[int, ...], int] = {}
-    for leg in legs:
-        vec = tuple(f.coeffs.get(leg.id, 0) for f in forms)
-        groups[vec] = groups.get(vec, 0) + 1
-
-    constants = tuple(f.constant for f in forms)
-    total = 0
-    choices = [range(m + 1) for m in groups.values()]
     vectors = list(groups)
     multiplicities = list(groups.values())
-    for counts in itertools.product(*choices):
+    total = 0
+    for counts in itertools.product(*(range(m + 1) for m in multiplicities)):
         windings = list(constants)
         weight = 1
         flips = 0
@@ -85,42 +81,45 @@ def _multiplier_enumeration(forms, legs, p, signed):
     return p * total
 
 
-def _multiplier_polynomial(forms, legs, p, signed):
-    # One variable per basis cycle; each leg contributes a factor
-    # (1 -/+ monomial of its winding contributions). The mod-p indicator sum
-    # of the expanded product is the signed admissible-state count.
-    variables = tuple(f"c{i}" for i in range(len(forms)))
-    poly = LaurentPoly.monomial(variables, tuple(f.constant for f in forms))
-    one = LaurentPoly.const(1, variables)
-    for leg in legs:
-        exps = tuple(f.coeffs.get(leg.id, 0) for f in forms)
-        mono = LaurentPoly.monomial(variables, exps)
-        poly = poly * (one - mono if signed else one + mono)
-    return p * poly.modp_indicator_sum(p)
+def _multiplier_polynomial(constants, vectors, p, signed):
+    """p times the coefficient at 0 of x^c * prod_v (1 -/+ x^v) in Z[Z_p^b].
+
+    The product is a dict keyed by exponent tuples reduced mod p, multiplied
+    by one factor per leg, so its support stays at most min(2^legs, p^b).
+    """
+    sign = -1 if signed else 1
+    ring = {tuple(c % p for c in constants): 1}
+    for vec in vectors:
+        product = dict(ring)
+        for exp, coef in ring.items():
+            key = tuple((e + v) % p for e, v in zip(exp, vec))
+            product[key] = product.get(key, 0) + sign * coef
+        ring = product
+    return p * ring.get((0,) * len(constants), 0)
 
 
-def multiplier(
-    d: DecoratedDiagram,
-    p: int,
-    signed: bool = True,
-    leg_cap: int = DEFAULT_LEG_CAP,
-) -> int:
+def multiplier(d: DecoratedDiagram, p: int, signed: bool = True) -> int:
     """p times the signed count of leg states with all cycle windings = 0 mod p.
 
-    Computed twice -- by direct enumeration over the 2^legs states and by an
-    exact roots-of-unity indicator sum on the product polynomial -- and the
-    two paths must agree.
+    Computed twice -- by grouped enumeration of the leg states and by the
+    roots-of-unity filter of the leg product in Z[Z_p^b] -- and the two paths
+    must agree, else RuntimeError. A call whose grouped states prod(m_i + 1)
+    exceed MAX_STATES is refused with ValueError before either path runs.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     require_valid(d)
-    if len(d.legs) > leg_cap:
-        raise ValueError(
-            f"{len(d.legs)} legs exceeds the enumeration cap of {leg_cap}"
-        )
     forms = cycle_winding_affine(d, cycle_basis(d))
-    by_enum = _multiplier_enumeration(forms, d.legs, p, signed)
-    by_poly = _multiplier_polynomial(forms, d.legs, p, signed)
+    constants = tuple(f.constant for f in forms)
+    vectors = [tuple(f.coeffs.get(leg.id, 0) for f in forms) for leg in d.legs]
+    groups = Counter(vectors)
+    states = math.prod(m + 1 for m in groups.values())
+    if states > MAX_STATES:
+        raise ValueError(
+            f"{states} grouped leg states exceed the work bound of {MAX_STATES}"
+        )
+    by_enum = _multiplier_enumeration(constants, groups, p, signed)
+    by_poly = _multiplier_polynomial(constants, vectors, p, signed)
     if by_enum != by_poly:
         raise RuntimeError(
             f"internal disagreement: enumeration {by_enum} vs polynomial {by_poly}"
@@ -147,7 +146,6 @@ def cwl_delta(
     d: DecoratedDiagram,
     p: int,
     signed: bool = True,
-    leg_cap: int = DEFAULT_LEG_CAP,
 ) -> LeadingTerm:
     """Casson-Walker-Lescop leading delta for a theta-with-legs decoration.
 
@@ -168,26 +166,23 @@ def cwl_delta(
             p=p,
             note="sawn diagram is not a theta graph; the invariant vanishes here",
         )
-    m = multiplier(d, p, signed=signed, leg_cap=leg_cap)
+    m = multiplier(d, p, signed=signed)
     magnitude = 2 * h1_order(knot, p) * abs(m)
     sign = _sign_from_twists(d) if magnitude else None
     return LeadingTerm(magnitude=magnitude, sign=sign, grade=grade, label=d.label, p=p)
 
 
-@functools.lru_cache(maxsize=512)
-def _one_minus_t_power(l: int) -> LaurentPoly:
-    t = LaurentPoly.gen("t")
-    one = LaurentPoly.const(1)
-    return (one - t) ** l
-
-
 def lmo_leading_multiplier(l: int, p: int) -> int:
-    """Exact sum of (1 - w)^l over all p-th roots of unity w."""
+    """Exact sum of (1 - w)^l over all p-th roots of unity w.
+
+    The filter keeps the terms of (1 - t)^l whose exponent is divisible by
+    p, so the sum is p * sum over k = 0 mod p of (-1)^k C(l, k).
+    """
     if l < 0:
         raise ValueError("l must be >= 0")
     if p < 1:
         raise ValueError("p must be >= 1")
-    return _one_minus_t_power(l).root_of_unity_sum(p)
+    return p * sum((-1) ** k * math.comb(l, k) for k in range(0, l + 1, p))
 
 
 def window_nonzero(l_start: int, p: int) -> tuple[int, int]:

@@ -12,10 +12,10 @@ p <= 16 the first path is cross-checked against the second.
 """
 from __future__ import annotations
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _shifted_dense
 
-_T = LaurentPoly.gen("t")
-_ONE = LaurentPoly.const(1)
+_T = LaurentPoly({1: 1})
+_ONE = LaurentPoly({0: 1})
 
 
 class KnotDescriptor:
@@ -24,8 +24,6 @@ class KnotDescriptor:
     __slots__ = ("label", "alexander")
 
     def __init__(self, label: str, alexander: LaurentPoly, check_symmetry: bool = True):
-        if not alexander.is_univariate():
-            raise ValueError("Alexander polynomial must be univariate")
         at_one = alexander.coefficient_sum()
         if at_one not in (1, -1):
             raise ValueError(
@@ -62,19 +60,9 @@ class KnotDescriptor:
         )
 
 
-def _normal_form(p: LaurentPoly) -> tuple[int, ...]:
-    """Dense coefficient tuple after shifting the lowest exponent to zero."""
-    if not p.terms:
-        return ()
-    exps = [e for (e,) in p.terms]
-    lo, hi = min(exps), max(exps)
-    return tuple(p.terms.get((e,), 0) for e in range(lo, hi + 1))
-
-
 def _symmetric_up_to_unit(p: LaurentPoly) -> bool:
-    var = p.vars[0]
-    flipped = _normal_form(p.substitute_inverse(var))
-    return flipped == _normal_form(p) or flipped == _normal_form(-p)
+    flipped = _shifted_dense(p.substitute_inverse().terms)
+    return flipped in (_shifted_dense(p.terms), _shifted_dense((-p).terms))
 
 
 def h1_order(knot: KnotDescriptor, p: int) -> int:
@@ -89,7 +77,7 @@ def wheel_knot(n: int) -> KnotDescriptor:
     if n < 1:
         raise ValueError("n must be >= 1")
     half = _ONE - (_ONE - _T) ** n
-    alexander = half * half.substitute_inverse("t")
+    alexander = half * half.substitute_inverse()
     return KnotDescriptor(f"wheel-{n}", alexander)
 
 
@@ -105,11 +93,11 @@ def unknot() -> KnotDescriptor:
 
 
 def trefoil() -> KnotDescriptor:
-    return KnotDescriptor("trefoil", LaurentPoly.univariate({-1: 1, 0: -1, 1: 1}))
+    return KnotDescriptor("trefoil", LaurentPoly({-1: 1, 0: -1, 1: 1}))
 
 
 def figure_eight() -> KnotDescriptor:
-    return KnotDescriptor("figure-eight", LaurentPoly.univariate({-1: -1, 0: 3, 1: -1}))
+    return KnotDescriptor("figure-eight", LaurentPoly({-1: -1, 0: 3, 1: -1}))
 
 
 CATALOG = {

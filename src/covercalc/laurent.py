@@ -1,110 +1,61 @@
-"""Exact integer Laurent polynomials in one or several variables.
+"""Exact integer Laurent polynomials in one variable.
 
-A polynomial is stored as a map from integer exponent vectors to nonzero
-integer coefficients. Root-of-unity evaluations are carried out by
-exponent-class bookkeeping on those integers, never by complex floats, so
-every exported quantity is an exact integer.
+A polynomial is stored as a map from integer exponents to nonzero integer
+coefficients. Its one roots-of-unity computation, the product of its values
+over all p-th roots of unity, is an exact integer determinant, never a
+complex float, so every exported quantity is an exact integer.
 """
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 CROSS_CHECK_MAX_P = 16  # the ring-path |H_1| is also computed by the circulant up to this p
 
 
 class LaurentPoly:
-    """An integer Laurent polynomial over an ordered tuple of variables.
+    """An integer Laurent polynomial in the variable ``var``.
 
-    Instances are immutable by convention: no method mutates ``terms``.
+    Instances are immutable by convention: no method mutates ``terms``. The
+    variable name is carried to and from the JSON ``vars`` field.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("var", "terms")
 
-    def __init__(self, variables: Iterable[str], terms: Mapping[tuple, int] | None = None):
-        variables = tuple(variables)
-        clean: dict[tuple[int, ...], int] = {}
-        for exp, coef in (terms or {}).items():
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != len(variables):
-                raise ValueError(
-                    f"exponent vector {exp} does not match variables {variables}"
-                )
-            coef = int(coef)
-            if coef:
-                clean[exp] = coef
-        self.vars = variables
-        self.terms = clean
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, variables: Iterable[str] = ("t",)) -> "LaurentPoly":
-        return cls(variables, {})
-
-    @classmethod
-    def const(cls, c: int, variables: Iterable[str] = ("t",)) -> "LaurentPoly":
-        variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): c})
-
-    @classmethod
-    def gen(cls, var: str, variables: Iterable[str] | None = None) -> "LaurentPoly":
-        """The monomial ``var`` inside the ring on ``variables``."""
-        variables = tuple(variables) if variables is not None else (var,)
-        if var not in variables:
-            raise ValueError(f"unknown variable {var!r}")
-        exp = tuple(1 if v == var else 0 for v in variables)
-        return cls(variables, {exp: 1})
-
-    @classmethod
-    def monomial(cls, variables: Iterable[str], exponents: Iterable[int], coef: int = 1) -> "LaurentPoly":
-        variables = tuple(variables)
-        return cls(variables, {tuple(exponents): coef})
-
-    @classmethod
-    def univariate(cls, coeffs: Mapping[int, int], var: str = "t") -> "LaurentPoly":
-        """Build a one-variable polynomial from a ``{exponent: coefficient}`` map."""
-        return cls((var,), {(e,): c for e, c in coeffs.items()})
+    def __init__(self, terms: Mapping[int, int] | None = None, var: str = "t"):
+        self.var = var
+        self.terms = {e: c for e, c in (terms or {}).items() if c}
 
     # -- ring structure ------------------------------------------------
 
-    def _check_same_ring(self, other: "LaurentPoly") -> None:
-        if self.vars != other.vars:
-            raise ValueError(f"variable lists differ: {self.vars} vs {other.vars}")
+    def _check_same_var(self, other: "LaurentPoly") -> None:
+        if self.var != other.var:
+            raise ValueError(f"variables differ: {self.var!r} vs {other.var!r}")
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check_same_ring(other)
+        self._check_same_var(other)
         terms = dict(self.terms)
         for exp, coef in other.terms.items():
-            new = terms.get(exp, 0) + coef
-            if new:
-                terms[exp] = new
-            else:
-                terms.pop(exp, None)
-        return LaurentPoly(self.vars, terms)
+            terms[exp] = terms.get(exp, 0) + coef
+        return LaurentPoly(terms, self.var)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly({e: -c for e, c in self.terms.items()}, self.var)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check_same_ring(other)
-        terms: dict[tuple[int, ...], int] = {}
+        self._check_same_var(other)
+        terms: dict[int, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                new = terms.get(exp, 0) + c1 * c2
-                if new:
-                    terms[exp] = new
-                else:
-                    terms.pop(exp, None)
-        return LaurentPoly(self.vars, terms)
+                terms[e1 + e2] = terms.get(e1 + e2, 0) + c1 * c2
+        return LaurentPoly(terms, self.var)
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             raise ValueError("negative powers are not defined; use substitute_inverse")
-        result = LaurentPoly.const(1, self.vars)
+        result = LaurentPoly({0: 1}, self.var)
         base = self
         while n:
             if n & 1:
@@ -116,7 +67,7 @@ class LaurentPoly:
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, LaurentPoly)
-            and self.vars == other.vars
+            and self.var == other.var
             and self.terms == other.terms
         )
 
@@ -124,77 +75,27 @@ class LaurentPoly:
         return bool(self.terms)
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "LaurentPoly(0)"
-        parts = []
-        for exp in sorted(self.terms):
-            coef = self.terms[exp]
-            mono = "*".join(
-                f"{v}^{e}" for v, e in zip(self.vars, exp) if e != 0
-            )
-            parts.append(f"{coef}" + (f"*{mono}" if mono else ""))
-        return "LaurentPoly(" + " + ".join(parts) + ")"
+        parts = [
+            f"{coef}*{self.var}^{exp}" if exp else f"{coef}"
+            for exp, coef in sorted(self.terms.items())
+        ]
+        return "LaurentPoly(" + (" + ".join(parts) or "0") + ")"
 
     # -- queries -------------------------------------------------------
 
-    def is_univariate(self) -> bool:
-        return len(self.vars) == 1
-
     def coefficient_sum(self) -> int:
-        """Value at all variables = 1."""
+        """Value at the variable = 1."""
         return sum(self.terms.values())
 
-    def evaluate(self, values: Mapping[str, complex]) -> complex:
-        """Evaluate numerically. Intended for test oracles only."""
-        total: complex = 0
-        for exp, coef in self.terms.items():
-            term: complex = coef
-            for v, e in zip(self.vars, exp):
-                term *= values[v] ** e
-            total += term
-        return total
+    def evaluate(self, z: complex) -> complex:
+        """Evaluate numerically at ``z``. Intended for test oracles only."""
+        return sum(coef * z**exp for exp, coef in self.terms.items())
 
     # -- the operations the rest of the library is built on ------------
 
-    def substitute_inverse(self, var: str) -> "LaurentPoly":
-        """Replace ``var`` by its inverse (negate its exponent everywhere)."""
-        if var not in self.vars:
-            raise ValueError(f"unknown variable {var!r}")
-        i = self.vars.index(var)
-        terms = {
-            tuple(-e if j == i else e for j, e in enumerate(exp)): c
-            for exp, c in self.terms.items()
-        }
-        return LaurentPoly(self.vars, terms)
-
-    def root_of_unity_sum(self, p_order: int) -> int:
-        """Sum of this univariate polynomial over all p-th roots of unity.
-
-        Since the roots-of-unity filter kills every exponent class except
-        multiples of p, the sum is p times the sum of those coefficients:
-        an exact integer, no complex arithmetic involved.
-        """
-        if not self.is_univariate():
-            raise ValueError("root_of_unity_sum requires a univariate polynomial")
-        if p_order < 1:
-            raise ValueError("p_order must be >= 1")
-        return p_order * sum(
-            c for (e,), c in self.terms.items() if e % p_order == 0
-        )
-
-    def modp_indicator_sum(self, p_order: int) -> int:
-        """Sum of coefficients on terms whose every exponent is divisible by p.
-
-        Equals (1/p^b) times the sum of the polynomial's values over all
-        b-tuples of p-th roots of unity, where b is the number of variables.
-        """
-        if p_order < 1:
-            raise ValueError("p_order must be >= 1")
-        return sum(
-            c
-            for exp, c in self.terms.items()
-            if all(e % p_order == 0 for e in exp)
-        )
+    def substitute_inverse(self) -> "LaurentPoly":
+        """Replace the variable by its inverse (negate every exponent)."""
+        return LaurentPoly({-e: c for e, c in self.terms.items()}, self.var)
 
     def resultant_with_cyclotomic(self, p_order: int) -> int:
         """Product of values over all p-th roots of unity, as an exact integer.
@@ -219,13 +120,11 @@ class LaurentPoly:
         disagreement raises RuntimeError. Only the absolute value is
         meaningful; the unit shift changes the sign.
         """
-        if not self.is_univariate():
-            raise ValueError("resultant_with_cyclotomic requires a univariate polynomial")
         if p_order < 1:
             raise ValueError("p_order must be >= 1")
         if not self.terms:
             raise ValueError("resultant of the zero polynomial is undefined")
-        coeffs = _shifted_dense({e: c for (e,), c in self.terms.items()})
+        coeffs = _shifted_dense(self.terms)
         if len(coeffs) > p_order:
             folded = {}
             for k, c in enumerate(coeffs):
@@ -250,21 +149,52 @@ class LaurentPoly:
 
     def to_json_dict(self) -> dict:
         return {
-            "vars": list(self.vars),
+            "vars": [self.var],
             "terms": [
-                {"exp": list(exp), "coef": str(coef)}
+                {"exp": [exp], "coef": str(coef)}
                 for exp, coef in sorted(self.terms.items())
             ],
         }
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "LaurentPoly":
-        variables = tuple(data["vars"])
-        terms = {
-            tuple(int(e) for e in t["exp"]): int(t["coef"])
-            for t in data["terms"]
-        }
-        return cls(variables, terms)
+        """Parse the ``to_json_dict`` form strictly.
+
+        ``vars`` must hold exactly one name, ``terms`` must be a list of
+        objects and each ``exp`` must hold exactly one exponent. Exponents
+        and coefficients must be JSON integers or decimal strings; floats
+        and booleans raise ValueError rather than being truncated, and so
+        does an exponent given twice.
+        """
+        names = data["vars"]
+        if not (isinstance(names, list) and len(names) == 1 and isinstance(names[0], str)):
+            raise ValueError(f"vars must name exactly one variable, got {names!r}")
+        if not isinstance(data["terms"], list):
+            raise ValueError("terms must be a list")
+        terms: dict[int, int] = {}
+        for term in data["terms"]:
+            if not isinstance(term, dict):
+                raise ValueError(f"each term must be an object, got {term!r}")
+            exp = term["exp"]
+            if not (isinstance(exp, list) and len(exp) == 1):
+                raise ValueError(f"exp must hold exactly one exponent, got {exp!r}")
+            e = _json_int(exp[0], "exponent")
+            if e in terms:
+                raise ValueError(f"duplicate exponent {e}")
+            terms[e] = _json_int(term["coef"], "coefficient")
+        return cls(terms, names[0])
+
+
+def _json_int(value, what: str) -> int:
+    """An integer from a JSON integer or decimal string; anything else raises ValueError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{what} must be an integer or a decimal string, got {value!r}")
 
 
 def _shifted_dense(coeffs: Mapping[int, int]) -> list[int]:

@@ -71,7 +71,11 @@ def solve(system: LiftSystem) -> Optional[list[dict]]:
     p = system.p
     if not system.vertices:
         return []
-    adjacency: dict = {v: [] for v in system.vertices}
+    adjacency: dict = {}
+    for v in system.vertices:
+        if v in adjacency:
+            raise ValueError(f"duplicate vertex id {v!r} in lift system")
+        adjacency[v] = []
     for e in system.edges:
         if e.tail not in adjacency or e.head not in adjacency:
             raise ValueError(f"edge {e.id} references an unknown vertex")

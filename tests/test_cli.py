@@ -179,6 +179,33 @@ def test_invalid_knot_exits_1(capsys, tmp_path):
     assert "±1" in err or "Alexander" in err
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"vars": ["t"], "terms": [{"exp": [0], "coef": 1.9}]},
+        {"vars": ["t"], "terms": [{"exp": [0], "coef": "1"}, {"exp": [0], "coef": "1"}]},
+        {"vars": ["s", "t"], "terms": [{"exp": [0, 0], "coef": "1"}]},
+    ],
+    ids=["float-coefficient", "duplicate-exponent", "two-variables"],
+)
+def test_malformed_knot_exits_1(capsys, tmp_path, data):
+    path = tmp_path / "bad_knot.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["h1", str(path), "--p", "2"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+
+
+def test_multiplier_disagreement_exits_3(capsys, monkeypatch, tmp_path, trefoil_file):
+    from covercalc import engine
+
+    monkeypatch.setattr(engine, "_multiplier_polynomial", lambda *args: 0)
+    diagram_file = write_diagram(tmp_path, theta())
+    code, out, err = run(capsys, ["cwl", trefoil_file, diagram_file, "--p", "2"])
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: internal disagreement")
+
+
 def test_internal_disagreement_exits_3(capsys, monkeypatch, trefoil_file):
     from covercalc import laurent
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -18,6 +19,8 @@ from covercalc.diagrams import (
     theta,
     validate_complete,
 )
+from covercalc.engine import cwl_delta
+from covercalc.knots import unknot
 
 from helpers import (
     chord_fixture,
@@ -231,3 +234,17 @@ def test_twists_default_positive_is_absent():
     d = theta()
     assert d.twists == {}
     assert "twists" not in d.to_json_dict()
+
+
+def test_json_round_trip_keeps_integer_edge_twists():
+    base = theta()
+    d = DecoratedDiagram(
+        "int-theta",
+        base.vertices,
+        tuple(Edge(i, e.tail, e.head, e.winding) for i, e in enumerate(base.edges, 1)),
+        (),
+        {1: -1, 2: 1, 3: 1},
+    )
+    again = DecoratedDiagram.from_json_dict(json.loads(json.dumps(d.to_json_dict())))
+    assert again.twists == {1: -1, 2: 1, 3: 1}
+    assert cwl_delta(unknot(), again, 2).sign == -1

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from covercalc import engine
 from covercalc.diagrams import DecoratedDiagram, DiagramError, surplus, theta
 from covercalc.engine import (
     cwl_delta,
@@ -57,9 +58,24 @@ def test_multiplier_rejects_invalid_diagram():
         multiplier(chord_fixture(), 2)
 
 
-def test_multiplier_leg_cap():
-    with pytest.raises(ValueError):
-        multiplier(theta_with_legs(4), 2, leg_cap=3)
+def test_multiplier_leg_cap(monkeypatch):
+    # n legs on one edge share one winding vector: n + 1 grouped states
+    monkeypatch.setattr(engine, "MAX_STATES", 16)
+    assert multiplier(theta_with_legs(15), 3) == lmo_leading_multiplier(15, 3)
+    with pytest.raises(ValueError, match="work bound"):
+        multiplier(theta_with_legs(16), 3)
+
+
+def test_multiplier_runs_long_chains_under_the_default_bound():
+    assert engine.MAX_STATES == 2**24
+    for p in (2, 3, 7):
+        assert multiplier(theta_with_legs(40), p) == lmo_leading_multiplier(40, p)
+
+
+def test_multiplier_path_disagreement_raises(monkeypatch):
+    monkeypatch.setattr(engine, "_multiplier_polynomial", lambda *args: 0)
+    with pytest.raises(RuntimeError, match="internal disagreement"):
+        multiplier(theta_with_legs(40), 3)
 
 
 def test_kappa_matches_binomial_identity():

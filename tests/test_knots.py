@@ -34,13 +34,13 @@ def test_wheel_double_cover_closed_form():
 
 
 def test_wheel_one_is_trivial():
-    assert wheel_knot(1).alexander == LaurentPoly.const(1)
+    assert wheel_knot(1).alexander == LaurentPoly({0: 1})
 
 
 def test_wheel_two_expansion():
     w2 = wheel_knot(2).alexander
     # (2t - t^2)(2t^-1 - t^-2) expanded
-    expected = LaurentPoly.univariate({-1: -2, 0: 5, 1: -2})
+    expected = LaurentPoly({-1: -2, 0: 5, 1: -2})
     assert w2 == expected
     assert w2.coefficient_sum() == 1
 
@@ -71,18 +71,18 @@ def test_f_table_divergent_subsequence_for_p6():
 
 def test_construction_rejects_bad_value_at_one():
     with pytest.raises(ValueError):
-        KnotDescriptor("bad", LaurentPoly.univariate({0: 2}))
+        KnotDescriptor("bad", LaurentPoly({0: 2}))
 
 
 def test_construction_rejects_asymmetric():
     with pytest.raises(ValueError):
-        KnotDescriptor("bad", LaurentPoly.univariate({0: -1, 1: 1, 2: 1}))
+        KnotDescriptor("bad", LaurentPoly({0: -1, 1: 1, 2: 1}))
 
 
 def test_symmetry_check_can_be_skipped():
     k = KnotDescriptor(
         "experimental",
-        LaurentPoly.univariate({0: -1, 1: 1, 2: 1}),
+        LaurentPoly({0: -1, 1: 1, 2: 1}),
         check_symmetry=False,
     )
     assert h1_order(k, 1) == 1
@@ -114,7 +114,7 @@ def test_h1_matches_float_product():
         exact = h1_order(k, p)
         prod = 1.0
         for q in range(p):
-            prod *= abs(k.alexander.evaluate({"t": cmath.exp(2j * cmath.pi * q / p)}))
+            prod *= abs(k.alexander.evaluate(cmath.exp(2j * cmath.pi * q / p)))
         if prod > 1e-3:
             assert abs(prod - exact) <= 1e-6 * max(1.0, exact)
         else:

@@ -1,18 +1,20 @@
 import cmath
+import itertools
+import json
+import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from covercalc import laurent
+from covercalc.engine import _multiplier_enumeration, _multiplier_polynomial, lmo_leading_multiplier
 from covercalc.laurent import LaurentPoly, _bareiss_det
 
-T = LaurentPoly.gen("t")
-ONE = LaurentPoly.const(1)
-
-
-def uni(coeffs):
-    return LaurentPoly.univariate(coeffs)
+T = LaurentPoly({1: 1})
+ONE = LaurentPoly({0: 1})
+uni = LaurentPoly
 
 
 # -- strategies ------------------------------------------------------------
@@ -28,7 +30,7 @@ def test_add_cancellation():
 
 def test_add_identity():
     p = uni({-2: 3, 1: -1})
-    assert LaurentPoly.zero() + p == p
+    assert LaurentPoly() + p == p
 
 
 def test_add_doubling():
@@ -36,7 +38,7 @@ def test_add_doubling():
 
 
 def test_mul_direct_expansion():
-    assert (ONE - T) * (ONE - T.substitute_inverse("t")) == uni({0: 2, 1: -1, -1: -1})
+    assert (ONE - T) * (ONE - T.substitute_inverse()) == uni({0: 2, 1: -1, -1: -1})
 
 
 def test_mul_binomial_cube():
@@ -44,11 +46,11 @@ def test_mul_binomial_cube():
 
 
 def test_mul_unit():
-    assert T * T.substitute_inverse("t") == ONE
+    assert T * T.substitute_inverse() == ONE
 
 
 def test_variable_mismatch_raises():
-    other = LaurentPoly.gen("s")
+    other = LaurentPoly({1: 1}, "s")
     with pytest.raises(ValueError):
         T + other
     with pytest.raises(ValueError):
@@ -56,67 +58,71 @@ def test_variable_mismatch_raises():
 
 
 def test_substitute_inverse_basic():
-    assert (ONE - T).substitute_inverse("t") == uni({0: 1, -1: -1})
+    assert (ONE - T).substitute_inverse() == uni({0: 1, -1: -1})
 
 
 def test_substitute_inverse_palindrome():
     sym = uni({-1: 1, 0: -1, 1: 1})
-    assert sym.substitute_inverse("t") == sym
+    assert sym.substitute_inverse() == sym
 
 
 def test_substitute_inverse_square():
-    assert ((ONE - T) ** 2).substitute_inverse("t") == uni({0: 1, -1: -2, -2: 1})
+    assert ((ONE - T) ** 2).substitute_inverse() == uni({0: 1, -1: -2, -2: 1})
 
 
-def test_substitute_inverse_unknown_variable():
-    with pytest.raises(ValueError):
-        T.substitute_inverse("s")
+# -- roots-of-unity sums ------------------------------------------------------
+# The engine computes these sums as coefficients in Z[Z_p^b]: the sum of
+# (1 - w)^l over the p-th roots of unity by lmo_leading_multiplier, and p times
+# the mod-p indicator sum of x^c * prod (1 -/+ x^v) by both multiplier paths.
+
+
+def indicator_sum(constants, vectors, p, signed=False):
+    """The mod-p indicator sum from both multiplier paths, which must agree."""
+    by_poly = _multiplier_polynomial(constants, vectors, p, signed)
+    assert by_poly == _multiplier_enumeration(constants, Counter(vectors), p, signed)
+    assert by_poly % p == 0
+    return by_poly // p
 
 
 def test_root_of_unity_sum_cube_at_p2():
     # (1-1)^3 + (1-(-1))^3 = 8; also 2 * (C(3,0) + C(3,2)) = 8
-    assert ((ONE - T) ** 3).root_of_unity_sum(2) == 8
+    assert lmo_leading_multiplier(3, 2) == 8
 
 
 def test_root_of_unity_sum_p1_is_value_at_one():
-    p = (ONE - T) ** 4
-    assert p.root_of_unity_sum(1) == 0
+    assert lmo_leading_multiplier(4, 1) == 0
 
 
 def test_root_of_unity_sum_constant():
-    assert LaurentPoly.const(5).root_of_unity_sum(3) == 15
+    # (1 - w)^0 = 1 at each of the three cube roots of unity
+    assert lmo_leading_multiplier(0, 3) == 3
 
 
 def test_root_of_unity_sum_rejects_bad_order():
     with pytest.raises(ValueError):
-        T.root_of_unity_sum(0)
+        lmo_leading_multiplier(1, 0)
 
 
 def test_root_of_unity_sum_requires_univariate():
-    p = LaurentPoly.const(1, ("a", "b"))
-    with pytest.raises(ValueError):
-        p.root_of_unity_sum(2)
+    data = {"vars": ["a", "b"], "terms": [{"exp": [1, 0], "coef": "1"}]}
+    with pytest.raises(ValueError, match="exactly one variable"):
+        LaurentPoly.from_json_dict(data)
 
 
 def test_modp_indicator_sum_four_monomials():
-    ab = ("a", "b")
-    p = (
-        LaurentPoly.const(1, ab)
-        + LaurentPoly.gen("a", ab)
-        + LaurentPoly.gen("b", ab)
-        + LaurentPoly.monomial(ab, (1, 1))
-    )
-    assert p.modp_indicator_sum(2) == 1
+    # (1 + a)(1 + b) = 1 + a + b + ab: only the constant has even exponents
+    assert indicator_sum((0, 0), [(1, 0), (0, 1)], 2) == 1
 
 
 def test_modp_indicator_sum_p1_sums_everything():
-    p = uni({-3: 2, 0: -1, 5: 4})
-    assert p.modp_indicator_sum(1) == 5
+    # t^3 (1 + t)(1 + t^-2)(1 + t^5) has coefficient sum 8
+    assert indicator_sum((3,), [(1,), (-2,), (5,)], 1) == 8
+    assert indicator_sum((3,), [(1,), (-2,), (5,)], 1, signed=True) == 0
 
 
 def test_modp_indicator_sum_odd_exponent():
-    p = LaurentPoly.monomial(("a", "b"), (1, 2))
-    assert p.modp_indicator_sum(2) == 0
+    assert indicator_sum((1, 2), [], 2) == 0
+    assert indicator_sum((2, -4), [], 2) == 1
 
 
 def test_resultant_identity_polynomial():
@@ -134,7 +140,7 @@ def test_resultant_vanishes_at_root_of_unity():
 
 def test_resultant_rejects_zero_polynomial():
     with pytest.raises(ValueError):
-        LaurentPoly.zero().resultant_with_cyclotomic(2)
+        LaurentPoly().resultant_with_cyclotomic(2)
 
 
 # -- properties -------------------------------------------------------------
@@ -156,31 +162,36 @@ def test_distributivity(p, q, r):
     assert p * (q + r) == p * q + p * r
 
 
-def _float_roots_sum(p, order):
-    return sum(
-        p.evaluate({"t": cmath.exp(2j * cmath.pi * q / order)})
-        for q in range(order)
-    )
-
-
 def test_root_of_unity_sum_matches_float_oracle():
+    # p times the coefficient at 0 in Z[Z_p^b] is p^(1-b) times the sum of
+    # the product's values over all b-tuples of p-th roots of unity
     rng = random.Random(20260823)
     for _ in range(60):
-        coeffs = {rng.randint(-10, 30): rng.randint(-8, 8) for _ in range(rng.randint(1, 12))}
-        p = uni(coeffs)
-        order = rng.randint(1, 12)
-        exact = p.root_of_unity_sum(order)
-        approx = _float_roots_sum(p, order)
+        b = rng.randint(1, 2)
+        constants = tuple(rng.randint(-6, 6) for _ in range(b))
+        vectors = [tuple(rng.randint(-3, 3) for _ in range(b)) for _ in range(rng.randint(0, 7))]
+        order = rng.randint(1, 7)
+        sign = rng.choice((1, -1))
+        exact = _multiplier_polynomial(constants, vectors, order, sign == -1)
+        roots = [cmath.exp(2j * cmath.pi * q / order) for q in range(order)]
+        approx = 0
+        for w in itertools.product(roots, repeat=b):
+            value = math.prod(z**c for z, c in zip(w, constants))
+            for vec in vectors:
+                value *= 1 + sign * math.prod(z**v for z, v in zip(w, vec))
+            approx += value
+        approx *= order ** (1 - b)
         assert abs(approx.imag) < 1e-6 * max(1.0, abs(exact))
         assert abs(approx.real - exact) <= 1e-6 * max(1.0, abs(exact))
 
 
 def test_modp_indicator_specializes_on_univariate():
+    # one cycle crossed by a chain of l legs: p times the filter of (1 - x)^l is LMO's
     rng = random.Random(7)
     for _ in range(40):
-        p = uni({rng.randint(-8, 8): rng.randint(-5, 5) for _ in range(6)})
-        order = rng.randint(1, 9)
-        assert p.modp_indicator_sum(order) * order == p.root_of_unity_sum(order)
+        l, order = rng.randint(0, 30), rng.randint(1, 9)
+        chain = indicator_sum((0,), [(1,)] * l, order, signed=True)
+        assert chain * order == lmo_leading_multiplier(l, order)
 
 
 def test_resultant_invariant_under_units_and_inversion():
@@ -193,7 +204,7 @@ def test_resultant_invariant_under_units_and_inversion():
         base = abs(p.resultant_with_cyclotomic(order))
         shifted = p * uni({rng.randint(-3, 3): 1})
         assert abs(shifted.resultant_with_cyclotomic(order)) == base
-        assert abs(p.substitute_inverse("t").resultant_with_cyclotomic(order)) == base
+        assert abs(p.substitute_inverse().resultant_with_cyclotomic(order)) == base
 
 
 def test_resultant_multiplicative():
@@ -219,9 +230,56 @@ def test_bareiss_det_small_cases():
 
 def test_json_round_trip_preserves_big_integers():
     big = 2**200 - 1
-    p = LaurentPoly(("t",), {(-3,): big, (4,): -1})
+    p = LaurentPoly({-3: big, 4: -1})
     assert LaurentPoly.from_json_dict(p.to_json_dict()) == p
     assert p.to_json_dict()["terms"][0]["coef"] == str(big)
+
+
+@given(
+    st.dictionaries(st.integers(-10**6, 10**6), st.integers(-(2**80), 2**80), max_size=10),
+    st.sampled_from(["t", "s", "q"]),
+)
+def test_json_round_trip_property(coeffs, var):
+    p = LaurentPoly(coeffs, var)
+    assert LaurentPoly.from_json_dict(json.loads(json.dumps(p.to_json_dict()))) == p
+
+
+def knot_json(*terms):
+    return {"vars": ["t"], "terms": [{"exp": exp, "coef": coef} for exp, coef in terms]}
+
+
+@pytest.mark.parametrize("coef", [1.9, -1.5, 2.0, True, "1.9", None])
+def test_from_json_rejects_non_integer_coefficient(coef):
+    with pytest.raises(ValueError, match="coefficient"):
+        LaurentPoly.from_json_dict(knot_json(([0], coef)))
+
+
+@pytest.mark.parametrize("exp", [-1.5, 1.0, True, "x"])
+def test_from_json_rejects_non_integer_exponent(exp):
+    with pytest.raises(ValueError, match="exponent"):
+        LaurentPoly.from_json_dict(knot_json(([exp], "1")))
+
+
+def test_from_json_rejects_duplicate_exponent():
+    with pytest.raises(ValueError, match="duplicate exponent 1"):
+        LaurentPoly.from_json_dict(knot_json(([1], "2"), ([0], "-3"), ([1], "2")))
+
+
+@pytest.mark.parametrize("exp", [[], [1, 0], 1])
+def test_from_json_rejects_exp_without_exactly_one_entry(exp):
+    with pytest.raises(ValueError, match="exactly one exponent"):
+        LaurentPoly.from_json_dict(knot_json((exp, "1")))
+
+
+@pytest.mark.parametrize("terms", [5, {"exp": [0], "coef": "1"}, [5], [["exp", "coef"]]])
+def test_from_json_rejects_terms_that_are_not_a_list_of_objects(terms):
+    with pytest.raises(ValueError, match="terms must be a list|each term must be an object"):
+        LaurentPoly.from_json_dict({"vars": ["t"], "terms": terms})
+
+
+def test_from_json_accepts_integers_and_decimal_strings():
+    p = LaurentPoly.from_json_dict(knot_json(([-1], 1), (["0"], "-1"), ([1], "1")))
+    assert p == LaurentPoly({-1: 1, 0: -1, 1: 1})
 
 
 # -- the two |H_1| paths ---------------------------------------------------
@@ -235,12 +293,12 @@ def test_resultant_matches_sympy_oracle():
     for _ in range(40):
         # nonzero coefficients, so the leading one is non-monic most of the time
         poly = uni({rng.randint(-4, 8): rng.choice([-5, -3, -2, -1, 1, 2, 3, 4]) for _ in range(rng.randint(1, 6))})
-        d = max(e for (e,) in poly.terms) - min(e for (e,) in poly.terms)
+        d = max(poly.terms) - min(poly.terms)
         for p in {1, rng.randint(2, 6), max(1, d), max(1, 3 * d - 1), max(1, 3 * d), 17}:
             cases.append((poly, p))
     for poly, p in cases:
-        shift = min(e for (e,) in poly.terms)
-        shifted = sum(c * t ** (e - shift) for (e,), c in poly.terms.items())
+        shift = min(poly.terms)
+        shifted = sum(c * t ** (e - shift) for e, c in poly.terms.items())
         want = abs(sympy.resultant(sympy.Poly(shifted, t), sympy.Poly(t**p - 1, t)))
         assert abs(poly.resultant_with_cyclotomic(p)) == want, (poly, p)
 

@@ -146,3 +146,9 @@ def test_json_round_trip():
     again = LiftSystem.from_json_dict(system.to_json_dict())
     assert again.p == 3
     assert as_set(solve(again) or []) == as_set(solve(system) or [])
+
+
+def test_duplicate_vertex_id_is_named():
+    system = LiftSystem(vertices=(1, 2, 2, 3), edges=triangle((0, 0, 0), 3).edges, p=3)
+    with pytest.raises(ValueError, match="duplicate vertex id 2"):
+        solve(system)
