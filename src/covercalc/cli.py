@@ -66,9 +66,7 @@ def _load_knot(path: str) -> knots.KnotDescriptor:
 
 def _load_diagram(path: str) -> diagrams.DecoratedDiagram:
     d = diagrams.DecoratedDiagram.from_json_dict(_load_json(path))
-    violation = diagrams.validate_complete(d)
-    if violation is not None:
-        raise diagrams.DiagramError(violation)
+    diagrams.require_valid(d)
     return d
 
 

@@ -5,12 +5,21 @@ winding on every edge (signed intersections with a spanning surface), legs
 attached at their own trivalent vertices with a wrap sign, and optional
 half-twist data. Completeness validation enforces the one-leg-per-vertex
 rule that rules out chords and forks.
+
+One graph search serves every traversal: ``spanning_tree`` grows a tree
+from the lowest-id vertex. Validation checks that it reaches every vertex;
+``cycle_windings`` sums edge windings into vertex potentials along it and
+reads each fundamental cycle's winding off a chord; the mod-p lift solver
+in ``lifts`` does the same in Z_p. ``is_theta_shaped`` needs no search: on
+a valid diagram, sawing off the legs smooths exactly the leg vertices.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Hashable, Mapping, Optional, Sequence
+
+from .laurent import _json_int, _json_list, _json_object, _json_objects
 
 
 @dataclass(frozen=True)
@@ -84,28 +93,64 @@ class DecoratedDiagram:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "DecoratedDiagram":
+        """Parse the ``to_json_dict`` form.
+
+        The top level and every edge and leg must be objects, ``vertices``,
+        ``edges`` and ``legs`` lists and ``twists`` an object. Windings,
+        signs and twists must be JSON integers or decimal strings; anything
+        else raises ValueError rather than being truncated.
+        """
+        _json_object(data, "diagram")
         edges = tuple(
-            Edge(e["id"], e["tail"], e["head"], int(e.get("winding", 0)))
-            for e in data.get("edges", [])
+            Edge(e["id"], e["tail"], e["head"], _json_int(e.get("winding", 0), "edge winding"))
+            for e in _json_objects(data.get("edges", []), "edges", "edge")
         )
         legs = tuple(
-            Leg(l["id"], l["vertex"], int(l["sign"]), l["edge"])
-            for l in data.get("legs", [])
+            Leg(l["id"], l["vertex"], _json_int(l["sign"], "leg sign"), l["edge"])
+            for l in _json_objects(data.get("legs", []), "legs", "leg")
         )
         # JSON object keys are strings: map each back to the edge id it names
         edge_ids = {str(e.id): e.id for e in edges}
+        twists = _json_object(data.get("twists", {}), "twists")
         return cls(
             label=str(data.get("label", "")),
-            vertices=tuple(data.get("vertices", [])),
+            vertices=tuple(_json_list(data.get("vertices", []), "vertices")),
             edges=edges,
             legs=legs,
-            twists={edge_ids.get(k, k): int(v) for k, v in data.get("twists", {}).items()},
+            twists={edge_ids.get(k, k): _json_int(v, "twist") for k, v in twists.items()},
         )
 
 
 def _id_key(x) -> tuple:
     # deterministic ordering across mixed int/str ids
     return (0, x, "") if isinstance(x, int) else (1, 0, str(x))
+
+
+def spanning_tree(vertices: Sequence, edges: Sequence) -> tuple:
+    """A spanning tree of the component of the lowest-id vertex.
+
+    ``edges`` are objects with ``tail`` and ``head`` among ``vertices``
+    (which must be non-empty). Returns ``(root, steps, chords)``: each step
+    ``(edge, parent, child, sign)`` reaches a new vertex, with sign +1 when
+    the edge runs parent -> child and -1 otherwise, and ``chords`` are the
+    remaining edges in input order, self-loops included. The graph is
+    connected iff there are ``len(vertices) - 1`` steps.
+    """
+    incident: dict = {v: [] for v in vertices}
+    for i, e in enumerate(edges):
+        incident[e.tail].append((i, e.head, 1))
+        incident[e.head].append((i, e.tail, -1))
+    root = min(vertices, key=_id_key)
+    steps, used, seen, stack = [], set(), {root}, [root]
+    while stack:
+        v = stack.pop()
+        for i, w, sign in incident[v]:
+            if w not in seen:
+                seen.add(w)
+                used.add(i)
+                steps.append((edges[i], v, w, sign))
+                stack.append(w)
+    return root, steps, [e for i, e in enumerate(edges) if i not in used]
 
 
 def surplus(d: DecoratedDiagram) -> int:
@@ -123,8 +168,8 @@ def validate_complete(d: DecoratedDiagram) -> Optional[Violation]:
 
     In order: well-formed references, trivalence (edge endpoints plus leg
     attachments sum to 3 at every vertex), one leg per vertex (no forks),
-    connectivity of the edge graph, leg targets incident to their vertex,
-    and surplus >= 2.
+    connectivity of the edge graph (the lowest-id vertex the spanning tree
+    misses is named), leg targets incident to their vertex, and surplus >= 2.
     """
     vset = set(d.vertices)
     if len(vset) != len(d.vertices):
@@ -164,20 +209,10 @@ def validate_complete(d: DecoratedDiagram) -> Optional[Violation]:
             return Violation("fork", v, "more than one leg attached to a vertex")
 
     if d.vertices:
-        seen = {d.vertices[0]}
-        frontier = [d.vertices[0]]
-        adjacency: dict = {v: [] for v in d.vertices}
-        for e in d.edges:
-            adjacency[e.tail].append(e.head)
-            adjacency[e.head].append(e.tail)
-        while frontier:
-            v = frontier.pop()
-            for w in adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        if len(seen) != len(d.vertices):
-            stray = min((v for v in d.vertices if v not in seen), key=_id_key)
+        root, steps, _ = spanning_tree(d.vertices, d.edges)
+        if len(steps) != len(d.vertices) - 1:
+            reached = {root} | {child for _, _, child, _ in steps}
+            stray = min((v for v in d.vertices if v not in reached), key=_id_key)
             return Violation("disconnected", stray, "edge graph is not connected")
 
     for l in d.legs:
@@ -197,163 +232,56 @@ def require_valid(d: DecoratedDiagram) -> None:
         raise DiagramError(violation)
 
 
-@dataclass(frozen=True)
-class Cycle:
-    id: Hashable
-    edge_coeffs: Mapping[Hashable, int]  # signed incidence, edge id -> ±1
+def cycle_windings(d: DecoratedDiagram) -> list[list[int]]:
+    """Winding of each fundamental cycle as a row [constant, c_1, ..., c_L].
 
-
-@dataclass(frozen=True)
-class CycleBasis:
-    cycles: tuple
-
-
-def cycle_basis(d: DecoratedDiagram, edge_order: Optional[Sequence] = None) -> CycleBasis:
-    """Fundamental cycles of a deterministic spanning tree.
-
-    Tree edges are chosen greedily in lowest-id order (or in the explicit
-    ``edge_order`` if given, which exists so tests can vary the tree). Each
-    non-tree edge contributes one cycle: the edge with coefficient +1 closed
-    up by the signed tree path from its head back to its tail.
+    A leg in state eps = 1 adds one signed wrap to its target edge, so edge
+    e carries the affine form winding(e) + sum of sign(l) * eps_l over the
+    legs l targeting it (slot i is the i-th leg of ``d.legs``). Potentials
+    sum these forms along the spanning tree, and the cycle of a chord e,
+    run tail -> head and closed through the tree, has winding
+    form(e) + potential(tail) - potential(head). One row per chord, in edge
+    order; the rows are a basis of the cycle windings. Needs a valid d.
     """
-    if edge_order is None:
-        ordered = sorted(d.edges, key=lambda e: _id_key(e.id))
-    else:
-        by_id = {e.id: e for e in d.edges}
-        ordered = [by_id[i] for i in edge_order]
-        if len(ordered) != len(d.edges):
-            raise ValueError("edge_order must enumerate every edge exactly once")
-
-    parent = {v: v for v in d.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    tree = []
-    chords = []
-    for e in ordered:
-        a, b = find(e.tail), find(e.head)
-        if a == b:
-            chords.append(e)
-        else:
-            parent[a] = b
-            tree.append(e)
-
-    roots = {find(v) for v in d.vertices}
-    if len(roots) > 1:
-        raise ValueError("cycle basis requires a connected edge graph")
-
-    adjacency: dict = {v: [] for v in d.vertices}
-    for e in tree:
-        adjacency[e.tail].append((e.head, e, 1))
-        adjacency[e.head].append((e.tail, e, -1))
-
-    def tree_path(src, dst):
-        # signed edges along the unique tree path src -> dst
-        stack = [(src, [])]
-        visited = {src}
-        while stack:
-            v, path = stack.pop()
-            if v == dst:
-                return path
-            for w, e, sgn in adjacency[v]:
-                if w not in visited:
-                    visited.add(w)
-                    stack.append((w, path + [(e, sgn)]))
-        raise AssertionError("spanning tree path not found")
-
-    cycles = []
-    for e in chords:
-        coeffs = {e.id: 1}
-        if e.tail != e.head:
-            for f, sgn in tree_path(e.head, e.tail):
-                coeffs[f.id] = sgn
-        cycles.append(Cycle(id=e.id, edge_coeffs=coeffs))
-    return CycleBasis(cycles=tuple(cycles))
+    width = len(d.legs) + 1
+    form = {e.id: [e.winding] + [0] * (width - 1) for e in d.edges}
+    for slot, leg in enumerate(d.legs, 1):
+        form[leg.edge][slot] += leg.sign
+    root, steps, chords = spanning_tree(d.vertices, d.edges)
+    potential = {root: [0] * width}
+    for e, parent, child, sign in steps:
+        potential[child] = [a + sign * b for a, b in zip(potential[parent], form[e.id])]
+    return [
+        [f + t - h for f, t, h in zip(form[e.id], potential[e.tail], potential[e.head])]
+        for e in chords
+    ]
 
 
-@dataclass(frozen=True)
-class AffineWinding:
-    """Winding of one basis cycle as an affine form in the leg variables."""
+def is_theta_shaped(d: DecoratedDiagram) -> bool:
+    """True when sawing the legs off the valid diagram d leaves the theta graph.
 
-    cycle_id: Hashable
-    constant: int
-    coeffs: Mapping[Hashable, int]  # leg id -> ±1
-
-
-def cycle_winding_affine(d: DecoratedDiagram, basis: CycleBasis) -> list[AffineWinding]:
-    """Per-cycle winding as constant + sum of leg contributions.
-
-    A leg in state ε=1 adds one signed wrap to its target edge, so it
-    contributes (cycle incidence of that edge) · (wrap sign) · ε.
+    Sawing frees each leg vertex and merges its two edges, so the sawn graph
+    has the leg-free vertices, one edge per chain of leg vertices between
+    them. It is the theta graph iff there are two leg-free vertices (surplus
+    2) and no chain returns to the vertex it started from.
     """
-    windings = {e.id: e.winding for e in d.edges}
-    forms = []
-    for cycle in basis.cycles:
-        constant = sum(sgn * windings[eid] for eid, sgn in cycle.edge_coeffs.items())
-        coeffs = {}
-        for leg in d.legs:
-            sgn = cycle.edge_coeffs.get(leg.edge, 0)
-            if sgn:
-                coeffs[leg.id] = sgn * leg.sign
-        forms.append(AffineWinding(cycle_id=cycle.id, constant=constant, coeffs=coeffs))
-    return forms
-
-
-def sawn_edge_graph(d: DecoratedDiagram) -> list[tuple]:
-    """Edge list after sawing off the legs and smoothing the freed vertices.
-
-    Removing a leg leaves its attachment vertex with edge-degree 2; such
-    vertices are suppressed by merging their two incident edge ends. The
-    result is the underlying trivalent multigraph, returned as (tail, head)
-    pairs with fresh orientation data discarded.
-    """
-    ends = []  # each edge as a mutable [endpoint, endpoint]
-    for e in d.edges:
-        ends.append([e.tail, e.head])
-    alive = [True] * len(ends)
-
-    def degree_slots(v):
-        slots = []
-        for i, pair in enumerate(ends):
-            if not alive[i]:
-                continue
-            for j in (0, 1):
-                if pair[j] == v:
-                    slots.append((i, j))
-        return slots
-
-    changed = True
-    while changed:
-        changed = False
-        vertex_pool = {p for i, pair in enumerate(ends) if alive[i] for p in pair}
-        for v in sorted(vertex_pool, key=_id_key):
-            slots = degree_slots(v)
-            if len(slots) != 2:
-                continue
-            (i, ji), (k, jk) = slots
-            if i == k:
-                # isolated circle component; keep as a self-loop marker
-                continue
-            other = ends[k][1 - jk]
-            ends[i][ji] = other
-            alive[k] = False
-            changed = True
-            break
-    return [tuple(pair) for i, pair in enumerate(ends) if alive[i]]
-
-
-def is_theta_graph(edge_pairs: list[tuple]) -> bool:
-    """True when the multigraph is two vertices joined by three parallel edges."""
-    if len(edge_pairs) != 3:
+    if surplus(d) != 2:
         return False
-    vertices = {v for pair in edge_pairs for v in pair}
-    if len(vertices) != 2:
-        return False
-    return all(a != b for a, b in edge_pairs)
+    legged = {l.vertex for l in d.legs}
+    ends: dict = {v: [] for v in d.vertices}  # (edge index, far endpoint) per edge end
+    for i, e in enumerate(d.edges):
+        ends[e.tail].append((i, e.head))
+        ends[e.head].append((i, e.tail))
+    for start in d.vertices:
+        if start in legged:
+            continue
+        for i, v in ends[start]:
+            while v in legged:
+                (a, x), (b, y) = ends[v]
+                i, v = (b, y) if a == i else (a, x)
+            if v == start:
+                return False
+    return True
 
 
 # -- construction helpers ------------------------------------------------
@@ -373,48 +301,6 @@ def theta(label: str = "theta", windings: Sequence[int] = (0, 0, 0)) -> Decorate
     )
 
 
-def subdivide_edge(
-    d: DecoratedDiagram,
-    edge_id,
-    new_vertex,
-    first_id,
-    second_id,
-    winding_split: Optional[tuple] = None,
-) -> DecoratedDiagram:
-    """Split edge tail->head into tail->new_vertex->head.
-
-    The original winding goes on the first segment unless ``winding_split``
-    is given. Twist data on the split edge is dropped (it no longer names a
-    single leaf pairing).
-    """
-    old = d.edge_by_id(edge_id)
-    if winding_split is None:
-        winding_split = (old.winding, 0)
-    wa, wb = winding_split
-    edges = tuple(e for e in d.edges if e.id != edge_id) + (
-        Edge(first_id, old.tail, new_vertex, wa),
-        Edge(second_id, new_vertex, old.head, wb),
-    )
-    twists = {k: v for k, v in d.twists.items() if k != edge_id}
-    return DecoratedDiagram(
-        label=d.label,
-        vertices=d.vertices + (new_vertex,),
-        edges=edges,
-        legs=d.legs,
-        twists=twists,
-    )
-
-
-def add_leg(d: DecoratedDiagram, leg_id, vertex, sign, target_edge) -> DecoratedDiagram:
-    return DecoratedDiagram(
-        label=d.label,
-        vertices=d.vertices,
-        edges=d.edges,
-        legs=d.legs + (Leg(leg_id, vertex, sign, target_edge),),
-        twists=d.twists,
-    )
-
-
 def attach_leg_by_subdivision(
     d: DecoratedDiagram,
     edge_id,
@@ -424,12 +310,21 @@ def attach_leg_by_subdivision(
 ) -> DecoratedDiagram:
     """Subdivide an edge and hang a leg on the fresh vertex.
 
-    This is the move that adds one leg while keeping the diagram complete:
-    surplus is unchanged, degree rises by one.
+    Edge tail -> head becomes tail -> w -> head with the winding on the
+    first segment, and the leg's wrap is counted on the ``target`` segment.
+    Twist data on the split edge is dropped (it no longer names a single
+    leaf pairing). This is the move that adds one leg while keeping the
+    diagram complete: surplus is unchanged, degree rises by one.
     """
+    old = d.edge_by_id(edge_id)
     base = str(leg_id)
-    new_vertex = f"w_{base}"
-    first_id, second_id = f"{edge_id}~{base}a", f"{edge_id}~{base}b"
-    out = subdivide_edge(d, edge_id, new_vertex, first_id, second_id)
-    chosen = first_id if target == "first" else second_id
-    return add_leg(out, leg_id, new_vertex, sign, chosen)
+    w = f"w_{base}"
+    first = Edge(f"{edge_id}~{base}a", old.tail, w, old.winding)
+    second = Edge(f"{edge_id}~{base}b", w, old.head, 0)
+    return DecoratedDiagram(
+        label=d.label,
+        vertices=d.vertices + (w,),
+        edges=tuple(e for e in d.edges if e.id != edge_id) + (first, second),
+        legs=d.legs + (Leg(leg_id, w, sign, (first if target == "first" else second).id),),
+        twists={k: v for k, v in d.twists.items() if k != edge_id},
+    )

@@ -4,11 +4,13 @@ Each leading-order number here is a roots-of-unity filter: p times the
 coefficient at 0 of an element of the group ring Z[Z_p^b]. For a complete
 graph Y-link decoration with b basis cycles that element is
 x^c * prod over legs of (1 -/+ x^v), with c the constant cycle windings and
-v a leg's winding contributions, so the filter is p times the signed count
-of leg states whose cycle windings all vanish mod p. For theta-shaped
-decorations this feeds the Casson-Walker-Lescop delta 2|H_1| per admissible
-copy. The LMO multiplier of l legs is the b = 1 case (1 - x)^l, whose
-filter is the binomial sum p * sum over k = 0 mod p of (-1)^k C(l, k).
+v a leg's winding contributions, both read off the rows of
+``diagrams.cycle_windings``, so the filter is p times the signed count of
+leg states whose cycle windings all vanish mod p. For decorations that saw
+to the theta graph (``diagrams.is_theta_shaped``) this feeds the
+Casson-Walker-Lescop delta 2|H_1| per admissible copy. The LMO multiplier
+of l legs is the b = 1 case (1 - x)^l, whose filter is the binomial sum
+p * sum over k = 0 mod p of (-1)^k C(l, k).
 """
 from __future__ import annotations
 
@@ -18,15 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .diagrams import (
-    DecoratedDiagram,
-    cycle_basis,
-    cycle_winding_affine,
-    is_theta_graph,
-    require_valid,
-    sawn_edge_graph,
-    surplus,
-)
+from .diagrams import DecoratedDiagram, cycle_windings, is_theta_shaped, require_valid, surplus
 from .knots import KnotDescriptor, h1_order
 
 MAX_STATES = 2**24  # grouped leg states prod(m_i + 1) one multiplier call may enumerate
@@ -109,9 +103,9 @@ def multiplier(d: DecoratedDiagram, p: int, signed: bool = True) -> int:
     if p < 1:
         raise ValueError("p must be >= 1")
     require_valid(d)
-    forms = cycle_winding_affine(d, cycle_basis(d))
-    constants = tuple(f.constant for f in forms)
-    vectors = [tuple(f.coeffs.get(leg.id, 0) for f in forms) for leg in d.legs]
+    rows = cycle_windings(d)
+    constants = tuple(row[0] for row in rows)
+    vectors = [tuple(row[i] for row in rows) for i in range(1, len(d.legs) + 1)]
     groups = Counter(vectors)
     states = math.prod(m + 1 for m in groups.values())
     if states > MAX_STATES:
@@ -157,7 +151,7 @@ def cwl_delta(
         raise ValueError("p must be >= 1")
     require_valid(d)
     grade = surplus(d)
-    if not is_theta_graph(sawn_edge_graph(d)):
+    if not is_theta_shaped(d):
         return LeadingTerm(
             magnitude=0,
             sign=None,

@@ -12,7 +12,7 @@ p <= 16 the first path is cross-checked against the second.
 """
 from __future__ import annotations
 
-from .laurent import LaurentPoly, _shifted_dense
+from .laurent import LaurentPoly, _json_object, _shifted_dense
 
 _T = LaurentPoly({1: 1})
 _ONE = LaurentPoly({0: 1})
@@ -53,6 +53,7 @@ class KnotDescriptor:
 
     @classmethod
     def from_json_dict(cls, data, check_symmetry: bool = True) -> "KnotDescriptor":
+        _json_object(data, "knot")
         return cls(
             str(data.get("label", "")),
             LaurentPoly.from_json_dict(data),

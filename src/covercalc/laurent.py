@@ -169,12 +169,8 @@ class LaurentPoly:
         names = data["vars"]
         if not (isinstance(names, list) and len(names) == 1 and isinstance(names[0], str)):
             raise ValueError(f"vars must name exactly one variable, got {names!r}")
-        if not isinstance(data["terms"], list):
-            raise ValueError("terms must be a list")
         terms: dict[int, int] = {}
-        for term in data["terms"]:
-            if not isinstance(term, dict):
-                raise ValueError(f"each term must be an object, got {term!r}")
+        for term in _json_objects(data["terms"], "terms", "term"):
             exp = term["exp"]
             if not (isinstance(exp, list) and len(exp) == 1):
                 raise ValueError(f"exp must hold exactly one exponent, got {exp!r}")
@@ -195,6 +191,27 @@ def _json_int(value, what: str) -> int:
         except ValueError:
             pass
     raise ValueError(f"{what} must be an integer or a decimal string, got {value!r}")
+
+
+def _json_object(value, what: str) -> dict:
+    """A JSON object; anything else raises ValueError."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object, got {type(value).__name__}")
+    return value
+
+
+def _json_list(value, what: str) -> list:
+    """A JSON list; anything else raises ValueError."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _json_objects(value, what: str, each: str) -> list:
+    """A JSON list of objects; anything else raises ValueError."""
+    for item in _json_list(value, what):
+        _json_object(item, f"each {each}")
+    return value
 
 
 def _shifted_dense(coeffs: Mapping[int, int]) -> list[int]:

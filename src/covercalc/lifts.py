@@ -3,12 +3,17 @@
 Each oriented edge e imposes a_head = a_tail + offset in Z_p, where the
 offset is the signed intersection count of the edge with the spanning
 surface. On a connected graph the system either has no solution or exactly
-p of them, one per value at the root.
+p of them, one per value at the root: the values are potentials along a
+spanning tree, as for ``diagrams.cycle_windings`` but in Z_p, and the system
+is solvable iff every chord's cycle has offset sum 0 mod p.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Optional
+
+from .diagrams import spanning_tree
+from .laurent import _json_int, _json_list, _json_object, _json_objects
 
 
 @dataclass(frozen=True)
@@ -41,60 +46,55 @@ class LiftSystem:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "LiftSystem":
+        """Parse the ``to_json_dict`` form.
+
+        The top level and every edge must be objects and ``vertices`` and
+        ``edges`` lists. Windings (or offsets) and p must be JSON integers
+        or decimal strings; anything else raises ValueError.
+        """
+        _json_object(data, "lift system")
         edges = tuple(
             LiftEdge(
                 e.get("id", i),
                 e["tail"],
                 e["head"],
-                int(e.get("winding", e.get("offset", 0))),
+                _json_int(e.get("winding", e.get("offset", 0)), "edge winding"),
             )
-            for i, e in enumerate(data.get("edges", []))
+            for i, e in enumerate(_json_objects(data.get("edges", []), "edges", "edge"))
         )
         return cls(
-            vertices=tuple(data.get("vertices", [])),
+            vertices=tuple(_json_list(data.get("vertices", []), "vertices")),
             edges=edges,
-            p=int(data["p"]),
+            p=_json_int(data["p"], "p"),
         )
-
-
-def _id_key(x) -> tuple:
-    return (0, x, "") if isinstance(x, int) else (1, 0, str(x))
 
 
 def solve(system: LiftSystem) -> Optional[list[dict]]:
     """All solutions of the lift equations, or None when inconsistent.
 
-    Propagates values along a spanning tree from the lowest-id root, then
-    checks every remaining edge. Solutions are ordered by the root's value
-    0..p-1 so output is reproducible.
+    Propagates values along ``diagrams.spanning_tree`` from the lowest-id
+    root, then checks the chords, the edges off the tree. Solutions are
+    ordered by the root's value 0..p-1 so output is reproducible.
     """
     p = system.p
     if not system.vertices:
         return []
-    adjacency: dict = {}
+    seen = set()
     for v in system.vertices:
-        if v in adjacency:
+        if v in seen:
             raise ValueError(f"duplicate vertex id {v!r} in lift system")
-        adjacency[v] = []
+        seen.add(v)
     for e in system.edges:
-        if e.tail not in adjacency or e.head not in adjacency:
+        if e.tail not in seen or e.head not in seen:
             raise ValueError(f"edge {e.id} references an unknown vertex")
-        adjacency[e.tail].append((e.head, e.offset))
-        adjacency[e.head].append((e.tail, -e.offset))
 
-    root = min(system.vertices, key=_id_key)
-    potential = {root: 0}
-    frontier = [root]
-    while frontier:
-        v = frontier.pop()
-        for w, off in adjacency[v]:
-            if w not in potential:
-                potential[w] = (potential[v] + off) % p
-                frontier.append(w)
-    if len(potential) != len(system.vertices):
+    root, steps, chords = spanning_tree(system.vertices, system.edges)
+    if len(steps) != len(system.vertices) - 1:
         raise ValueError("lift system graph is not connected")
-
-    for e in system.edges:
+    potential = {root: 0}
+    for e, parent, child, sign in steps:
+        potential[child] = (potential[parent] + sign * e.offset) % p
+    for e in chords:
         if (potential[e.head] - potential[e.tail] - e.offset) % p != 0:
             return None
 

@@ -196,6 +196,71 @@ def test_malformed_knot_exits_1(capsys, tmp_path, data):
     assert err.startswith("error: ")
 
 
+def _diagram_json(**changes):
+    data = example_two_leg_theta().to_json_dict()
+    data.update(changes)
+    return data
+
+
+def _lift_json(**changes):
+    data = {"vertices": [1, 2], "edges": [{"id": "e", "tail": 1, "head": 2, "winding": 1}], "p": 2}
+    data.update(changes)
+    return data
+
+
+def _wound_edge(winding):
+    edges = example_two_leg_theta().to_json_dict()["edges"]
+    edges[0]["winding"] = winding
+    return edges
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        ("h1", [1]),
+        ("h1", "trefoil"),
+        ("cwl", [1]),
+        ("cwl", _diagram_json(edges=[5])),
+        ("cwl", _diagram_json(legs={"l1": {}})),
+        ("cwl", _diagram_json(vertices=4)),
+        ("cwl", _diagram_json(twists=[1])),
+        ("cwl", _diagram_json(edges=_wound_edge(1.9))),
+        ("cwl", _diagram_json(twists={"k": True})),
+        ("lift", [1]),
+        ("lift", _lift_json(edges=[5])),
+        ("lift", _lift_json(vertices=3)),
+        ("lift", _lift_json(p=2.7)),
+        ("lift", _lift_json(edges=[{"tail": 1, "head": 2, "winding": 1.9}])),
+    ],
+    ids=["knot-list", "knot-string", "diagram-list", "diagram-edge-number",
+         "diagram-legs-object", "diagram-vertices-number", "diagram-twists-list",
+         "diagram-float-winding", "diagram-bool-twist", "lift-list", "lift-edge-number",
+         "lift-vertices-number", "lift-float-p", "lift-float-winding"],
+)
+def test_wrongly_shaped_json_exits_1(capsys, tmp_path, trefoil_file, command, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    argv = {
+        "h1": ["h1", str(path), "--p", "2"],
+        "cwl": ["cwl", trefoil_file, str(path), "--p", "2"],
+        "lift": ["lift", str(path)],
+    }[command]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_decimal_string_numbers_still_load(capsys, tmp_path, trefoil_file):
+    diagram = tmp_path / "diagram.json"
+    diagram.write_text(json.dumps(_diagram_json(edges=_wound_edge("1"))))
+    code, out, _ = run(capsys, ["cwl", trefoil_file, str(diagram), "--p", "2"])
+    assert code == 0 and json.loads(out)["p"] == 2
+    system = tmp_path / "sys.json"
+    system.write_text(json.dumps(_lift_json(p="2", edges=[{"tail": 1, "head": 2, "winding": "1"}])))
+    code, out, _ = run(capsys, ["lift", str(system)])
+    assert code == 0 and json.loads(out) == [{"1": 0, "2": 1}, {"1": 1, "2": 0}]
+
+
 def test_multiplier_disagreement_exits_3(capsys, monkeypatch, tmp_path, trefoil_file):
     from covercalc import engine
 

@@ -10,11 +10,10 @@ from covercalc.diagrams import (
     Edge,
     Leg,
     attach_leg_by_subdivision,
-    cycle_basis,
-    cycle_winding_affine,
+    cycle_windings,
     degree,
-    is_theta_graph,
-    sawn_edge_graph,
+    is_theta_shaped,
+    spanning_tree,
     surplus,
     theta,
     validate_complete,
@@ -123,15 +122,20 @@ def test_low_surplus_rejected():
 
 
 def test_cycle_basis_theta():
-    assert len(cycle_basis(theta()).cycles) == 2
+    assert len(cycle_windings(theta())) == 2
 
 
 def test_cycle_basis_single_loop():
     d = dumbbell()
-    basis = cycle_basis(d)
-    assert len(basis.cycles) == 2
-    loop_cycles = [c for c in basis.cycles if len(c.edge_coeffs) == 1]
-    assert len(loop_cycles) == 2
+    _, steps, chords = spanning_tree(d.vertices, d.edges)
+    assert [e.id for e, *_ in steps] == ["mid"]
+    assert [e.id for e in chords] == ["lx", "ly"]
+    # each fundamental cycle is one self-loop: only that loop's winding counts
+    windings = (2, 5, 3)
+    wound = DecoratedDiagram(
+        d.label, d.vertices, [Edge(e.id, e.tail, e.head, w) for e, w in zip(d.edges, windings)]
+    )
+    assert cycle_windings(wound) == [[2], [3]]
 
 
 def test_cycle_basis_tree_is_empty():
@@ -140,29 +144,52 @@ def test_cycle_basis_tree_is_empty():
         vertices=("a", "b"),
         edges=(Edge("e", "a", "b"),),
     )
-    assert cycle_basis(d).cycles == ()
+    assert cycle_windings(d) == []
 
 
 def test_cycle_winding_affine_example_values():
-    d = example_two_leg_theta()
-    forms = cycle_winding_affine(d, cycle_basis(d))
-    by_constant = sorted(forms, key=lambda f: f.constant)
-    assert [f.constant for f in by_constant] == [0, 1]
-    assert by_constant[0].coeffs == {"l1": 1}
-    assert by_constant[1].coeffs == {"l2": 1}
+    # rows [constant, l1, l2]: the cycle windings are (eps1, eps2 + 1)
+    assert sorted(cycle_windings(example_two_leg_theta())) == [[0, 1, 0], [1, 0, 1]]
 
 
 def test_cycle_winding_no_legs_zero_windings():
-    forms = cycle_winding_affine(theta(), cycle_basis(theta()))
-    assert all(f.constant == 0 and not f.coeffs for f in forms)
+    assert cycle_windings(theta()) == [[0], [0]]
 
 
 def test_cycle_winding_single_constant():
-    d = theta(windings=(0, 0, 3))
-    forms = cycle_winding_affine(d, cycle_basis(d))
-    constants = sorted(f.constant for f in forms)
+    constants = sorted(row[0] for row in cycle_windings(theta(windings=(0, 0, 3))))
     # e3 carries winding 3 and lies on exactly one fundamental cycle
     assert 3 in constants or -3 in constants
+
+
+def test_spanning_tree_steps_and_chords():
+    d = k4_diagram()
+    root, steps, chords = spanning_tree(d.vertices, d.edges)
+    assert root == 1
+    assert len(steps) == len(d.vertices) - 1
+    assert {child for _, _, child, _ in steps} == {2, 3, 4}
+    for e, parent, child, sign in steps:
+        assert (e.tail, e.head) == ((parent, child) if sign == 1 else (child, parent))
+    tree_ids = {e.id for e, *_ in steps}
+    assert [e.id for e in chords] == [e.id for e in d.edges if e.id not in tree_ids]
+
+
+def test_spanning_tree_root_is_lowest_id_and_misses_other_components():
+    edges = (Edge("f", "y", "x"), Edge("g", "b", "a"))
+    root, steps, chords = spanning_tree(("y", "x", "b", "a"), edges)
+    assert root == "a"
+    assert [(e.id, p, c, s) for e, p, c, s in steps] == [("g", "a", "b", -1)]
+    assert chords == [edges[0]]
+
+
+def test_disconnected_names_lowest_unreached_vertex():
+    d = DecoratedDiagram(
+        "split",
+        ("x", "y", "a", "b"),
+        (Edge("f1", "x", "y"), Edge("f2", "x", "y"), Edge("f3", "x", "y"),
+         Edge("g1", "a", "b"), Edge("g2", "a", "b"), Edge("g3", "a", "b")),
+    )
+    assert validate_complete(d).element == "x"
 
 
 def test_surplus_degree_invariant_under_relabeling():
@@ -183,42 +210,91 @@ def test_adding_leg_keeps_surplus_raises_degree():
         assert degree(d) == degree(base) + 1
 
 
-def _admissible_states(d, p, edge_order=None):
-    forms = cycle_winding_affine(d, cycle_basis(d, edge_order=edge_order))
-    legs = [l.id for l in d.legs]
+def _admissible_states(d, p):
+    rows = cycle_windings(d)
     states = set()
-    for bits in itertools.product((0, 1), repeat=len(legs)):
-        eps = dict(zip(legs, bits))
-        if all(
-            (f.constant + sum(c * eps[lid] for lid, c in f.coeffs.items())) % p == 0
-            for f in forms
-        ):
+    for bits in itertools.product((0, 1), repeat=len(d.legs)):
+        eps = (1,) + bits
+        if all(sum(c * e for c, e in zip(row, eps)) % p == 0 for row in rows):
             states.add(bits)
     return states
 
 
+def _renamed_and_reordered(d, rng):
+    """The same diagram with shuffled integer vertex ids and edge order."""
+    ids = list(range(len(d.vertices)))
+    rng.shuffle(ids)
+    vmap = dict(zip(d.vertices, ids))
+    edges = [Edge(e.id, vmap[e.tail], vmap[e.head], e.winding) for e in d.edges]
+    rng.shuffle(edges)
+    legs = [Leg(l.id, vmap[l.vertex], l.sign, l.edge) for l in d.legs]
+    return DecoratedDiagram(d.label, [vmap[v] for v in d.vertices], edges, legs)
+
+
 def test_admissible_set_independent_of_spanning_tree():
     rng = random.Random(19)
+    trees_varied = 0
     for _ in range(15):
         d = random_diagram(rng, max_legs=8)
         p = rng.randint(1, 5)
         baseline = _admissible_states(d, p)
-        ids = [e.id for e in d.edges]
+        chord_sets = {frozenset(e.id for e in spanning_tree(d.vertices, d.edges)[2])}
         for _ in range(4):
-            rng.shuffle(ids)
-            assert _admissible_states(d, p, edge_order=list(ids)) == baseline
+            other = _renamed_and_reordered(d, rng)
+            assert validate_complete(other) is None
+            assert _admissible_states(other, p) == baseline
+            chord_sets.add(frozenset(e.id for e in spanning_tree(other.vertices, other.edges)[2]))
+        trees_varied += len(chord_sets) > 1
+    assert trees_varied >= 10
 
 
 def test_sawn_edge_graph_of_theta_with_legs():
     for n in (0, 1, 4):
         d = theta_with_legs(n) if n else theta()
-        assert is_theta_graph(sawn_edge_graph(d))
+        assert is_theta_shaped(d)
 
 
 def test_sawn_edge_graph_non_theta_shapes():
-    assert not is_theta_graph(sawn_edge_graph(dumbbell()))
-    assert not is_theta_graph(sawn_edge_graph(k4_diagram()))
-    assert not is_theta_graph(sawn_edge_graph(kappa_diagram(2)))
+    assert not is_theta_shaped(dumbbell())
+    assert not is_theta_shaped(k4_diagram())
+    assert not is_theta_shaped(kappa_diagram(2))
+
+
+def test_theta_shaped_with_legs_on_all_three_edges():
+    d = theta()
+    for i, edge in enumerate(("e1", "e2", "e3", "e1~l1b", "e3~l3b"), 1):
+        d = attach_leg_by_subdivision(d, edge, f"l{i}", sign=(-1) ** i)
+        assert validate_complete(d) is None
+        assert is_theta_shaped(d)
+
+
+def test_dumbbell_with_legs_on_both_loops_is_not_theta():
+    # each loop becomes a chain of leg vertices that returns to its start
+    d = attach_leg_by_subdivision(dumbbell(), "lx", "l1")
+    d = attach_leg_by_subdivision(d, "ly", "l2")
+    d = attach_leg_by_subdivision(d, "ly~l2b", "l3")
+    assert validate_complete(d) is None and surplus(d) == 2
+    assert not is_theta_shaped(d)
+
+
+def test_leg_vertex_with_parallel_edges_is_not_theta():
+    # w carries a leg and both its edges run to x, so sawing leaves a loop at x
+    d = DecoratedDiagram(
+        "parallel-leg",
+        ("x", "y", "w"),
+        (Edge("a", "x", "w"), Edge("b", "w", "x"), Edge("c", "x", "y"), Edge("loop", "y", "y")),
+        (Leg("l1", "w", 1, "a"),),
+    )
+    assert validate_complete(d) is None and surplus(d) == 2
+    assert not is_theta_shaped(d)
+
+
+def test_theta_shape_of_random_diagrams_follows_the_base_graph():
+    rng = random.Random(7)
+    for _ in range(40):
+        d = random_diagram(rng, max_legs=8)
+        assert is_theta_shaped(d) == (d.label == "theta")
+        assert is_theta_shaped(_renamed_and_reordered(d, rng)) == (d.label == "theta")
 
 
 def test_json_round_trip():
@@ -248,3 +324,48 @@ def test_json_round_trip_keeps_integer_edge_twists():
     again = DecoratedDiagram.from_json_dict(json.loads(json.dumps(d.to_json_dict())))
     assert again.twists == {1: -1, 2: 1, 3: 1}
     assert cwl_delta(unknot(), again, 2).sign == -1
+
+
+def _theta_json(**changes):
+    data = example_two_leg_theta().to_json_dict()
+    data["twists"] = {"k": 1}
+    data.update(changes)
+    return data
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("winding", 1.9), ("winding", True), ("sign", 1.0), ("sign", False),
+     ("twist", 1.5), ("twist", "one")],
+)
+def test_from_json_rejects_non_integer_numbers(field, value):
+    data = _theta_json()
+    if field == "winding":
+        data["edges"][0]["winding"] = value
+    elif field == "sign":
+        data["legs"][0]["sign"] = value
+    else:
+        data["twists"]["k"] = value
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        DecoratedDiagram.from_json_dict(data)
+
+
+def test_from_json_accepts_integers_and_decimal_strings():
+    data = _theta_json()
+    data["edges"][3]["winding"] = "1"
+    data["legs"][1]["sign"] = "-1"
+    data["twists"]["k"] = "-1"
+    d = DecoratedDiagram.from_json_dict(data)
+    assert d.edge_by_id("n1").winding == 1 and d.legs[1].sign == -1 and d.twists == {"k": -1}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [[1], "theta", _theta_json(edges=[5]), _theta_json(edges={"k": {}}), _theta_json(legs=5),
+     _theta_json(legs=["l1"]), _theta_json(vertices="uv"), _theta_json(twists=[1])],
+    ids=["list", "string", "edge-number", "edges-object", "legs-number", "leg-string",
+         "vertices-string", "twists-list"],
+)
+def test_from_json_rejects_wrong_shapes(data):
+    with pytest.raises(ValueError, match="must be an? (object|list)"):
+        DecoratedDiagram.from_json_dict(data)

@@ -152,3 +152,68 @@ def test_duplicate_vertex_id_is_named():
     system = LiftSystem(vertices=(1, 2, 2, 3), edges=triangle((0, 0, 0), 3).edges, p=3)
     with pytest.raises(ValueError, match="duplicate vertex id 2"):
         solve(system)
+
+
+@pytest.mark.parametrize("offset, p", [(0, 3), (3, 3), (2, 3), (-4, 2), (5, 1)])
+def test_self_loop_is_a_chord_of_its_own(offset, p):
+    system = LiftSystem(
+        vertices=("a", "b"),
+        edges=(LiftEdge("loop", "b", "b", offset), LiftEdge("e", "a", "b", 1)),
+        p=p,
+    )
+    got = solve(system)
+    assert (got is not None) == (offset % p == 0)
+    assert as_set(got or []) == as_set(brute_force(system))
+
+
+def test_parallel_chords_match_brute_force():
+    # one tree edge and two chords, all joining the same two vertices
+    for a, b, c in itertools.product((0, 1, 2, -3), repeat=3):
+        system = LiftSystem(
+            vertices=(2, 1),
+            edges=(LiftEdge("e1", 1, 2, a), LiftEdge("e2", 1, 2, b), LiftEdge("e3", 2, 1, c)),
+            p=3,
+        )
+        got = solve(system)
+        assert (got is not None) == ((a - b) % 3 == 0 and (a + c) % 3 == 0)
+        assert as_set(got or []) == as_set(brute_force(system))
+
+
+def lift_json(**changes):
+    data = triangle((1, 0, -1), 3).to_json_dict()
+    data.update(changes)
+    return data
+
+
+@pytest.mark.parametrize(
+    "data, what",
+    [
+        (lift_json(p=2.7), "p"),
+        (lift_json(p=True), "p"),
+        (lift_json(p="three"), "p"),
+        (lift_json(edges=[{"tail": 1, "head": 2, "winding": 1.9}]), "winding"),
+        (lift_json(edges=[{"tail": 1, "head": 2, "offset": False}]), "winding"),
+    ],
+    ids=["p-float", "p-bool", "p-word", "winding-float", "offset-bool"],
+)
+def test_from_json_rejects_non_integer_numbers(data, what):
+    with pytest.raises(ValueError, match=f"{what} must be an integer"):
+        LiftSystem.from_json_dict(data)
+
+
+def test_from_json_accepts_decimal_strings():
+    system = LiftSystem.from_json_dict(
+        lift_json(p="3", edges=[{"tail": 1, "head": 2, "offset": "-1"}, {"tail": 2, "head": 3}])
+    )
+    assert system.p == 3
+    assert [e.offset for e in system.edges] == [-1, 0]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [[1], None, lift_json(edges=[5]), lift_json(edges={"e1": {}}), lift_json(vertices=3)],
+    ids=["list", "null", "edge-number", "edges-object", "vertices-number"],
+)
+def test_from_json_rejects_wrong_shapes(data):
+    with pytest.raises(ValueError, match="must be an? (object|list)"):
+        LiftSystem.from_json_dict(data)
