@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Hashable, Mapping, Optional, Sequence
 
-from .laurent import _json_int, _json_list, _json_object, _json_objects
+from .laurent import _json_id, _json_int, _json_list, _json_object, _json_objects
 
 
 @dataclass(frozen=True)
@@ -96,25 +96,37 @@ class DecoratedDiagram:
         """Parse the ``to_json_dict`` form.
 
         The top level and every edge and leg must be objects, ``vertices``,
-        ``edges`` and ``legs`` lists and ``twists`` an object. Windings,
-        signs and twists must be JSON integers or decimal strings; anything
-        else raises ValueError rather than being truncated.
+        ``edges`` and ``legs`` lists and ``twists`` an object. Ids and the
+        ids an edge or leg refers to must be JSON strings or integers.
+        Windings, signs and twists must be JSON integers or decimal strings;
+        anything else raises ValueError rather than being truncated.
         """
         _json_object(data, "diagram")
         edges = tuple(
-            Edge(e["id"], e["tail"], e["head"], _json_int(e.get("winding", 0), "edge winding"))
+            Edge(
+                _json_id(e["id"], "edge id"),
+                _json_id(e["tail"], "edge tail"),
+                _json_id(e["head"], "edge head"),
+                _json_int(e.get("winding", 0), "edge winding"),
+            )
             for e in _json_objects(data.get("edges", []), "edges", "edge")
         )
         legs = tuple(
-            Leg(l["id"], l["vertex"], _json_int(l["sign"], "leg sign"), l["edge"])
+            Leg(
+                _json_id(l["id"], "leg id"),
+                _json_id(l["vertex"], "leg vertex"),
+                _json_int(l["sign"], "leg sign"),
+                _json_id(l["edge"], "leg edge"),
+            )
             for l in _json_objects(data.get("legs", []), "legs", "leg")
         )
         # JSON object keys are strings: map each back to the edge id it names
         edge_ids = {str(e.id): e.id for e in edges}
         twists = _json_object(data.get("twists", {}), "twists")
+        vertices = _json_list(data.get("vertices", []), "vertices")
         return cls(
             label=str(data.get("label", "")),
-            vertices=tuple(_json_list(data.get("vertices", []), "vertices")),
+            vertices=tuple(_json_id(v, "vertex id") for v in vertices),
             edges=edges,
             legs=legs,
             twists={edge_ids.get(k, k): _json_int(v, "twist") for k, v in twists.items()},

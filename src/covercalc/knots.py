@@ -6,9 +6,11 @@ all p-th roots of unity, with the convention that a vanishing product
 encodes positive first Betti number. Everything here runs in exact integer
 arithmetic through ``LaurentPoly.resultant_with_cyclotomic``, which picks
 one of two paths from the input size: a d x d determinant in the ring
-Z[y]/(monic lift of A), O(d^3 + d^2 log p), when p is large against the
-degree d, and the p x p circulant determinant, O(p^3), otherwise. For
-p <= 16 the first path is cross-checked against the second.
+Z[y]/(monic lift of A), O(d^3 + d^2 log p), when the degree d is low and p
+is at least 3d, and Res(t^p - 1, A) by the subresultant remainder
+sequence, O(p d) operations, otherwise. For p <= 16 either result is
+cross-checked against the p x p circulant determinant, and a product whose
+size bound exceeds ``laurent.MAX_H1_BITS`` is refused before any path runs.
 """
 from __future__ import annotations
 

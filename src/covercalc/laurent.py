@@ -2,14 +2,17 @@
 
 A polynomial is stored as a map from integer exponents to nonzero integer
 coefficients. Its one roots-of-unity computation, the product of its values
-over all p-th roots of unity, is an exact integer determinant, never a
-complex float, so every exported quantity is an exact integer.
+over all p-th roots of unity, is an exact integer resultant (a determinant
+or a subresultant remainder sequence), never a complex float, so every
+exported quantity is an exact integer.
 """
 from __future__ import annotations
 
+import math
 from typing import Mapping
 
-CROSS_CHECK_MAX_P = 16  # the ring-path |H_1| is also computed by the circulant up to this p
+CROSS_CHECK_MAX_P = 16  # every |H_1| is also computed by the circulant up to this p
+MAX_H1_BITS = 2**21  # refuse a resultant whose a-priori size bound exceeds this many bits
 
 
 class LaurentPoly:
@@ -102,21 +105,25 @@ class LaurentPoly:
 
         The polynomial is shifted by a unit t^k so its constant term is
         nonzero, and exponents of degree p or more are folded mod p, leaving
-        a_0 + ... + a_d t^d. Two exact paths compute the product, and the
+        a_0 + ... + a_d t^d. An input whose product may need more than
+        MAX_H1_BITS bits (see _h1_bits_bound) is refused with ValueError
+        before any path runs. Two exact paths compute the product, and the
         input size picks one:
 
-        - ring path, when 3d <= p and d^3 * ceil(log2 |a_d|) <= 256 p:
-          reduce y^p modulo the monic lift a_d^(d-1) A(y / a_d) by
-          square-and-multiply, then take the d x d determinant of
-          multiplication by y^p - a_d^p; O(d^3 + d^2 log p) operations;
-        - circulant path, otherwise: the determinant of the p x p circulant
-          matrix of the polynomial in Z[t]/(t^p - 1); O(p^3) operations.
+        - ring path, when 3d <= p and d (ceil(log2 |a_d|) + 4) <= 32: reduce
+          y^p modulo the monic lift a_d^(d-1) A(y / a_d) by square-and-multiply,
+          then take the d x d Bareiss determinant of multiplication by
+          y^p - a_d^p; O(d^3 + d^2 log p) operations, on integers inflated by
+          a_d^(p(d-1));
+        - subresultant path, otherwise: Res(t^p - 1, A) by Collins'
+          subresultant remainder sequence; O(p d) operations, most of them
+          in the first pseudo-remainder step over the sparse t^p - 1.
 
-        Both determinants use fraction-free Bareiss elimination. The lift
-        inflates the ring path's integers by a_d^(p(d-1)), which is why a
-        high-degree non-monic input needs a larger p before that path wins
-        (the bound was measured on wheel knots and random polynomials). For
-        p <= 16 the ring path is cross-checked against the circulant, and a
+        The rule was fitted on wheel knots and random polynomials: the ring
+        path wins only at low degree (up to d = 8 when monic), where its
+        log p powering beats the subresultant's p steps. For p <= 16 the
+        result is cross-checked against the determinant of the p x p
+        circulant matrix of the polynomial in Z[t]/(t^p - 1), and a
         disagreement raises RuntimeError. Only the absolute value is
         meaningful; the unit shift changes the sign.
         """
@@ -126,22 +133,26 @@ class LaurentPoly:
             raise ValueError("resultant of the zero polynomial is undefined")
         coeffs = _shifted_dense(self.terms)
         if len(coeffs) > p_order:
-            folded = {}
-            for k, c in enumerate(coeffs):
-                folded[k % p_order] = folded.get(k % p_order, 0) + c
-            coeffs = _shifted_dense(folded)
+            coeffs = _shifted_dense(dict(enumerate(_folded(coeffs, p_order))))
             if not coeffs:
                 return 0
+        bits = _h1_bits_bound(coeffs, p_order)
+        if bits > MAX_H1_BITS:
+            raise ValueError(
+                f"|H_1| at p = {p_order} may need {bits} bits, "
+                f"over the output bound of {MAX_H1_BITS}"
+            )
         d = len(coeffs) - 1
         lift_bits = (abs(coeffs[d]) - 1).bit_length()  # ceil(log2 |a_d|)
-        if 3 * d > p_order or d**3 * lift_bits > 256 * p_order:
-            return _circulant_product(coeffs, p_order)
-        value = _ring_product(coeffs, p_order)
+        if 3 * d <= p_order and d * (lift_bits + 4) <= 32:
+            path, value = "ring", _ring_product(coeffs, p_order)
+        else:
+            path, value = "subresultant", _subresultant_product(coeffs, p_order)
         if p_order <= CROSS_CHECK_MAX_P:
             check = _circulant_product(coeffs, p_order)
             if check != value:
                 raise RuntimeError(
-                    f"internal disagreement: ring path {value} vs circulant {check}"
+                    f"internal disagreement: {path} path {value} vs circulant {check}"
                 )
         return value
 
@@ -193,6 +204,13 @@ def _json_int(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer or a decimal string, got {value!r}")
 
 
+def _json_id(value, what: str):
+    """A vertex, edge or leg id: a JSON string or integer; anything else raises ValueError."""
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        return value
+    raise ValueError(f"{what} must be a string or an integer, got {value!r}")
+
+
 def _json_object(value, what: str) -> dict:
     """A JSON object; anything else raises ValueError."""
     if not isinstance(value, dict):
@@ -223,12 +241,91 @@ def _shifted_dense(coeffs: Mapping[int, int]) -> list[int]:
     return [coeffs.get(e, 0) for e in range(lo, max(exps) + 1)]
 
 
-def _circulant_product(coeffs: list[int], p: int) -> int:
-    """det of the p x p circulant of sum_k coeffs[k] t^k in Z[t]/(t^p - 1)."""
+def _folded(coeffs: list[int], p: int) -> list[int]:
+    """The p coefficients of sum_k coeffs[k] t^k in Z[t]/(t^p - 1)."""
     row = [0] * p
     for k, c in enumerate(coeffs):
         row[k % p] += c
+    return row
+
+
+def _h1_bits_bound(folded: list[int], p: int) -> int:
+    """A bound on the bit length of the product of sum_k folded[k] z^k over z^p = 1.
+
+    By Parseval the mean of |A(z)|^2 over the p roots is sum a_k^2 when the
+    exponents are distinct mod p, and by AM-GM the product of the |A(z)|^2
+    is at most that mean to the p-th power, so |product| <= (sum a_k^2)^(p/2).
+    """
+    return int(p * math.log2(sum(c * c for c in folded)) / 2) + 1
+
+
+def _circulant_product(coeffs: list[int], p: int) -> int:
+    """det of the p x p circulant of sum_k coeffs[k] t^k in Z[t]/(t^p - 1)."""
+    row = _folded(coeffs, p)
     return _bareiss_det([row[p - i:] + row[:p - i] for i in range(p)])
+
+
+def _subresultant_product(coeffs: list[int], p: int) -> int:
+    """prod over p-th roots of unity z of sum_k coeffs[k] z^k, as Res(t^p - 1, A).
+
+    Collins' subresultant remainder sequence (Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 3.3.7, without content removal): each
+    pseudo-remainder is divided exactly by g h^delta, which keeps the
+    integers at the size of the subresultants instead of letting them grow
+    exponentially. Returns the same signed integer as _circulant_product.
+    """
+    b = _trim(_folded(coeffs, p))
+    if not b:
+        return 0
+    a = [-1] + [0] * (p - 1) + [1]
+    g = h = sign = 1
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db  # >= 1: deg b < p to start, and remainders drop in degree
+        if da & db & 1:
+            sign = -sign
+        r = _pseudo_remainder(a, b)
+        if not r:
+            return 0  # a common factor: some p-th root of unity is a root of A
+        scale = g * h**delta
+        a, b = b, [c // scale for c in r]
+        g = a[-1]
+        h = g**delta // h ** (delta - 1)
+    da = len(a) - 1
+    return sign * b[0] ** da // h ** (da - 1)
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of lead(b)^(deg a - deg b + 1) a on division by b, trimmed.
+
+    Each of the deg a - deg b + 1 elimination steps multiplies the running
+    remainder by lead(b) and subtracts a multiple of b from its top d + 1
+    coefficients, d = deg b. Only those d + 1 coefficients are kept; one
+    below them is read from a, scaled by the power of lead(b) it has
+    accumulated, when the window reaches it. On the sparse t^p - 1 the first
+    step of the sequence so costs O((p - d + 1) d), not O(p^2).
+    """
+    d = len(b) - 1
+    lead = b[d]
+    lower = b[-2::-1]  # b[d-1], ..., b[0]
+    window = a[len(a) - 1 - d:][::-1]  # coefficients of a from the top down
+    for k in range(len(a) - d):
+        i = len(a) - d - 2 - k  # the coefficient entering the window
+        entering = a[i] * lead ** (k + 1) if i >= 0 and a[i] else 0
+        top = window[0]
+        if top:
+            window = [lead * w - top * c for w, c in zip(window[1:], lower)]
+        else:
+            window = [lead * w for w in window[1:]]
+        window.append(entering)
+    return _trim(window[-2::-1])
+
+
+def _trim(poly: list[int]) -> list[int]:
+    """Drop zero leading coefficients in place; [] for zero."""
+    while poly and not poly[-1]:
+        poly.pop()
+    return poly
 
 
 def _ring_product(coeffs: list[int], p: int) -> int:

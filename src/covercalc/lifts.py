@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Hashable, Mapping, Optional
 
 from .diagrams import spanning_tree
-from .laurent import _json_int, _json_list, _json_object, _json_objects
+from .laurent import _json_id, _json_int, _json_list, _json_object, _json_objects
 
 
 @dataclass(frozen=True)
@@ -49,21 +49,23 @@ class LiftSystem:
         """Parse the ``to_json_dict`` form.
 
         The top level and every edge must be objects and ``vertices`` and
-        ``edges`` lists. Windings (or offsets) and p must be JSON integers
-        or decimal strings; anything else raises ValueError.
+        ``edges`` lists. Vertex and edge ids, tails and heads must be JSON
+        strings or integers; windings (or offsets) and p must be JSON
+        integers or decimal strings; anything else raises ValueError.
         """
         _json_object(data, "lift system")
         edges = tuple(
             LiftEdge(
-                e.get("id", i),
-                e["tail"],
-                e["head"],
+                _json_id(e.get("id", i), "edge id"),
+                _json_id(e["tail"], "edge tail"),
+                _json_id(e["head"], "edge head"),
                 _json_int(e.get("winding", e.get("offset", 0)), "edge winding"),
             )
             for i, e in enumerate(_json_objects(data.get("edges", []), "edges", "edge"))
         )
+        vertices = _json_list(data.get("vertices", []), "vertices")
         return cls(
-            vertices=tuple(_json_list(data.get("vertices", []), "vertices")),
+            vertices=tuple(_json_id(v, "vertex id") for v in vertices),
             edges=edges,
             p=_json_int(data["p"], "p"),
         )

@@ -1,8 +1,13 @@
-"""Shared fixture builders: reference diagrams, random generators, relabeling."""
+"""Shared fixture builders: reference diagrams, random generators, relabeling,
+Hypothesis strategies for the JSON input schemas and a guard on the |H_1| paths."""
 from __future__ import annotations
 
+import copy
 import random
 
+from hypothesis import strategies as st
+
+from covercalc import laurent
 from covercalc.diagrams import (
     DecoratedDiagram,
     Edge,
@@ -172,3 +177,37 @@ def flip_all(d: DecoratedDiagram) -> DecoratedDiagram:
         legs=tuple(Leg(l.id, l.vertex, -l.sign, l.edge) for l in d.legs),
         twists=d.twists,
     )
+
+
+# -- JSON schema strategies ------------------------------------------------
+
+# ids are JSON strings or integers; numbers are JSON integers of any size
+json_ids = st.one_of(st.integers(-(10**6), 10**6), st.text(max_size=6))
+json_numbers = st.integers(-(2**70), 2**70)
+_lists = st.lists(st.integers(), max_size=2)
+_objects = st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
+_leaves = st.one_of(json_numbers, st.text(max_size=3), st.floats(allow_nan=False),
+                    st.booleans(), st.none())
+# what no id and no integer field may hold
+non_scalars = st.one_of(st.floats(allow_nan=False), st.booleans(), st.none(), _lists, _objects)
+non_objects = st.one_of(_leaves, _lists)
+non_lists = st.one_of(_leaves, _objects)
+
+
+def replaced(data, path: tuple, value):
+    """A deep copy of ``data`` with the entry at ``path`` (keys and indices) set to ``value``."""
+    data = copy.deepcopy(data)
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return data
+
+
+def forbid_resultant_paths(monkeypatch) -> None:
+    """Make every |H_1| path fail the test if it is called."""
+    def refuse(coeffs, p):
+        raise AssertionError("no resultant path may run")
+
+    for name in ("_ring_product", "_subresultant_product", "_circulant_product"):
+        monkeypatch.setattr(laurent, name, refuse)

@@ -5,7 +5,7 @@ import pytest
 from covercalc.cli import main
 from covercalc.knots import trefoil, unknot, wheel_knot
 
-from helpers import chord_fixture, example_two_leg_theta, theta
+from helpers import chord_fixture, example_two_leg_theta, forbid_resultant_paths, replaced, theta
 
 
 @pytest.fixture
@@ -231,11 +231,17 @@ def _wound_edge(winding):
         ("lift", _lift_json(vertices=3)),
         ("lift", _lift_json(p=2.7)),
         ("lift", _lift_json(edges=[{"tail": 1, "head": 2, "winding": 1.9}])),
+        ("cwl", replaced(_diagram_json(), ("vertices", 0), ["u"])),
+        ("cwl", replaced(_diagram_json(), ("edges", 0, "tail"), {"v": 1})),
+        ("cwl", replaced(_diagram_json(), ("legs", 0, "edge"), True)),
+        ("lift", {"vertices": [[1]], "edges": [], "p": 2}),
+        ("lift", replaced(_lift_json(), ("edges", 0, "head"), 2.0)),
     ],
     ids=["knot-list", "knot-string", "diagram-list", "diagram-edge-number",
          "diagram-legs-object", "diagram-vertices-number", "diagram-twists-list",
          "diagram-float-winding", "diagram-bool-twist", "lift-list", "lift-edge-number",
-         "lift-vertices-number", "lift-float-p", "lift-float-winding"],
+         "lift-vertices-number", "lift-float-p", "lift-float-winding", "diagram-list-vertex",
+         "diagram-object-tail", "diagram-bool-leg-edge", "lift-list-vertex", "lift-float-head"],
 )
 def test_wrongly_shaped_json_exits_1(capsys, tmp_path, trefoil_file, command, data):
     path = tmp_path / "input.json"
@@ -279,6 +285,25 @@ def test_internal_disagreement_exits_3(capsys, monkeypatch, trefoil_file):
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: internal disagreement")
+
+
+def test_wrong_subresultant_exits_3(capsys, monkeypatch, trefoil_file):
+    from covercalc import laurent
+
+    monkeypatch.setattr(laurent, "_subresultant_product", lambda coeffs, p: 12345)
+    code, out, err = run(capsys, ["h1", trefoil_file, "--p-range", "2..5"])
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: internal disagreement: subresultant path")
+
+
+def test_h1_over_the_output_bound_exits_1(capsys, monkeypatch, tmp_path):
+    forbid_resultant_paths(monkeypatch)
+    path = tmp_path / "w10.json"
+    path.write_text(json.dumps(wheel_knot(10).to_json_dict()))
+    code, out, err = run(capsys, ["h1", str(path), "--p", "1000000"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: |H_1| at p = 1000000 may need ")
+    assert err.endswith(" bits, over the output bound of 2097152\n")
 
 
 def test_output_to_file_is_deterministic(capsys, tmp_path, trefoil_file):

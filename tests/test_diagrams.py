@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from covercalc.diagrams import (
     DecoratedDiagram,
@@ -26,10 +27,16 @@ from helpers import (
     dumbbell,
     example_two_leg_theta,
     fork_fixture,
+    json_ids,
+    json_numbers,
     k4_diagram,
     kappa_diagram,
+    non_lists,
+    non_objects,
+    non_scalars,
     random_diagram,
     relabel,
+    replaced,
     theta_with_legs,
 )
 
@@ -369,3 +376,75 @@ def test_from_json_accepts_integers_and_decimal_strings():
 def test_from_json_rejects_wrong_shapes(data):
     with pytest.raises(ValueError, match="must be an? (object|list)"):
         DecoratedDiagram.from_json_dict(data)
+
+
+# -- JSON schema properties ------------------------------------------------
+
+
+@st.composite
+def json_diagrams(draw):
+    """Any diagram the JSON schema can carry; it need not be valid or complete."""
+    vertices = draw(st.lists(json_ids, min_size=1, max_size=5, unique=True))
+    vertex = st.sampled_from(vertices)
+    # twist keys are strings in JSON, so edge ids must stay apart under str()
+    edge_ids = draw(st.lists(json_ids, max_size=5, unique_by=str))
+    edges = [Edge(i, draw(vertex), draw(vertex), draw(json_numbers)) for i in edge_ids]
+    legs, twists = [], {}
+    if edge_ids:
+        edge = st.sampled_from(edge_ids)
+        legs = draw(st.lists(st.builds(Leg, json_ids, vertex, json_numbers, edge), max_size=4))
+        twists = draw(st.dictionaries(edge, json_numbers, max_size=3))
+    return DecoratedDiagram(draw(st.text(max_size=5)), vertices, edges, legs, twists)
+
+
+@given(json_diagrams())
+def test_json_round_trip_property(d):
+    assert DecoratedDiagram.from_json_dict(json.loads(json.dumps(d.to_json_dict()))) == d
+
+
+def _id_paths(data):
+    paths = [("vertices", i) for i in range(len(data["vertices"]))]
+    paths += [("edges", i, k) for i in range(len(data["edges"])) for k in ("id", "tail", "head")]
+    paths += [("legs", i, k) for i in range(len(data["legs"])) for k in ("id", "vertex", "edge")]
+    return paths
+
+
+def _number_paths(data):
+    paths = [("edges", i, "winding") for i in range(len(data["edges"]))]
+    paths += [("legs", i, "sign") for i in range(len(data["legs"]))]
+    return paths + [("twists", k) for k in data.get("twists", {})]
+
+
+@given(json_diagrams(), st.data())
+def test_from_json_rejects_non_scalar_ids_property(d, data):
+    good = d.to_json_dict()
+    path = data.draw(st.sampled_from(_id_paths(good)))
+    with pytest.raises(ValueError, match="must be a string or an integer"):
+        DecoratedDiagram.from_json_dict(replaced(good, path, data.draw(non_scalars)))
+
+
+@given(json_diagrams(), st.data())
+def test_from_json_rejects_non_integer_numbers_property(d, data):
+    good = d.to_json_dict()
+    paths = _number_paths(good)
+    if paths:
+        path = data.draw(st.sampled_from(paths))
+        with pytest.raises(ValueError, match="must be an integer or a decimal string"):
+            DecoratedDiagram.from_json_dict(replaced(good, path, data.draw(non_scalars)))
+
+
+@given(json_diagrams(), st.data())
+def test_from_json_rejects_wrong_shapes_property(d, data):
+    good = d.to_json_dict()
+    good.setdefault("twists", {})
+    field = data.draw(st.sampled_from(["edges", "legs", "vertices", "twists", "edge", "leg"]))
+    if field == "twists":
+        bad = replaced(good, ("twists",), data.draw(non_objects))
+    elif field in ("edge", "leg") and good[field + "s"]:
+        bad = replaced(good, (field + "s", 0), data.draw(non_objects))
+    elif field in ("edges", "legs", "vertices"):
+        bad = replaced(good, (field,), data.draw(non_lists))
+    else:
+        bad = data.draw(non_objects)  # the top level itself
+    with pytest.raises(ValueError, match="must be an? (object|list)"):
+        DecoratedDiagram.from_json_dict(bad)

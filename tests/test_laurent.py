@@ -10,7 +10,10 @@ from hypothesis import given, strategies as st
 
 from covercalc import laurent
 from covercalc.engine import _multiplier_enumeration, _multiplier_polynomial, lmo_leading_multiplier
+from covercalc.knots import wheel_knot
 from covercalc.laurent import LaurentPoly, _bareiss_det
+
+from helpers import forbid_resultant_paths
 
 T = LaurentPoly({1: 1})
 ONE = LaurentPoly({0: 1})
@@ -304,7 +307,7 @@ def test_resultant_matches_sympy_oracle():
 
 
 def _count_paths(monkeypatch):
-    calls = {"ring": 0, "circulant": 0}
+    calls = {"ring": 0, "subresultant": 0, "circulant": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -312,27 +315,34 @@ def _count_paths(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(laurent, "_ring_product", counted("ring", laurent._ring_product))
-    monkeypatch.setattr(laurent, "_circulant_product", counted("circulant", laurent._circulant_product))
+    for name in calls:
+        attr = f"_{name}_product"
+        monkeypatch.setattr(laurent, attr, counted(name, getattr(laurent, attr)))
     return calls
 
 
 @pytest.mark.parametrize(
-    "coeffs, p, ring, circulant",
+    "coeffs, p, ring, subresultant, circulant",
     [
-        ({-1: 1, 0: -1, 1: 1}, 5, 0, 1),  # trefoil, 3d > p
-        ({-1: 1, 0: -1, 1: 1}, 6, 1, 1),  # 3d <= p <= 16: ring path, cross-checked
-        ({-1: 1, 0: -1, 1: 1}, 17, 1, 0),  # above the cross-check threshold
-        ({0: 3, 1: 1, 20: 2}, 10, 1, 1),  # folds to 5 + t, so the ring path runs
-        ({0: 1, 3: -1}, 3, 0, 0),  # folds to zero: the product vanishes
-        ({0: 1, 18: 10}, 91, 0, 1),  # d^3 ceil(log2 |a_d|) > 256 p: the lift costs too much
-        ({0: 1, 18: 10}, 92, 1, 0),
+        ({-1: 1, 0: -1, 1: 1}, 5, 0, 1, 1),  # trefoil, 3d > p: subresultant, cross-checked
+        ({-1: 1, 0: -1, 1: 1}, 6, 1, 0, 1),  # 3d <= p <= 16: ring path, cross-checked
+        ({-1: 1, 0: -1, 1: 1}, 17, 1, 0, 0),  # above the cross-check threshold
+        ({0: 3, 1: 1, 20: 2}, 10, 1, 0, 1),  # folds to 5 + t, so the ring path runs
+        ({0: 1, 3: -1}, 3, 0, 0, 0),  # folds to zero: the product vanishes
+        ({0: 1, 18: 10}, 91, 0, 1, 0),  # d = 18 is past the ring path's degree limit
+        ({0: 1, 18: 10}, 92, 0, 1, 0),
+        ({0: 1, 8: 1}, 24, 1, 0, 0),  # monic: d (0 + 4) <= 32 up to d = 8
+        ({0: 1, 9: 1}, 27, 0, 1, 0),
+        ({0: 1, 6: 2}, 40, 1, 0, 0),  # |a_d| = 2: d (1 + 4) <= 32 up to d = 6
+        ({0: 1, 6: 3}, 40, 0, 1, 0),  # |a_d| = 3: d (2 + 4) <= 32 only up to d = 5
+        ({0: 1, 2: 2**12}, 40, 1, 0, 0),  # d = 2 takes the ring path up to |a_d| = 2^12
+        ({0: 1, 2: -(2**12) - 1}, 40, 0, 1, 0),
     ],
 )
-def test_resultant_path_selection(monkeypatch, coeffs, p, ring, circulant):
+def test_resultant_path_selection(monkeypatch, coeffs, p, ring, subresultant, circulant):
     calls = _count_paths(monkeypatch)
     uni(coeffs).resultant_with_cyclotomic(p)
-    assert calls == {"ring": ring, "circulant": circulant}
+    assert calls == {"ring": ring, "subresultant": subresultant, "circulant": circulant}
 
 
 def test_resultant_paths_agree_with_sign():
@@ -349,3 +359,89 @@ def test_resultant_cross_check_disagreement_raises(monkeypatch):
     monkeypatch.setattr(laurent, "_ring_product", lambda coeffs, p: 12345)
     with pytest.raises(RuntimeError, match="internal disagreement"):
         uni({-1: 1, 0: -1, 1: 1}).resultant_with_cyclotomic(7)
+
+
+def test_wrong_subresultant_is_caught_by_the_circulant(monkeypatch):
+    monkeypatch.setattr(laurent, "_subresultant_product", lambda coeffs, p: 12345)
+    with pytest.raises(RuntimeError, match="internal disagreement: subresultant path 12345"):
+        uni({-1: 1, 0: -1, 1: 1}).resultant_with_cyclotomic(5)
+    with pytest.raises(RuntimeError, match="internal disagreement: subresultant path"):
+        wheel_knot(10).alexander.resultant_with_cyclotomic(16)
+    # above the threshold nothing checks it
+    assert wheel_knot(10).alexander.resultant_with_cyclotomic(17) == 12345
+
+
+def _random_coeffs(rng, length):
+    # sparse, so the remainder sequence drops more than one degree at a time
+    return [rng.choice([0, 0, rng.randint(-6, 6)]) for _ in range(length)]
+
+
+def test_subresultant_matches_circulant_with_sign(monkeypatch):
+    drops = []
+    prem = laurent._pseudo_remainder
+
+    def recorded(a, b):
+        r = prem(a, b)
+        drops.append(len(b) - len(r))
+        return r
+
+    monkeypatch.setattr(laurent, "_pseudo_remainder", recorded)
+    rng = random.Random(37)
+    cases = [([5], p) for p in (1, 2, 7)]  # d = 0
+    cases += [([-1, 0, 0, 1], 6), ([1, 0, 1], 4), ([0, 1, 0, 0, 1], 12)]  # cyclotomic factors
+    for _ in range(300):
+        p = rng.randint(1, 40)
+        coeffs = _random_coeffs(rng, rng.randint(1, 60))  # lengths past p fold
+        if rng.random() < 0.25:
+            # times 1 - t^k with k | p: a p-th root of unity is a root, the product vanishes
+            k = rng.choice([q for q in range(1, p + 1) if p % q == 0])
+            coeffs = [c - (coeffs[i - k] if i >= k else 0) for i, c in enumerate(coeffs + [0] * k)]
+        coeffs[-1] = coeffs[-1] or rng.choice([-3, -2, 2, 5])  # mostly non-monic
+        cases.append((coeffs, p))
+    cases += [(_random_coeffs(rng, 8) + [3], 1) for _ in range(5)]  # p = 1
+    zeros = 0
+    for coeffs, p in cases:
+        want = laurent._circulant_product(coeffs, p)
+        assert laurent._subresultant_product(coeffs, p) == want, (coeffs, p)
+        zeros += want == 0
+    assert zeros >= 30
+    assert max(drops) > 1
+
+
+def test_output_bound_covers_the_product():
+    rng = random.Random(41)
+    for _ in range(200):
+        poly = uni({rng.randint(-5, 5): rng.randint(-9, 9) for _ in range(rng.randint(1, 6))})
+        if not poly.terms:
+            continue
+        p = rng.randint(1, 30)
+        folded = laurent._folded(laurent._shifted_dense(poly.terms), p)
+        if not any(folded):
+            continue
+        bound = laurent._h1_bits_bound(folded, p)
+        assert abs(poly.resultant_with_cyclotomic(p)).bit_length() <= bound, (poly, p)
+
+
+def test_output_bound_refuses_before_any_path_runs(monkeypatch):
+    assert laurent.MAX_H1_BITS == 2**21
+    forbid_resultant_paths(monkeypatch)
+    for n in (10, 30):
+        with pytest.raises(ValueError, match="over the output bound of 2097152"):
+            wheel_knot(n).alexander.resultant_with_cyclotomic(10**6)
+
+
+def test_output_bound_accepts_trefoil_at_p_a_million(monkeypatch):
+    monkeypatch.setattr(laurent, "_ring_product", lambda coeffs, p: 4)
+    assert uni({-1: 1, 0: -1, 1: 1}).resultant_with_cyclotomic(10**6) == 4
+
+
+def test_output_bound_is_read_on_the_folded_polynomial(monkeypatch):
+    monkeypatch.setattr(laurent, "MAX_H1_BITS", 2)
+    # 5 + t - 5t^2 at p = 2 folds to t: 1 bit, where the unfolded sum a_i^2 = 51 would give 6
+    assert abs(uni({0: 5, 1: 1, 2: -5}).resultant_with_cyclotomic(2)) == 1
+    monkeypatch.setattr(laurent, "MAX_H1_BITS", 7)
+    # 3 + t at p = 4: floor(4 log2(10) / 2) + 1 = 7 bits, and 80 has 7
+    assert uni({0: 3, 1: 1}).resultant_with_cyclotomic(4) == 80
+    monkeypatch.setattr(laurent, "MAX_H1_BITS", 6)
+    with pytest.raises(ValueError, match="may need 7 bits"):
+        uni({0: 3, 1: 1}).resultant_with_cyclotomic(4)

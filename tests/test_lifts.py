@@ -1,9 +1,13 @@
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from covercalc.lifts import LiftEdge, LiftSystem, admissible, solve
+
+from helpers import json_ids, json_numbers, non_lists, non_objects, non_scalars, replaced
 
 
 def triangle(offsets, p, directed_cycle=True):
@@ -217,3 +221,53 @@ def test_from_json_accepts_decimal_strings():
 def test_from_json_rejects_wrong_shapes(data):
     with pytest.raises(ValueError, match="must be an? (object|list)"):
         LiftSystem.from_json_dict(data)
+
+
+# -- JSON schema properties ------------------------------------------------
+
+
+@st.composite
+def json_lift_systems(draw):
+    """Any lift system the JSON schema can carry; it need not be connected."""
+    vertices = draw(st.lists(json_ids, min_size=1, max_size=5, unique=True))
+    vertex = st.sampled_from(vertices)
+    edges = draw(st.lists(st.builds(LiftEdge, json_ids, vertex, vertex, json_numbers), max_size=5))
+    return LiftSystem(tuple(vertices), tuple(edges), draw(st.integers(1, 2**70)))
+
+
+@given(json_lift_systems())
+def test_json_round_trip_property(system):
+    assert LiftSystem.from_json_dict(json.loads(json.dumps(system.to_json_dict()))) == system
+
+
+@given(json_lift_systems(), st.data())
+def test_from_json_rejects_non_scalar_ids_property(system, data):
+    good = system.to_json_dict()
+    paths = [("vertices", i) for i in range(len(good["vertices"]))]
+    paths += [("edges", i, k) for i in range(len(good["edges"])) for k in ("id", "tail", "head")]
+    path = data.draw(st.sampled_from(paths))
+    with pytest.raises(ValueError, match="must be a string or an integer"):
+        LiftSystem.from_json_dict(replaced(good, path, data.draw(non_scalars)))
+
+
+@given(json_lift_systems(), st.data())
+def test_from_json_rejects_non_integer_numbers_property(system, data):
+    good = system.to_json_dict()
+    paths = [("p",)] + [("edges", i, "winding") for i in range(len(good["edges"]))]
+    path = data.draw(st.sampled_from(paths))
+    with pytest.raises(ValueError, match="must be an integer or a decimal string"):
+        LiftSystem.from_json_dict(replaced(good, path, data.draw(non_scalars)))
+
+
+@given(json_lift_systems(), st.data())
+def test_from_json_rejects_wrong_shapes_property(system, data):
+    good = system.to_json_dict()
+    field = data.draw(st.sampled_from(["edges", "vertices", "edge", "top"]))
+    if field == "edge" and good["edges"]:
+        bad = replaced(good, ("edges", 0), data.draw(non_objects))
+    elif field in ("edges", "vertices"):
+        bad = replaced(good, (field,), data.draw(non_lists))
+    else:
+        bad = data.draw(non_objects)
+    with pytest.raises(ValueError, match="must be an? (object|list)"):
+        LiftSystem.from_json_dict(bad)
