@@ -15,11 +15,11 @@ a valid diagram, sawing off the legs smooths exactly the leg vertices.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Mapping, Optional, Sequence
 
-from .laurent import _json_id, _json_int, _json_list, _json_object, _json_objects
+from .laurent import _json_id, _json_int, _json_list, _json_object, _json_objects, _json_str
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,8 @@ class DecoratedDiagram:
     label: str
     vertices: tuple
     edges: tuple
-    legs: tuple = ()
-    twists: dict = field(default_factory=dict)
+    legs: tuple
+    twists: dict
 
     def __init__(self, label, vertices, edges, legs=(), twists=None):
         self.label = label
@@ -125,7 +125,7 @@ class DecoratedDiagram:
         twists = _json_object(data.get("twists", {}), "twists")
         vertices = _json_list(data.get("vertices", []), "vertices")
         return cls(
-            label=str(data.get("label", "")),
+            label=_json_str(data.get("label", ""), "diagram label"),
             vertices=tuple(_json_id(v, "vertex id") for v in vertices),
             edges=edges,
             legs=legs,

@@ -6,15 +6,15 @@ graph Y-link decoration with b basis cycles that element is
 x^c * prod over legs of (1 -/+ x^v), with c the constant cycle windings and
 v a leg's winding contributions, both read off the rows of
 ``diagrams.cycle_windings``, so the filter is p times the signed count of
-leg states whose cycle windings all vanish mod p. For decorations that saw
-to the theta graph (``diagrams.is_theta_shaped``) this feeds the
-Casson-Walker-Lescop delta 2|H_1| per admissible copy. The LMO multiplier
-of l legs is the b = 1 case (1 - x)^l, whose filter is the binomial sum
-p * sum over k = 0 mod p of (-1)^k C(l, k).
+leg states whose cycle windings all vanish mod p; m legs sharing v give
+(1 -/+ x^v)^m, with binomial sums over residue classes as coefficients.
+For decorations that saw to the theta graph (``diagrams.is_theta_shaped``)
+this feeds the Casson-Walker-Lescop delta 2|H_1| per admissible copy. The
+LMO multiplier of l legs is the b = 1 case (1 - x)^l, whose filter is the
+binomial sum p * sum over k = 0 mod p of (-1)^k C(l, k).
 """
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -23,7 +23,7 @@ from typing import Optional
 from .diagrams import DecoratedDiagram, cycle_windings, is_theta_shaped, require_valid, surplus
 from .knots import KnotDescriptor, h1_order
 
-MAX_STATES = 2**24  # grouped leg states prod(m_i + 1) one multiplier call may enumerate
+MAX_WORK = 2**25  # (legs + 1) * min(prod(m_i + 1), p^b) one multiplier call may spend
 
 
 @dataclass(frozen=True)
@@ -48,31 +48,32 @@ class LeadingTerm:
         return data
 
 
-def _multiplier_enumeration(constants, groups, p, signed):
-    """Signed count of admissible leg states, times p.
+def _class_sum(m, r, q, sign):
+    """Sum of sign^j C(m, j) over 0 <= j <= m with j = r mod q."""
+    # j = r + k q carries sign^r * (sign^q)^k, so sum even and odd k apart
+    even = sum(math.comb(m, j) for j in range(r, m + 1, 2 * q))
+    odd = sum(math.comb(m, j) for j in range(r + q, m + 1, 2 * q))
+    return sign**r * (even + sign**q * odd)
 
-    Legs with identical winding vectors are interchangeable, so states are
-    enumerated per group with binomial multiplicities: prod(m_i + 1) states
-    for groups of sizes m_i.
+
+def _multiplier_grouped(constants, groups, p, signed):
+    """p times the coefficient at 0 of x^c * prod over groups of (1 -/+ x^v)^m.
+
+    x^v has order q = p / gcd(p, v) in Z_p^b, so the factor of the m legs
+    sharing v has min(q, m + 1) terms x^(r v), with coefficient _class_sum.
     """
-    vectors = list(groups)
-    multiplicities = list(groups.values())
-    total = 0
-    for counts in itertools.product(*(range(m + 1) for m in multiplicities)):
-        windings = list(constants)
-        weight = 1
-        flips = 0
-        for vec, m, j in zip(vectors, multiplicities, counts):
-            weight *= math.comb(m, j)
-            flips += j
-            for i, v in enumerate(vec):
-                windings[i] += j * v
-        if all(w % p == 0 for w in windings):
-            if signed and flips % 2:
-                total -= weight
-            else:
-                total += weight
-    return p * total
+    sign = -1 if signed else 1
+    ring = {tuple(c % p for c in constants): 1}
+    for vec, m in groups.items():
+        q = p // math.gcd(p, *vec)
+        product = {}
+        for r in range(min(q, m + 1)):
+            c = _class_sum(m, r, q, sign)
+            for exp, coef in ring.items():
+                key = tuple((e + r * v) % p for e, v in zip(exp, vec))
+                product[key] = product.get(key, 0) + c * coef
+        ring = product
+    return p * ring.get((0,) * len(constants), 0)
 
 
 def _multiplier_polynomial(constants, vectors, p, signed):
@@ -95,10 +96,10 @@ def _multiplier_polynomial(constants, vectors, p, signed):
 def multiplier(d: DecoratedDiagram, p: int, signed: bool = True) -> int:
     """p times the signed count of leg states with all cycle windings = 0 mod p.
 
-    Computed twice -- by grouped enumeration of the leg states and by the
-    roots-of-unity filter of the leg product in Z[Z_p^b] -- and the two paths
-    must agree, else RuntimeError. A call whose grouped states prod(m_i + 1)
-    exceed MAX_STATES is refused with ValueError before either path runs.
+    Computed in Z[Z_p^b] with one factor per group of m_i legs sharing a
+    winding vector and with one factor per leg; the two must agree, else
+    RuntimeError. Both supports stay within S = min(prod(m_i + 1), p^b), and
+    a call whose work (legs + 1) * S exceeds MAX_WORK raises ValueError first.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -107,18 +108,16 @@ def multiplier(d: DecoratedDiagram, p: int, signed: bool = True) -> int:
     constants = tuple(row[0] for row in rows)
     vectors = [tuple(row[i] for row in rows) for i in range(1, len(d.legs) + 1)]
     groups = Counter(vectors)
-    states = math.prod(m + 1 for m in groups.values())
-    if states > MAX_STATES:
-        raise ValueError(
-            f"{states} grouped leg states exceed the work bound of {MAX_STATES}"
-        )
-    by_enum = _multiplier_enumeration(constants, groups, p, signed)
-    by_poly = _multiplier_polynomial(constants, vectors, p, signed)
-    if by_enum != by_poly:
+    work = (len(vectors) + 1) * min(math.prod(m + 1 for m in groups.values()), p ** len(rows))
+    if work > MAX_WORK:
+        raise ValueError(f"multiplier work {work} exceeds the work bound of {MAX_WORK}")
+    by_group = _multiplier_grouped(constants, groups, p, signed)
+    by_leg = _multiplier_polynomial(constants, vectors, p, signed)
+    if by_group != by_leg:
         raise RuntimeError(
-            f"internal disagreement: enumeration {by_enum} vs polynomial {by_poly}"
+            f"internal disagreement: grouped product {by_group} vs per-leg product {by_leg}"
         )
-    return by_enum
+    return by_group
 
 
 def _sign_from_twists(d: DecoratedDiagram) -> Optional[int]:
@@ -176,7 +175,7 @@ def lmo_leading_multiplier(l: int, p: int) -> int:
         raise ValueError("l must be >= 0")
     if p < 1:
         raise ValueError("p must be >= 1")
-    return p * sum((-1) ** k * math.comb(l, k) for k in range(0, l + 1, p))
+    return p * _class_sum(l, 0, p, -1)
 
 
 def window_nonzero(l_start: int, p: int) -> tuple[int, int]:

@@ -14,7 +14,7 @@ size bound exceeds ``laurent.MAX_H1_BITS`` is refused before any path runs.
 """
 from __future__ import annotations
 
-from .laurent import LaurentPoly, _json_object, _shifted_dense
+from .laurent import LaurentPoly, _json_object, _json_str, _shifted_dense
 
 _T = LaurentPoly({1: 1})
 _ONE = LaurentPoly({0: 1})
@@ -57,7 +57,7 @@ class KnotDescriptor:
     def from_json_dict(cls, data, check_symmetry: bool = True) -> "KnotDescriptor":
         _json_object(data, "knot")
         return cls(
-            str(data.get("label", "")),
+            _json_str(data.get("label", ""), "knot label"),
             LaurentPoly.from_json_dict(data),
             check_symmetry=check_symmetry,
         )
@@ -101,10 +101,3 @@ def trefoil() -> KnotDescriptor:
 
 def figure_eight() -> KnotDescriptor:
     return KnotDescriptor("figure-eight", LaurentPoly({-1: -1, 0: 3, 1: -1}))
-
-
-CATALOG = {
-    "unknot": unknot,
-    "trefoil": trefoil,
-    "figure-eight": figure_eight,
-}

@@ -211,6 +211,13 @@ def _json_id(value, what: str):
     raise ValueError(f"{what} must be a string or an integer, got {value!r}")
 
 
+def _json_str(value, what: str) -> str:
+    """A JSON string; anything else raises ValueError."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def _json_object(value, what: str) -> dict:
     """A JSON object; anything else raises ValueError."""
     if not isinstance(value, dict):

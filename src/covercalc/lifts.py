@@ -15,6 +15,8 @@ from typing import Hashable, Mapping, Optional
 from .diagrams import spanning_tree
 from .laurent import _json_id, _json_int, _json_list, _json_object, _json_objects
 
+MAX_LIFT_ENTRIES = 2**20  # refuse solutions holding more than this many vertex values (p * |V|)
+
 
 @dataclass(frozen=True)
 class LiftEdge:
@@ -71,16 +73,15 @@ class LiftSystem:
         )
 
 
-def solve(system: LiftSystem) -> Optional[list[dict]]:
-    """All solutions of the lift equations, or None when inconsistent.
+def _potentials(system: LiftSystem) -> Optional[dict]:
+    """Vertex values with the lowest-id root at 0, or None when inconsistent.
 
-    Propagates values along ``diagrams.spanning_tree`` from the lowest-id
-    root, then checks the chords, the edges off the tree. Solutions are
-    ordered by the root's value 0..p-1 so output is reproducible.
+    Propagates values along ``diagrams.spanning_tree`` from the root, then
+    checks the chords, the edges off the tree.
     """
     p = system.p
     if not system.vertices:
-        return []
+        return {}
     seen = set()
     for v in system.vertices:
         if v in seen:
@@ -99,7 +100,27 @@ def solve(system: LiftSystem) -> Optional[list[dict]]:
     for e in chords:
         if (potential[e.head] - potential[e.tail] - e.offset) % p != 0:
             return None
+    return potential
 
+
+def solve(system: LiftSystem) -> Optional[list[dict]]:
+    """All solutions of the lift equations, or None when inconsistent.
+
+    Solutions are ordered by the root's value 0..p-1 so output is
+    reproducible. A consistent system whose p solutions would hold more
+    than MAX_LIFT_ENTRIES vertex values is refused with ValueError before
+    any is built.
+    """
+    potential = _potentials(system)
+    if not potential:  # inconsistent, or no vertices
+        return None if potential is None else []
+    p = system.p
+    entries = p * len(potential)
+    if entries > MAX_LIFT_ENTRIES:
+        raise ValueError(
+            f"{p} solutions of {len(potential)} vertices are {entries} values, "
+            f"over the output bound of {MAX_LIFT_ENTRIES}"
+        )
     return [
         {v: (val + r) % p for v, val in potential.items()}
         for r in range(p)
@@ -108,4 +129,4 @@ def solve(system: LiftSystem) -> Optional[list[dict]]:
 
 def admissible(system: LiftSystem) -> bool:
     """True iff every loop's signed offset sum vanishes mod p."""
-    return solve(system) is not None
+    return _potentials(system) is not None

@@ -1,8 +1,11 @@
 """Shared fixture builders: reference diagrams, random generators, relabeling,
-Hypothesis strategies for the JSON input schemas and a guard on the |H_1| paths."""
+Hypothesis strategies for the JSON input schemas, a guard on the |H_1| paths
+and the leg-state enumeration oracle for the multiplier."""
 from __future__ import annotations
 
 import copy
+import itertools
+import math
 import random
 
 from hypothesis import strategies as st
@@ -129,6 +132,25 @@ def k4_diagram() -> DecoratedDiagram:
     )
 
 
+def petersen_with_legs() -> DecoratedDiagram:
+    """The Petersen graph (b = 6) with two legs of opposite sign on each edge.
+
+    The graph is 3-edge-connected, so no two edges lie on the same cycles:
+    the 30 legs have 30 distinct winding vectors.
+    """
+    pairs = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    pairs += [(i + 5, (i + 2) % 5 + 5) for i in range(5)]
+    d = DecoratedDiagram(
+        label="petersen",
+        vertices=tuple(range(10)),
+        edges=tuple(Edge(f"e{i}", a, b, 0) for i, (a, b) in enumerate(pairs)),
+    )
+    for i in range(len(pairs)):
+        d = attach_leg_by_subdivision(d, f"e{i}", f"p{i}", sign=1)
+        d = attach_leg_by_subdivision(d, f"e{i}~p{i}b", f"n{i}", sign=-1)
+    return d
+
+
 def random_diagram(rng: random.Random, max_legs: int = 12) -> DecoratedDiagram:
     """A random valid complete diagram: random base graph, windings, legs."""
     base = rng.choice([theta, dumbbell, k4_diagram])()
@@ -211,3 +233,30 @@ def forbid_resultant_paths(monkeypatch) -> None:
 
     for name in ("_ring_product", "_subresultant_product", "_circulant_product"):
         monkeypatch.setattr(laurent, name, refuse)
+
+
+def multiplier_enumeration(constants, groups, p, signed):
+    """Signed count of admissible leg states, times p, by enumerating them.
+
+    Legs with identical winding vectors are interchangeable, so states are
+    enumerated per group with binomial multiplicities: prod(m_i + 1) states
+    for the groups ``{vector: m_i}``.
+    """
+    vectors = list(groups)
+    multiplicities = list(groups.values())
+    total = 0
+    for counts in itertools.product(*(range(m + 1) for m in multiplicities)):
+        windings = list(constants)
+        weight = 1
+        flips = 0
+        for vec, m, j in zip(vectors, multiplicities, counts):
+            weight *= math.comb(m, j)
+            flips += j
+            for i, v in enumerate(vec):
+                windings[i] += j * v
+        if all(w % p == 0 for w in windings):
+            if signed and flips % 2:
+                total -= weight
+            else:
+                total += weight
+    return p * total

@@ -236,12 +236,15 @@ def _wound_edge(winding):
         ("cwl", replaced(_diagram_json(), ("legs", 0, "edge"), True)),
         ("lift", {"vertices": [[1]], "edges": [], "p": 2}),
         ("lift", replaced(_lift_json(), ("edges", 0, "head"), 2.0)),
+        ("h1", {**trefoil().to_json_dict(), "label": ["x", 1]}),
+        ("cwl", _diagram_json(label={"a": 1})),
     ],
     ids=["knot-list", "knot-string", "diagram-list", "diagram-edge-number",
          "diagram-legs-object", "diagram-vertices-number", "diagram-twists-list",
          "diagram-float-winding", "diagram-bool-twist", "lift-list", "lift-edge-number",
          "lift-vertices-number", "lift-float-p", "lift-float-winding", "diagram-list-vertex",
-         "diagram-object-tail", "diagram-bool-leg-edge", "lift-list-vertex", "lift-float-head"],
+         "diagram-object-tail", "diagram-bool-leg-edge", "lift-list-vertex", "lift-float-head",
+         "knot-list-label", "diagram-object-label"],
 )
 def test_wrongly_shaped_json_exits_1(capsys, tmp_path, trefoil_file, command, data):
     path = tmp_path / "input.json"
@@ -304,6 +307,28 @@ def test_h1_over_the_output_bound_exits_1(capsys, monkeypatch, tmp_path):
     assert (code, out) == (1, "")
     assert err.startswith("error: |H_1| at p = 1000000 may need ")
     assert err.endswith(" bits, over the output bound of 2097152\n")
+
+
+def test_cwl_over_the_work_bound_exits_1(capsys, monkeypatch, tmp_path, trefoil_file):
+    from covercalc import engine
+
+    # two legs on separate edges of the theta: 2 * 2 grouped states, 3^2 classes
+    monkeypatch.setattr(engine, "MAX_WORK", 11)
+    diagram_file = write_diagram(tmp_path, example_two_leg_theta())
+    code, out, err = run(capsys, ["cwl", trefoil_file, diagram_file, "--p", "3"])
+    assert (code, out) == (1, "")
+    assert err == "error: multiplier work 12 exceeds the work bound of 11\n"
+
+
+def test_lift_over_the_output_bound_exits_1(capsys, monkeypatch, tmp_path):
+    from covercalc import lifts
+
+    monkeypatch.setattr(lifts, "MAX_LIFT_ENTRIES", 3)
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(_lift_json()))
+    code, out, err = run(capsys, ["lift", str(path)])
+    assert (code, out) == (1, "")
+    assert err == "error: 2 solutions of 2 vertices are 4 values, over the output bound of 3\n"
 
 
 def test_output_to_file_is_deterministic(capsys, tmp_path, trefoil_file):

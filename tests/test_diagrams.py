@@ -378,6 +378,18 @@ def test_from_json_rejects_wrong_shapes(data):
         DecoratedDiagram.from_json_dict(data)
 
 
+@pytest.mark.parametrize("label", [["x", 1], {"a": 1}, 3, None, True])
+def test_from_json_rejects_non_string_labels(label):
+    with pytest.raises(ValueError, match="diagram label must be a string"):
+        DecoratedDiagram.from_json_dict(_theta_json(label=label))
+
+
+def test_from_json_missing_label_is_empty():
+    data = _theta_json()
+    del data["label"]
+    assert DecoratedDiagram.from_json_dict(data).label == ""
+
+
 # -- JSON schema properties ------------------------------------------------
 
 

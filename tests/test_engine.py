@@ -1,11 +1,20 @@
 import cmath
+import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from covercalc import engine
-from covercalc.diagrams import DecoratedDiagram, DiagramError, surplus, theta
+from covercalc.diagrams import (
+    DecoratedDiagram,
+    DiagramError,
+    attach_leg_by_subdivision,
+    cycle_windings,
+    surplus,
+    theta,
+)
 from covercalc.engine import (
     cwl_delta,
     lmo_leading_multiplier,
@@ -20,6 +29,8 @@ from helpers import (
     example_two_leg_theta,
     flip_all,
     kappa_diagram,
+    multiplier_enumeration,
+    petersen_with_legs,
     random_diagram,
     relabel,
     theta_with_legs,
@@ -58,18 +69,75 @@ def test_multiplier_rejects_invalid_diagram():
         multiplier(chord_fixture(), 2)
 
 
+def leg_product(d):
+    """(constants, per-leg winding vectors) read off the cycle winding rows."""
+    rows = cycle_windings(d)
+    vectors = [tuple(row[i] for row in rows) for i in range(1, len(d.legs) + 1)]
+    return tuple(row[0] for row in rows), vectors
+
+
 def test_multiplier_leg_cap(monkeypatch):
-    # n legs on one edge share one winding vector: n + 1 grouped states
-    monkeypatch.setattr(engine, "MAX_STATES", 16)
+    # n legs on one edge of the theta (b = 2) share one winding vector: the
+    # support is min(n + 1, p^2) and the work (n + 1) * min(n + 1, p^2)
+    monkeypatch.setattr(engine, "MAX_WORK", 16 * 9)
     assert multiplier(theta_with_legs(15), 3) == lmo_leading_multiplier(15, 3)
-    with pytest.raises(ValueError, match="work bound"):
+    monkeypatch.setattr(engine, "MAX_WORK", 16 * 16)
+    assert multiplier(theta_with_legs(15), 101) == lmo_leading_multiplier(15, 101)
+
+    def refuse(*args):
+        raise AssertionError("no multiplier path may run")
+
+    monkeypatch.setattr(engine, "_multiplier_grouped", refuse)
+    monkeypatch.setattr(engine, "_multiplier_polynomial", refuse)
+    with pytest.raises(ValueError, match="work 289 .* work bound of 256"):
+        multiplier(theta_with_legs(16), 101)
+    monkeypatch.setattr(engine, "MAX_WORK", 16 * 9)
+    with pytest.raises(ValueError, match="work 153 .* work bound of 144"):
         multiplier(theta_with_legs(16), 3)
 
 
 def test_multiplier_runs_long_chains_under_the_default_bound():
-    assert engine.MAX_STATES == 2**24
+    assert engine.MAX_WORK == 2**25
     for p in (2, 3, 7):
         assert multiplier(theta_with_legs(40), p) == lmo_leading_multiplier(40, p)
+
+
+def test_multiplier_takes_thirty_distinct_legs_at_p3():
+    # 2^30 grouped states, but the support stays within 3^6 = 729 classes
+    d = petersen_with_legs()
+    constants, vectors = leg_product(d)
+    assert len(Counter(vectors)) == 30 and len(constants) == 6
+    # p^(1 - b) times the sum of the leg product over all b-tuples of cube roots
+    roots = [cmath.exp(2j * cmath.pi * k / 3) for k in range(3)]
+    for sign in (1, -1):
+        approx = 0
+        for w in itertools.product(roots, repeat=6):
+            value = 1
+            for vec in vectors:
+                value *= 1 + sign * math.prod(z**v for z, v in zip(w, vec))
+            approx += value
+        exact = multiplier(d, 3, signed=sign == -1)
+        assert abs(approx * 3 ** (1 - 6) - exact) <= 1e-6 * max(1, abs(exact))
+    assert exact == 0 and multiplier(d, 3, signed=False) == 4552608
+
+
+def test_multiplier_matches_state_enumeration():
+    # random diagrams at every p up to 30, composite p included; legs on the
+    # dumbbell's bridge have winding vector 0, a factor x^0 of order q = 1
+    bridge, edge = dumbbell(), "mid"
+    for i in range(1, 4):
+        bridge = attach_leg_by_subdivision(bridge, edge, f"b{i}")
+        edge += f"~b{i}b"
+    bridge = attach_leg_by_subdivision(bridge, "lx", "c1", sign=-1)
+    rng = random.Random(53)
+    diagrams = [bridge] + [random_diagram(rng, max_legs=8) for _ in range(29)]
+    assert Counter(leg_product(bridge)[1])[(0, 0)] == 3
+    for p in range(1, 31):
+        for d in (diagrams[p - 1], bridge):
+            constants, vectors = leg_product(d)
+            for signed in (True, False):
+                want = multiplier_enumeration(constants, Counter(vectors), p, signed)
+                assert multiplier(d, p, signed=signed) == want, (d.label, p, signed)
 
 
 def test_multiplier_path_disagreement_raises(monkeypatch):

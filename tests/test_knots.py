@@ -134,6 +134,20 @@ def test_json_round_trip():
     assert again.label == "trefoil"
 
 
+@pytest.mark.parametrize("label", [["x", 1], {"a": 1}, 3, None, True])
+def test_from_json_rejects_non_string_labels(label):
+    data = trefoil().to_json_dict()
+    data["label"] = label
+    with pytest.raises(ValueError, match="knot label must be a string"):
+        KnotDescriptor.from_json_dict(data)
+
+
+def test_from_json_missing_label_is_empty():
+    data = trefoil().to_json_dict()
+    del data["label"]
+    assert KnotDescriptor.from_json_dict(data).label == ""
+
+
 # -- large p, out of reach of a p x p determinant --------------------------
 
 TREFOIL_PERIOD = (0, 1, 3, 4, 3, 1)  # |H_1| of the trefoil's p-fold cover by p mod 6

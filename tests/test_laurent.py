@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from covercalc import laurent
-from covercalc.engine import _multiplier_enumeration, _multiplier_polynomial, lmo_leading_multiplier
+from covercalc.engine import _multiplier_grouped, _multiplier_polynomial, lmo_leading_multiplier
 from covercalc.knots import wheel_knot
 from covercalc.laurent import LaurentPoly, _bareiss_det
 
-from helpers import forbid_resultant_paths
+from helpers import forbid_resultant_paths, multiplier_enumeration
 
 T = LaurentPoly({1: 1})
 ONE = LaurentPoly({0: 1})
@@ -80,9 +80,10 @@ def test_substitute_inverse_square():
 
 
 def indicator_sum(constants, vectors, p, signed=False):
-    """The mod-p indicator sum from both multiplier paths, which must agree."""
+    """The mod-p indicator sum from both multiplier paths and the enumeration."""
     by_poly = _multiplier_polynomial(constants, vectors, p, signed)
-    assert by_poly == _multiplier_enumeration(constants, Counter(vectors), p, signed)
+    assert by_poly == _multiplier_grouped(constants, Counter(vectors), p, signed)
+    assert by_poly == multiplier_enumeration(constants, Counter(vectors), p, signed)
     assert by_poly % p == 0
     return by_poly // p
 
@@ -176,6 +177,7 @@ def test_root_of_unity_sum_matches_float_oracle():
         order = rng.randint(1, 7)
         sign = rng.choice((1, -1))
         exact = _multiplier_polynomial(constants, vectors, order, sign == -1)
+        assert _multiplier_grouped(constants, Counter(vectors), order, sign == -1) == exact
         roots = [cmath.exp(2j * cmath.pi * q / order) for q in range(order)]
         approx = 0
         for w in itertools.product(roots, repeat=b):
@@ -186,6 +188,21 @@ def test_root_of_unity_sum_matches_float_oracle():
         approx *= order ** (1 - b)
         assert abs(approx.imag) < 1e-6 * max(1.0, abs(exact))
         assert abs(approx.real - exact) <= 1e-6 * max(1.0, abs(exact))
+
+
+def test_grouped_product_at_composite_orders():
+    # entries sharing a factor g with p give x^v of order q = p / g, strictly
+    # between 1 and p, and a vector = 0 mod p gives q = 1
+    rng = random.Random(6)
+    for p in (4, 6, 9, 12, 15, 30):
+        for g in (d for d in range(2, p) if p % d == 0):
+            b = rng.randint(1, 3)
+            vectors = [tuple(g * rng.randint(-3, 3) for _ in range(b)) for _ in range(3)]
+            vectors.append(tuple(p * rng.randint(-2, 2) for _ in range(b)))
+            vectors = [v for v in vectors for _ in range(rng.randint(1, 4))]
+            constants = tuple(rng.choice((0, g, 1)) for _ in range(b))
+            for signed in (True, False):
+                indicator_sum(constants, vectors, p, signed)
 
 
 def test_modp_indicator_specializes_on_univariate():

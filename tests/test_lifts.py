@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from covercalc import lifts
 from covercalc.lifts import LiftEdge, LiftSystem, admissible, solve
 
 from helpers import json_ids, json_numbers, non_lists, non_objects, non_scalars, replaced
@@ -181,6 +182,23 @@ def test_parallel_chords_match_brute_force():
         got = solve(system)
         assert (got is not None) == ((a - b) % 3 == 0 and (a + c) % 3 == 0)
         assert as_set(got or []) == as_set(brute_force(system))
+
+
+def test_solutions_over_the_output_bound_are_refused(monkeypatch):
+    # p solutions of |V| values each: 3 * 3 = 9 entries for the triangle
+    monkeypatch.setattr(lifts, "MAX_LIFT_ENTRIES", 9)
+    assert len(solve(triangle((1, 1, -2), 3))) == 3
+    with pytest.raises(ValueError, match="are 12 values, over the output bound of 9"):
+        solve(triangle((1, 1, -2), 4))
+    # an inconsistent system has no solutions to build and is still answered
+    assert solve(triangle((1, 0, 0), 4)) is None
+
+
+def test_admissible_builds_no_solutions(monkeypatch):
+    monkeypatch.setattr(lifts, "MAX_LIFT_ENTRIES", 0)
+    for p in (1, 4, 10**30):
+        assert admissible(triangle((1, 1, -2), p))
+        assert admissible(triangle((1, 0, 0), p)) == (p == 1)
 
 
 def lift_json(**changes):
