@@ -93,11 +93,10 @@ def cmd_lift(args) -> str:
     solutions = lifts.solve(system)
     if solutions is None:
         return "INADMISSIBLE\n"
-    return json.dumps(
-        [{str(v): a for v, a in sorted(s.items(), key=lambda kv: str(kv[0]))}
-         for s in solutions],
-        indent=2,
-    ) + "\n"
+    # every solution has the same vertices: order them once, by their JSON keys
+    order = sorted(solutions[0], key=str) if solutions else []
+    keys = [str(v) for v in order]
+    return json.dumps([dict(zip(keys, map(s.get, order))) for s in solutions], indent=2) + "\n"
 
 
 def cmd_window(args) -> str:

@@ -7,11 +7,12 @@ half-twist data. Completeness validation enforces the one-leg-per-vertex
 rule that rules out chords and forks.
 
 One graph search serves every traversal: ``spanning_tree`` grows a tree
-from the lowest-id vertex. Validation checks that it reaches every vertex;
-``cycle_windings`` sums edge windings into vertex potentials along it and
-reads each fundamental cycle's winding off a chord; the mod-p lift solver
-in ``lifts`` does the same in Z_p. ``is_theta_shaped`` needs no search: on
-a valid diagram, sawing off the legs smooths exactly the leg vertices.
+from the lowest-id vertex. Validation checks that it reaches every vertex.
+One pass up the tree gives every edge its cycle vector, its coefficient in
+each fundamental cycle, in O(E b) for b cycles: ``cycle_windings`` sums
+windings and leg wraps against these vectors, and ``is_theta_shaped``
+looks for a bridge, an edge on no cycle. The mod-p lift solver in
+``lifts`` uses the same tree for vertex potentials in Z_p.
 """
 from __future__ import annotations
 
@@ -19,7 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Mapping, Optional, Sequence
 
-from .laurent import _json_id, _json_int, _json_list, _json_object, _json_objects, _json_str
+from .laurent import (
+    _json_id, _json_ids_apart, _json_int, _json_list, _json_object, _json_objects, _json_str,
+)
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,9 @@ class DecoratedDiagram:
 
         The top level and every edge and leg must be objects, ``vertices``,
         ``edges`` and ``legs`` lists and ``twists`` an object. Ids and the
-        ids an edge or leg refers to must be JSON strings or integers.
+        ids an edge or leg refers to must be JSON strings or integers, and two
+        edge ids may not print alike (1 and "1"), since twists key them by
+        their string.
         Windings, signs and twists must be JSON integers or decimal strings;
         anything else raises ValueError rather than being truncated.
         """
@@ -121,6 +126,7 @@ class DecoratedDiagram:
             for l in _json_objects(data.get("legs", []), "legs", "leg")
         )
         # JSON object keys are strings: map each back to the edge id it names
+        _json_ids_apart((e.id for e in edges), "edge id")
         edge_ids = {str(e.id): e.id for e in edges}
         twists = _json_object(data.get("twists", {}), "twists")
         vertices = _json_list(data.get("vertices", []), "vertices")
@@ -186,8 +192,8 @@ def validate_complete(d: DecoratedDiagram) -> Optional[Violation]:
     vset = set(d.vertices)
     if len(vset) != len(d.vertices):
         return Violation("reference", d.label, "duplicate vertex ids")
-    edge_ids = [e.id for e in d.edges]
-    if len(set(edge_ids)) != len(edge_ids):
+    ends = {e.id: (e.tail, e.head) for e in d.edges}
+    if len(ends) != len(d.edges):
         return Violation("reference", d.label, "duplicate edge ids")
     leg_ids = [l.id for l in d.legs]
     if len(set(leg_ids)) != len(leg_ids):
@@ -200,7 +206,7 @@ def validate_complete(d: DecoratedDiagram) -> Optional[Violation]:
             return Violation("reference", l.id, "leg attached to unknown vertex")
         if l.sign not in (1, -1):
             return Violation("reference", l.id, "leg wrap sign must be ±1")
-        if l.edge not in set(edge_ids):
+        if l.edge not in ends:
             return Violation("reference", l.id, "leg targets unknown edge")
 
     incidence = {v: 0 for v in d.vertices}
@@ -228,8 +234,7 @@ def validate_complete(d: DecoratedDiagram) -> Optional[Violation]:
             return Violation("disconnected", stray, "edge graph is not connected")
 
     for l in d.legs:
-        e = d.edge_by_id(l.edge)
-        if l.vertex not in (e.tail, e.head):
+        if l.vertex not in ends[l.edge]:
             return Violation("leg-target", l.id, "target edge not incident to leg vertex")
 
     s = surplus(d)
@@ -244,56 +249,57 @@ def require_valid(d: DecoratedDiagram) -> None:
         raise DiagramError(violation)
 
 
+def _edge_cycles(d: DecoratedDiagram) -> dict:
+    """Each edge's coefficients in the fundamental cycles, keyed by edge id.
+
+    Cycle k runs the k-th chord (in edge order) tail -> head and closes
+    through the spanning tree, so the chord has the k-th unit vector. A tree
+    edge from parent to child runs along cycle k once for each end of chord
+    k in the subtree below the child, +1 for its tail and -1 for its head,
+    times the edge's step sign. One pass up the tree sums these per subtree.
+    An edge whose vector is zero lies on no cycle: it is a bridge.
+    """
+    _, steps, chords = spanning_tree(d.vertices, d.edges)
+    below = {v: [0] * len(chords) for v in d.vertices}
+    cycles = {}
+    for k, e in enumerate(chords):
+        cycles[e.id] = [int(i == k) for i in range(len(chords))]
+        below[e.tail][k] += 1
+        below[e.head][k] -= 1
+    for e, parent, child, sign in reversed(steps):
+        cycles[e.id] = [sign * c for c in below[child]]
+        below[parent] = [a + c for a, c in zip(below[parent], below[child])]
+    return cycles
+
+
 def cycle_windings(d: DecoratedDiagram) -> list[list[int]]:
     """Winding of each fundamental cycle as a row [constant, c_1, ..., c_L].
 
-    A leg in state eps = 1 adds one signed wrap to its target edge, so edge
-    e carries the affine form winding(e) + sum of sign(l) * eps_l over the
-    legs l targeting it (slot i is the i-th leg of ``d.legs``). Potentials
-    sum these forms along the spanning tree, and the cycle of a chord e,
-    run tail -> head and closed through the tree, has winding
-    form(e) + potential(tail) - potential(head). One row per chord, in edge
-    order; the rows are a basis of the cycle windings. Needs a valid d.
+    A leg in state eps = 1 adds one signed wrap to its target edge, so a
+    cycle winds by the sum of winding(e) times the edge's coefficient in it
+    plus the sum of sign(l) * eps_l times the coefficient of the edge leg l
+    targets (slot i is the i-th leg of ``d.legs``). One row per chord, in
+    edge order; the rows are a basis of the cycle windings. O((E + L) b)
+    for b cycles. Needs a valid d.
     """
-    width = len(d.legs) + 1
-    form = {e.id: [e.winding] + [0] * (width - 1) for e in d.edges}
-    for slot, leg in enumerate(d.legs, 1):
-        form[leg.edge][slot] += leg.sign
-    root, steps, chords = spanning_tree(d.vertices, d.edges)
-    potential = {root: [0] * width}
-    for e, parent, child, sign in steps:
-        potential[child] = [a + sign * b for a, b in zip(potential[parent], form[e.id])]
-    return [
-        [f + t - h for f, t, h in zip(form[e.id], potential[e.tail], potential[e.head])]
-        for e in chords
-    ]
+    cycles = _edge_cycles(d)
+    constant = [0] * (len(d.edges) - len(d.vertices) + 1)
+    for e in d.edges:
+        if e.winding:
+            constant = [a + e.winding * c for a, c in zip(constant, cycles[e.id])]
+    columns = [constant] + [[l.sign * c for c in cycles[l.edge]] for l in d.legs]
+    return [list(row) for row in zip(*columns)]
 
 
 def is_theta_shaped(d: DecoratedDiagram) -> bool:
     """True when sawing the legs off the valid diagram d leaves the theta graph.
 
     Sawing frees each leg vertex and merges its two edges, so the sawn graph
-    has the leg-free vertices, one edge per chain of leg vertices between
-    them. It is the theta graph iff there are two leg-free vertices (surplus
-    2) and no chain returns to the vertex it started from.
+    has the two leg-free vertices of a surplus-2 diagram joined by three
+    edges: the theta graph or the dumbbell (two loops and a bridge). Sawing
+    keeps bridges, so d is theta-shaped iff it has surplus 2 and no bridge.
     """
-    if surplus(d) != 2:
-        return False
-    legged = {l.vertex for l in d.legs}
-    ends: dict = {v: [] for v in d.vertices}  # (edge index, far endpoint) per edge end
-    for i, e in enumerate(d.edges):
-        ends[e.tail].append((i, e.head))
-        ends[e.head].append((i, e.tail))
-    for start in d.vertices:
-        if start in legged:
-            continue
-        for i, v in ends[start]:
-            while v in legged:
-                (a, x), (b, y) = ends[v]
-                i, v = (b, y) if a == i else (a, x)
-            if v == start:
-                return False
-    return True
+    return surplus(d) == 2 and all(any(c) for c in _edge_cycles(d).values())
 
 
 # -- construction helpers ------------------------------------------------

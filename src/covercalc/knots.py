@@ -4,13 +4,9 @@ The order of the first homology of the p-fold branched cyclic cover of a
 knot is the absolute value of the product of its Alexander polynomial over
 all p-th roots of unity, with the convention that a vanishing product
 encodes positive first Betti number. Everything here runs in exact integer
-arithmetic through ``LaurentPoly.resultant_with_cyclotomic``, which picks
-one of two paths from the input size: a d x d determinant in the ring
-Z[y]/(monic lift of A), O(d^3 + d^2 log p), when the degree d is low and p
-is at least 3d, and Res(t^p - 1, A) by the subresultant remainder
-sequence, O(p d) operations, otherwise. For p <= 16 either result is
-cross-checked against the p x p circulant determinant, and a product whose
-size bound exceeds ``laurent.MAX_H1_BITS`` is refused before any path runs.
+arithmetic through ``LaurentPoly.resultant_with_cyclotomic``, whose
+docstring states which path computes the product, how it is cross-checked
+and when the result is refused as too large.
 """
 from __future__ import annotations
 
@@ -25,13 +21,13 @@ class KnotDescriptor:
 
     __slots__ = ("label", "alexander")
 
-    def __init__(self, label: str, alexander: LaurentPoly, check_symmetry: bool = True):
+    def __init__(self, label: str, alexander: LaurentPoly):
         at_one = alexander.coefficient_sum()
         if at_one not in (1, -1):
             raise ValueError(
                 f"Alexander polynomial must evaluate to ±1 at t=1, got {at_one}"
             )
-        if check_symmetry and not _symmetric_up_to_unit(alexander):
+        if not _symmetric_up_to_unit(alexander):
             raise ValueError(
                 "Alexander polynomial is not symmetric under t -> 1/t up to a unit"
             )
@@ -54,12 +50,11 @@ class KnotDescriptor:
         return data
 
     @classmethod
-    def from_json_dict(cls, data, check_symmetry: bool = True) -> "KnotDescriptor":
+    def from_json_dict(cls, data) -> "KnotDescriptor":
         _json_object(data, "knot")
         return cls(
             _json_str(data.get("label", ""), "knot label"),
             LaurentPoly.from_json_dict(data),
-            check_symmetry=check_symmetry,
         )
 
 

@@ -211,6 +211,19 @@ def _json_id(value, what: str):
     raise ValueError(f"{what} must be a string or an integer, got {value!r}")
 
 
+def _json_ids_apart(ids, what: str) -> None:
+    """Raise ValueError when two different ids print alike, such as 1 and "1".
+
+    Such ids would collide as JSON object keys; exact repeats are left to the
+    caller's duplicate checks.
+    """
+    seen: dict = {}
+    for i in ids:
+        first = seen.setdefault(str(i), i)
+        if first != i:
+            raise ValueError(f"{what}s {first!r} and {i!r} share the JSON key {str(i)!r}")
+
+
 def _json_str(value, what: str) -> str:
     """A JSON string; anything else raises ValueError."""
     if not isinstance(value, str):

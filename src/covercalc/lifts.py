@@ -3,9 +3,9 @@
 Each oriented edge e imposes a_head = a_tail + offset in Z_p, where the
 offset is the signed intersection count of the edge with the spanning
 surface. On a connected graph the system either has no solution or exactly
-p of them, one per value at the root: the values are potentials along a
-spanning tree, as for ``diagrams.cycle_windings`` but in Z_p, and the system
-is solvable iff every chord's cycle has offset sum 0 mod p.
+p of them, one per value at the root: the values are potentials in Z_p
+along ``diagrams.spanning_tree``, the search that also serves diagrams, and
+the system is solvable iff every chord's cycle has offset sum 0 mod p.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Hashable, Mapping, Optional
 
 from .diagrams import spanning_tree
-from .laurent import _json_id, _json_int, _json_list, _json_object, _json_objects
+from .laurent import _json_id, _json_ids_apart, _json_int, _json_list, _json_object, _json_objects
 
 MAX_LIFT_ENTRIES = 2**20  # refuse solutions holding more than this many vertex values (p * |V|)
 
@@ -52,8 +52,10 @@ class LiftSystem:
 
         The top level and every edge must be objects and ``vertices`` and
         ``edges`` lists. Vertex and edge ids, tails and heads must be JSON
-        strings or integers; windings (or offsets) and p must be JSON
-        integers or decimal strings; anything else raises ValueError.
+        strings or integers, and two vertex ids may not print alike (1 and
+        "1"), since solutions are written keyed by vertex strings. Windings
+        (or offsets) and p must be JSON integers or decimal strings; anything
+        else raises ValueError.
         """
         _json_object(data, "lift system")
         edges = tuple(
@@ -66,8 +68,10 @@ class LiftSystem:
             for i, e in enumerate(_json_objects(data.get("edges", []), "edges", "edge"))
         )
         vertices = _json_list(data.get("vertices", []), "vertices")
+        vertices = tuple(_json_id(v, "vertex id") for v in vertices)
+        _json_ids_apart(vertices, "vertex id")
         return cls(
-            vertices=tuple(_json_id(v, "vertex id") for v in vertices),
+            vertices=vertices,
             edges=edges,
             p=_json_int(data["p"], "p"),
         )

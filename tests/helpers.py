@@ -1,6 +1,7 @@
 """Shared fixture builders: reference diagrams, random generators, relabeling,
-Hypothesis strategies for the JSON input schemas, a guard on the |H_1| paths
-and the leg-state enumeration oracle for the multiplier."""
+Hypothesis strategies for the JSON input schemas, a guard on the |H_1| paths,
+the leg-state enumeration oracle for the multiplier, and search oracles for
+cycle windings and for edge maps that respect adjacency."""
 from __future__ import annotations
 
 import copy
@@ -16,6 +17,7 @@ from covercalc.diagrams import (
     Edge,
     Leg,
     attach_leg_by_subdivision,
+    spanning_tree,
     theta,
 )
 
@@ -260,3 +262,63 @@ def multiplier_enumeration(constants, groups, p, signed):
             else:
                 total += weight
     return p * total
+
+
+def cycle_windings_by_potentials(d: DecoratedDiagram) -> list[list[int]]:
+    """Rows [constant, c_1, ..., c_L] per chord from dense vertex potentials.
+
+    Edge e carries the affine form winding(e) + sum of sign(l) * eps_l over
+    the legs l targeting it; potentials sum the forms along the spanning
+    tree, and the chord e closes the cycle form(e) + potential(tail) -
+    potential(head). O(|V| L) time and memory.
+    """
+    width = len(d.legs) + 1
+    form = {e.id: [e.winding] + [0] * (width - 1) for e in d.edges}
+    for slot, leg in enumerate(d.legs, 1):
+        form[leg.edge][slot] += leg.sign
+    root, steps, chords = spanning_tree(d.vertices, d.edges)
+    potential = {root: [0] * width}
+    for e, parent, child, sign in steps:
+        potential[child] = [a + sign * b for a, b in zip(potential[parent], form[e.id])]
+    return [
+        [f + t - h for f, t, h in zip(form[e.id], potential[e.tail], potential[e.head])]
+        for e in chords
+    ]
+
+
+def vertex_map_exists_by_search(d1: DecoratedDiagram, d2: DecoratedDiagram, edge_map) -> bool:
+    """Backtracking search for a vertex map that carries each edge's ends to its image's.
+
+    Tries both orientations of every edge in turn; exponential in the worst
+    case and recursive, one level per edge.
+    """
+    ep1 = {e.id: (e.tail, e.head) for e in d1.edges}
+    ep2 = {e.id: (e.tail, e.head) for e in d2.edges}
+    items = sorted(edge_map.items(), key=lambda kv: str(kv[0]))
+
+    def extend(index: int, vmap: dict, used: set) -> bool:
+        if index == len(items):
+            return True
+        e1, e2 = items[index]
+        (a, b), (c, d) = ep1[e1], ep2[e2]
+        for x, y in ((c, d), (d, c)):
+            ok = True
+            new = {}
+            for src, dst in ((a, x), (b, y)):
+                want = vmap.get(src, new.get(src))
+                if want is None:
+                    if dst in used or dst in new.values() and new.get(src) != dst:
+                        ok = False
+                        break
+                    new[src] = dst
+                elif want != dst:
+                    ok = False
+                    break
+            if ok:
+                merged = dict(vmap)
+                merged.update(new)
+                if extend(index + 1, merged, used | set(new.values())):
+                    return True
+        return False
+
+    return extend(0, {}, set())

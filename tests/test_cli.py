@@ -238,13 +238,17 @@ def _wound_edge(winding):
         ("lift", replaced(_lift_json(), ("edges", 0, "head"), 2.0)),
         ("h1", {**trefoil().to_json_dict(), "label": ["x", 1]}),
         ("cwl", _diagram_json(label={"a": 1})),
+        ("lift", _lift_json(vertices=[1, 2, "1"], edges=[{"id": "e", "tail": 1, "head": 2},
+                                                          {"id": "f", "tail": 2, "head": "1"}])),
+        ("cwl", replaced(replaced(_diagram_json(), ("edges", 0, "id"), 1), ("edges", 1, "id"), "1")),
     ],
     ids=["knot-list", "knot-string", "diagram-list", "diagram-edge-number",
          "diagram-legs-object", "diagram-vertices-number", "diagram-twists-list",
          "diagram-float-winding", "diagram-bool-twist", "lift-list", "lift-edge-number",
          "lift-vertices-number", "lift-float-p", "lift-float-winding", "diagram-list-vertex",
          "diagram-object-tail", "diagram-bool-leg-edge", "lift-list-vertex", "lift-float-head",
-         "knot-list-label", "diagram-object-label"],
+         "knot-list-label", "diagram-object-label", "lift-vertex-ids-print-alike",
+         "diagram-edge-ids-print-alike"],
 )
 def test_wrongly_shaped_json_exits_1(capsys, tmp_path, trefoil_file, command, data):
     path = tmp_path / "input.json"

@@ -24,6 +24,7 @@ from covercalc.knots import unknot
 
 from helpers import (
     chord_fixture,
+    cycle_windings_by_potentials,
     dumbbell,
     example_two_leg_theta,
     fork_fixture,
@@ -34,6 +35,7 @@ from helpers import (
     non_lists,
     non_objects,
     non_scalars,
+    petersen_with_legs,
     random_diagram,
     relabel,
     replaced,
@@ -296,6 +298,26 @@ def test_leg_vertex_with_parallel_edges_is_not_theta():
     assert not is_theta_shaped(d)
 
 
+def test_dumbbell_with_legs_on_its_bridge_is_not_theta():
+    # the legs subdivide the bridge: every piece of it still lies on no cycle
+    d = dumbbell()
+    for i, edge in enumerate(("mid", "mid~l1b", "mid~l1b~l2b"), 1):
+        d = attach_leg_by_subdivision(d, edge, f"l{i}", sign=(-1) ** i)
+        assert validate_complete(d) is None and surplus(d) == 2
+        assert not is_theta_shaped(d)
+        assert all(row[1:] == [0] * i for row in cycle_windings(d))
+
+
+def test_cycle_windings_match_the_potential_oracle():
+    rng = random.Random(23)
+    diagrams = [petersen_with_legs(), kappa_diagram(5), example_two_leg_theta()]
+    diagrams += [random_diagram(rng, max_legs=12) for _ in range(60)]
+    for d in diagrams:
+        for x in (d, _renamed_and_reordered(d, rng), relabel(d, "z")):
+            assert validate_complete(x) is None
+            assert cycle_windings(x) == cycle_windings_by_potentials(x)
+
+
 def test_theta_shape_of_random_diagrams_follows_the_base_graph():
     rng = random.Random(7)
     for _ in range(40):
@@ -376,6 +398,23 @@ def test_from_json_accepts_integers_and_decimal_strings():
 def test_from_json_rejects_wrong_shapes(data):
     with pytest.raises(ValueError, match="must be an? (object|list)"):
         DecoratedDiagram.from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "first, second", [(1, "1"), ("-2", -2), (0, "0")], ids=["int-str", "str-int", "zero"]
+)
+def test_from_json_rejects_edge_ids_that_print_alike(first, second):
+    data = _theta_json()
+    data["edges"][0]["id"], data["edges"][2]["id"] = first, second
+    with pytest.raises(ValueError, match=f"edge ids {first!r} and {second!r} share the JSON key"):
+        DecoratedDiagram.from_json_dict(data)
+
+
+def test_exact_duplicate_edge_ids_are_left_to_validation():
+    data = _theta_json()
+    data["edges"][2]["id"] = data["edges"][0]["id"]
+    d = DecoratedDiagram.from_json_dict(data)
+    assert validate_complete(d).message == "duplicate edge ids"
 
 
 @pytest.mark.parametrize("label", [["x", 1], {"a": 1}, 3, None, True])

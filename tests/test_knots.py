@@ -79,15 +79,6 @@ def test_construction_rejects_asymmetric():
         KnotDescriptor("bad", LaurentPoly({0: -1, 1: 1, 2: 1}))
 
 
-def test_symmetry_check_can_be_skipped():
-    k = KnotDescriptor(
-        "experimental",
-        LaurentPoly({0: -1, 1: 1, 2: 1}),
-        check_symmetry=False,
-    )
-    assert h1_order(k, 1) == 1
-
-
 def test_h1_multiplicative_under_connect_sum():
     rng = random.Random(3)
     a, b = trefoil(), figure_eight()

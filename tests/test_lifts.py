@@ -241,13 +241,28 @@ def test_from_json_rejects_wrong_shapes(data):
         LiftSystem.from_json_dict(data)
 
 
+@pytest.mark.parametrize(
+    "vertices", [[1, "1"], ["2", 1, 2], [3, -3, "-3"]], ids=["int-str", "str-int", "negative"]
+)
+def test_from_json_rejects_vertex_ids_that_print_alike(vertices):
+    with pytest.raises(ValueError, match="vertex ids .* share the JSON key"):
+        LiftSystem.from_json_dict(lift_json(vertices=vertices))
+
+
+def test_exact_duplicate_vertex_ids_from_json_are_named_by_the_solver():
+    system = LiftSystem.from_json_dict(lift_json(vertices=[1, 2, 2, 3]))
+    with pytest.raises(ValueError, match="duplicate vertex id 2"):
+        solve(system)
+
+
 # -- JSON schema properties ------------------------------------------------
 
 
 @st.composite
 def json_lift_systems(draw):
     """Any lift system the JSON schema can carry; it need not be connected."""
-    vertices = draw(st.lists(json_ids, min_size=1, max_size=5, unique=True))
+    # solutions are keyed by vertex strings, so vertex ids must stay apart under str()
+    vertices = draw(st.lists(json_ids, min_size=1, max_size=5, unique_by=str))
     vertex = st.sampled_from(vertices)
     edges = draw(st.lists(st.builds(LiftEdge, json_ids, vertex, vertex, json_numbers), max_size=5))
     return LiftSystem(tuple(vertices), tuple(edges), draw(st.integers(1, 2**70)))

@@ -2,10 +2,19 @@ import random
 
 import pytest
 
-from covercalc.diagrams import DecoratedDiagram
+from covercalc.diagrams import DecoratedDiagram, Edge
 from covercalc.signs import GraphIso, chain_twist, comparison_sign
 
-from helpers import dumbbell, k4_diagram, relabel, theta
+from helpers import (
+    dumbbell,
+    k4_diagram,
+    petersen_with_legs,
+    random_diagram,
+    relabel,
+    theta,
+    theta_with_legs,
+    vertex_map_exists_by_search,
+)
 
 
 def with_twists(d, twists):
@@ -118,3 +127,71 @@ def test_comparison_sign_symmetric_under_swap():
         backward = comparison_sign(d2, d1, GraphIso({v: k for k, v in iso.edge_map.items()}))
         assert forward == backward
         assert forward in (1, -1)
+
+
+def test_comparison_sign_rejects_many_to_one_map():
+    # two edges onto one: the parallel edges of the theta fit a two-edge graph
+    d1 = with_twists(theta(), {"e1": 1, "e2": 1, "e3": 1})
+    d2 = DecoratedDiagram("pair", ("x", "y"), (Edge("a", "x", "y"), Edge("b", "x", "y")),
+                          twists={"a": 1, "b": -1})
+    with pytest.raises(ValueError, match="not a bijection"):
+        comparison_sign(d1, d2, GraphIso({"e1": "a", "e2": "a", "e3": "b"}))
+
+
+def _shuffled(d, rng):
+    """The same diagram with its vertices and edges listed in random order."""
+    vertices, edges = list(d.vertices), list(d.edges)
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    return DecoratedDiagram(d.label, vertices, edges, d.legs, d.twists)
+
+
+def test_comparison_sign_matches_the_search_oracle():
+    rng = random.Random(31)
+    outcomes = {"signed": 0, "refused": 0}
+    bases = [petersen_with_legs()] + [random_diagram(rng, max_legs=8) for _ in range(150)]
+    for base in bases:
+        d1 = with_twists(base, {e.id: rng.choice((1, -1)) for e in base.edges})
+        d2 = relabel(d1, "q")
+        d2 = _shuffled(with_twists(d2, {e.id: rng.choice((1, -1)) for e in d2.edges}), rng)
+        true_map = {e.id: f"qe{i}" for i, e in enumerate(d1.edges)}
+        for trial in range(4):
+            images = list(true_map.values())
+            if trial == 1:
+                rng.shuffle(images)
+            elif trial > 1:
+                i, j = rng.randrange(len(images)), rng.randrange(len(images))
+                images[i], images[j] = images[j], images[i]
+            edge_map = dict(zip(true_map, images))
+            iso = GraphIso(edge_map)
+            if vertex_map_exists_by_search(d1, d2, edge_map):
+                expected = 1
+                for e1, e2 in edge_map.items():
+                    expected *= d1.twists[e1] * d2.twists[e2]
+                assert comparison_sign(d1, d2, iso) == expected
+                outcomes["signed"] += 1
+            else:
+                with pytest.raises(ValueError, match="does not respect vertex adjacency"):
+                    comparison_sign(d1, d2, iso)
+                outcomes["refused"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_comparison_sign_on_a_1203_edge_identity_map():
+    # one edge of recursion per edge would pass Python's default recursion limit
+    d = theta_with_legs(1200)
+    d = with_twists(d, {e.id: 1 for e in d.edges})
+    assert len(d.edges) == 1203
+    assert comparison_sign(d, d, identity_iso(d)) == 1
+
+
+def test_comparison_sign_refuses_a_swap_across_16_thetas():
+    # edges a_t, b_t, c_t join u_t and v_t; swapping c00 and c01 joins two thetas,
+    # which a search over the 2^16 orientations of the a edges finds only at the end
+    edges = tuple(Edge(f"{x}{t:02d}", f"u{t}", f"v{t}") for t in range(16) for x in "abc")
+    vertices = tuple(v for t in range(16) for v in (f"u{t}", f"v{t}"))
+    d = DecoratedDiagram("thetas", vertices, edges, twists={e.id: 1 for e in edges})
+    edge_map = {e.id: e.id for e in edges}
+    edge_map["c00"], edge_map["c01"] = "c01", "c00"
+    with pytest.raises(ValueError, match="does not respect vertex adjacency"):
+        comparison_sign(d, d, GraphIso(edge_map))
