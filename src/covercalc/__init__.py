@@ -16,7 +16,9 @@ from .knots import KnotDescriptor, h1_order, wheel_knot, f_table
 from .diagrams import DecoratedDiagram, Edge, Leg, validate_complete, surplus, degree
 from .lifts import LiftSystem, LiftEdge, solve, admissible
 from .signs import GraphIso, chain_twist, comparison_sign
-from .engine import LeadingTerm, multiplier, cwl_delta, lmo_leading_multiplier, window_nonzero
+from .engine import (
+    LeadingTerm, multiplier, cwl_delta, lmo_leading_multiplier, lmo_window, window_nonzero,
+)
 
 __all__ = [
     "LaurentPoly",
@@ -41,6 +43,7 @@ __all__ = [
     "multiplier",
     "cwl_delta",
     "lmo_leading_multiplier",
+    "lmo_window",
     "window_nonzero",
 ]
 

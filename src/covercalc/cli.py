@@ -93,19 +93,20 @@ def cmd_lift(args) -> str:
     solutions = lifts.solve(system)
     if solutions is None:
         return "INADMISSIBLE\n"
-    # every solution has the same vertices: order them once, by their JSON keys
-    order = sorted(solutions[0], key=str) if solutions else []
-    keys = [str(v) for v in order]
-    return json.dumps([dict(zip(keys, map(s.get, order))) for s in solutions], indent=2) + "\n"
+    if not solutions:
+        return "[]\n"
+    # json.dumps(..., indent=2) of the solutions, written directly: its indented
+    # encoder is pure Python. Every solution has the same vertices, so order them
+    # once by their JSON keys and encode each key once.
+    order = sorted(solutions[0], key=str)
+    prefixes = [f"    {json.dumps(str(v))}: " for v in order]
+    rows = (",\n".join([k + str(s[v]) for k, v in zip(prefixes, order)]) for s in solutions)
+    return "[\n  {\n" + "\n  },\n  {\n".join(rows) + "\n  }\n]\n"
 
 
 def cmd_window(args) -> str:
-    if args.p < 1 or args.l_start < 1 or args.count < 1:
-        raise ValueError("p, l-start and count must all be >= 1")
-    rows = []
-    for l in range(args.l_start, args.l_start + args.count):
-        value = engine.lmo_leading_multiplier(l, args.p)
-        rows.append((l, value, 1 if value != 0 else 0))
+    values = engine.lmo_window(args.l_start, args.count, args.p)
+    rows = [(l, value, 1 if value != 0 else 0) for l, value in enumerate(values, args.l_start)]
     return _table(rows, ("l", "multiplier", "nonzero"), args.format)
 
 

@@ -6,6 +6,12 @@ attached at their own trivalent vertices with a wrap sign, and optional
 half-twist data. Completeness validation enforces the one-leg-per-vertex
 rule that rules out chords and forks.
 
+``Edge``, ``Leg`` and ``Violation`` are frozen records on ``laurent._Record``
+(slots, equality and hashing by fields, assignment raises), the value
+semantics of frozen dataclasses without importing ``dataclasses``.
+``DecoratedDiagram`` compares by fields too but stays mutable and
+unhashable.
+
 One graph search serves every traversal: ``spanning_tree`` grows a tree
 from the lowest-id vertex. Validation checks that it reaches every vertex.
 One pass up the tree gives every edge its cycle vector, its coefficient in
@@ -16,36 +22,50 @@ looks for a bridge, an edge on no cycle. The mod-p lift solver in
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Hashable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Hashable, Mapping, Optional, Sequence
 
 from .laurent import (
     _json_id, _json_ids_apart, _json_int, _json_list, _json_object, _json_objects, _json_str,
+    _Record, _set,
 )
 
-
-@dataclass(frozen=True)
-class Edge:
-    id: Hashable
-    tail: Hashable
-    head: Hashable
-    winding: int = 0
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class Leg:
-    id: Hashable
-    vertex: Hashable
-    sign: int
-    edge: Hashable  # the incident edge the wrap is counted on
+class Edge(_Record):
+    """An oriented edge tail -> head with its winding."""
+
+    __slots__ = ("id", "tail", "head", "winding")
+
+    def __init__(self, id: Hashable, tail: Hashable, head: Hashable, winding: int = 0):
+        _set(self, "id", id)
+        _set(self, "tail", tail)
+        _set(self, "head", head)
+        _set(self, "winding", winding)
 
 
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    element: Hashable
-    message: str
+class Leg(_Record):
+    """A leg at ``vertex`` with wrap ``sign``, counted on the incident ``edge``."""
+
+    __slots__ = ("id", "vertex", "sign", "edge")
+
+    def __init__(self, id: Hashable, vertex: Hashable, sign: int, edge: Hashable):
+        _set(self, "id", id)
+        _set(self, "vertex", vertex)
+        _set(self, "sign", sign)
+        _set(self, "edge", edge)
+
+
+class Violation(_Record):
+    """The first broken completeness rule: its code, the element and why."""
+
+    __slots__ = ("code", "element", "message")
+
+    def __init__(self, code: str, element: Hashable, message: str):
+        _set(self, "code", code)
+        _set(self, "element", element)
+        _set(self, "message", message)
 
 
 class DiagramError(ValueError):
@@ -56,13 +76,13 @@ class DiagramError(ValueError):
         self.violation = violation
 
 
-@dataclass
-class DecoratedDiagram:
-    label: str
-    vertices: tuple
-    edges: tuple
-    legs: tuple
-    twists: dict
+class DecoratedDiagram(_Record):
+    """A decorated diagram; unlike the other records it is mutable and unhashable."""
+
+    __slots__ = ("label", "vertices", "edges", "legs", "twists")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
     def __init__(self, label, vertices, edges, legs=(), twists=None):
         self.label = label
@@ -178,6 +198,8 @@ def surplus(d: DecoratedDiagram) -> int:
 
 def degree(d: DecoratedDiagram) -> Fraction:
     """Half the total vertex count of the dashed graph (trivalent + univalent)."""
+    from fractions import Fraction  # its only use: kept off the import path of the CLI
+
     return Fraction(len(d.vertices) + len(d.legs), 2)
 
 
@@ -330,19 +352,28 @@ def attach_leg_by_subdivision(
 
     Edge tail -> head becomes tail -> w -> head with the winding on the
     first segment, and the leg's wrap is counted on the ``target`` segment.
-    Twist data on the split edge is dropped (it no longer names a single
-    leaf pairing). This is the move that adds one leg while keeping the
-    diagram complete: surplus is unchanged, degree rises by one.
+    A leg that targeted the split edge moves to the segment at its vertex:
+    the first at the tail, the second at the head, and the first for a
+    self-loop, whose segments both end there. The two segments run along the
+    same cycles, so no cycle winding changes. Twist data on the split edge
+    is dropped (it no longer names a single leaf pairing). This is the move
+    that adds one leg while keeping the diagram complete: surplus is
+    unchanged, degree rises by one.
     """
     old = d.edge_by_id(edge_id)
     base = str(leg_id)
     w = f"w_{base}"
     first = Edge(f"{edge_id}~{base}a", old.tail, w, old.winding)
     second = Edge(f"{edge_id}~{base}b", w, old.head, 0)
+    legs = tuple(
+        Leg(l.id, l.vertex, l.sign, (first if l.vertex == old.tail else second).id)
+        if l.edge == edge_id else l
+        for l in d.legs
+    )
     return DecoratedDiagram(
         label=d.label,
         vertices=d.vertices + (w,),
         edges=tuple(e for e in d.edges if e.id != edge_id) + (first, second),
-        legs=d.legs + (Leg(leg_id, w, sign, (first if target == "first" else second).id),),
+        legs=legs + (Leg(leg_id, w, sign, (first if target == "first" else second).id),),
         twists={k: v for k, v in d.twists.items() if k != edge_id},
     )

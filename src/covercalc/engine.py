@@ -11,29 +11,48 @@ leg states whose cycle windings all vanish mod p; m legs sharing v give
 For decorations that saw to the theta graph (``diagrams.is_theta_shaped``)
 this feeds the Casson-Walker-Lescop delta 2|H_1| per admissible copy. The
 LMO multiplier of l legs is the b = 1 case (1 - x)^l, whose filter is the
-binomial sum p * sum over k = 0 mod p of (-1)^k C(l, k).
+binomial sum p * sum over k = 0 mod p of (-1)^k C(l, k); ``lmo_window``
+steps it over consecutive l in Z[t]/(t^p - 1). A delta comes back as a
+``LeadingTerm``, a frozen record on ``laurent._Record``.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Optional
 
 from .diagrams import DecoratedDiagram, cycle_windings, is_theta_shaped, require_valid, surplus
 from .knots import KnotDescriptor, h1_order
+from .laurent import _Record, _set
 
 MAX_WORK = 2**25  # (legs + 1) * min(prod(m_i + 1), p^b) one multiplier call may spend
+MAX_WINDOW_WORK = 2**35  # estimated bit operations one lmo_window call may spend
 
 
-@dataclass(frozen=True)
-class LeadingTerm:
-    magnitude: int
-    sign: Optional[int]  # +1, -1, or None for unknown
-    grade: int
-    label: str
-    p: int
-    note: Optional[str] = None
+class LeadingTerm(_Record):
+    """A leading-order value of the diagram ``label`` at p.
+
+    ``sign`` is +1, -1 or None for unknown, ``grade`` the filtration grade
+    (the surplus) and ``note`` an optional explanation.
+    """
+
+    __slots__ = ("magnitude", "sign", "grade", "label", "p", "note")
+
+    def __init__(
+        self,
+        magnitude: int,
+        sign: Optional[int],
+        grade: int,
+        label: str,
+        p: int,
+        note: Optional[str] = None,
+    ):
+        _set(self, "magnitude", magnitude)
+        _set(self, "sign", sign)
+        _set(self, "grade", grade)
+        _set(self, "label", label)
+        _set(self, "p", p)
+        _set(self, "note", note)
 
     def to_json_dict(self) -> dict:
         data = {
@@ -176,6 +195,46 @@ def lmo_leading_multiplier(l: int, p: int) -> int:
     if p < 1:
         raise ValueError("p must be >= 1")
     return p * _class_sum(l, 0, p, -1)
+
+
+def lmo_window(l_start: int, count: int, p: int) -> list[int]:
+    """lmo_leading_multiplier(l, p) for l = l_start, ..., l_end = l_start + count - 1.
+
+    The class sums v_l[i] = sum over k = i mod p of (-1)^k C(l, k) are the
+    coefficients of (1 - t)^l in Z[t]/(t^p - 1), and the multiplier is
+    p * v_l[0]. One binomial pass gives v at l_start; multiplying by 1 - t
+    steps it, v_{l+1}[i] = v_l[i] - v_l[i - 1], in O(p) sums per row. Only
+    m = min(p, l_end + 1) classes are kept: for p > l_end the entry m - 1 is
+    t^l_end, which stays 0 until the last row, so the cyclic step is exact.
+
+    The work, count * m sums of up to l_end bits (which bound the output)
+    plus about l_end / p binomials of l_end bits for the start and the
+    check, is estimated before anything runs; over MAX_WINDOW_WORK raises
+    ValueError. The last row is checked against lmo_leading_multiplier, and
+    a disagreement raises RuntimeError.
+    """
+    if l_start < 1 or count < 1 or p < 1:
+        raise ValueError("l_start, count and p must all be >= 1")
+    l_end = l_start + count - 1
+    m = min(p, l_end + 1)
+    work = l_end * (count * m + l_end * (l_end // p + 1))
+    if work > MAX_WINDOW_WORK:
+        raise ValueError(f"window work {work} exceeds the work bound of {MAX_WINDOW_WORK}")
+    v = [0] * m
+    binomial = 1
+    for k in range(l_start + 1):
+        v[k % p] += -binomial if k & 1 else binomial
+        binomial = binomial * (l_start - k) // (k + 1)
+    values = [p * v[0]]
+    for _ in range(count - 1):
+        v = [a - b for a, b in zip(v, [v[-1]] + v[:-1])]
+        values.append(p * v[0])
+    check = lmo_leading_multiplier(l_end, p)
+    if values[-1] != check:
+        raise RuntimeError(
+            f"internal disagreement at l = {l_end}: stepped {values[-1]} vs binomial sum {check}"
+        )
+    return values
 
 
 def window_nonzero(l_start: int, p: int) -> tuple[int, int]:

@@ -192,6 +192,46 @@ class LaurentPoly:
         return cls(terms, names[0])
 
 
+class _Record:
+    """A frozen value record whose fields are its ``__slots__``.
+
+    Equality holds only between instances of the same class with equal
+    fields, the hash is over the fields and the repr has the dataclass form.
+    Assignment raises, so a subclass's ``__init__`` sets its fields with
+    ``object.__setattr__``, as a frozen dataclass does; copies and pickles
+    rebuild a record through that ``__init__``.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+_set = object.__setattr__  # how a record's __init__ sets its fields
+
+
 def _json_int(value, what: str) -> int:
     """An integer from a JSON integer or decimal string; anything else raises ValueError."""
     if isinstance(value, int) and not isinstance(value, bool):

@@ -9,32 +9,39 @@ the system is solvable iff every chord's cycle has offset sum 0 mod p.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Hashable, Mapping, Optional
 
 from .diagrams import spanning_tree
-from .laurent import _json_id, _json_ids_apart, _json_int, _json_list, _json_object, _json_objects
+from .laurent import (
+    _json_id, _json_ids_apart, _json_int, _json_list, _json_object, _json_objects, _Record, _set,
+)
 
 MAX_LIFT_ENTRIES = 2**20  # refuse solutions holding more than this many vertex values (p * |V|)
 
 
-@dataclass(frozen=True)
-class LiftEdge:
-    id: Hashable
-    tail: Hashable
-    head: Hashable
-    offset: int = 0
+class LiftEdge(_Record):
+    """The equation a_head = a_tail + offset in Z_p."""
+
+    __slots__ = ("id", "tail", "head", "offset")
+
+    def __init__(self, id: Hashable, tail: Hashable, head: Hashable, offset: int = 0):
+        _set(self, "id", id)
+        _set(self, "tail", tail)
+        _set(self, "head", head)
+        _set(self, "offset", offset)
 
 
-@dataclass(frozen=True)
-class LiftSystem:
-    vertices: tuple
-    edges: tuple
-    p: int
+class LiftSystem(_Record):
+    """The lift equations of ``edges`` on ``vertices`` modulo p >= 1."""
 
-    def __post_init__(self):
-        if self.p < 1:
+    __slots__ = ("vertices", "edges", "p")
+
+    def __init__(self, vertices: tuple, edges: tuple, p: int):
+        if p < 1:
             raise ValueError("modulus p must be >= 1")
+        _set(self, "vertices", vertices)
+        _set(self, "edges", edges)
+        _set(self, "p", p)
 
     def to_json_dict(self) -> dict:
         return {

@@ -12,10 +12,10 @@ convention that repeats the leading factor when l_0 = ±1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
 from .diagrams import DecoratedDiagram
+from .laurent import _Record, _set
 
 
 def chain_twist(linkings: Sequence[int]) -> int:
@@ -29,11 +29,13 @@ def chain_twist(linkings: Sequence[int]) -> int:
     return (-1) ** mu * product
 
 
-@dataclass(frozen=True)
-class GraphIso:
+class GraphIso(_Record):
     """An edge bijection between two diagrams' underlying graphs."""
 
-    edge_map: Mapping[Hashable, Hashable]
+    __slots__ = ("edge_map",)
+
+    def __init__(self, edge_map: Mapping[Hashable, Hashable]):
+        _set(self, "edge_map", edge_map)
 
 
 def _vertex_ends(d: DecoratedDiagram, name: Mapping) -> list:

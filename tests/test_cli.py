@@ -1,7 +1,10 @@
 import json
+import random
+from pathlib import Path
 
 import pytest
 
+from covercalc import lifts
 from covercalc.cli import main
 from covercalc.knots import trefoil, unknot, wheel_knot
 
@@ -149,6 +152,31 @@ def test_window_flags_zero_rows(capsys):
     code, out, _ = run(capsys, ["window", "--p", "1", "--l-start", "1", "--count", "2"])
     assert code == 0
     assert out.splitlines()[1:] == ["1,0,0", "2,0,0"]
+
+
+def test_window_takes_five_thousand_rows_at_p7(capsys):
+    code, out, err = run(capsys, ["window", "--p", "7", "--l-start", "1", "--count", "5000"])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 5001
+    assert lines[1:3] == ["1,7,1", "2,7,1"]
+    assert lines[-1].startswith("5000,") and lines[-1].endswith(",1")
+
+
+def test_window_over_the_work_bound_exits_1(capsys):
+    code, out, err = run(capsys, ["window", "--p", "7", "--l-start", "1", "--count", "100000"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: window work ")
+    assert err.endswith(" exceeds the work bound of 34359738368\n")
+
+
+def test_window_disagreement_exits_3(capsys, monkeypatch):
+    from covercalc import engine
+
+    monkeypatch.setattr(engine, "lmo_leading_multiplier", lambda l, p: 0)
+    code, out, err = run(capsys, ["window", "--p", "2", "--l-start", "1", "--count", "3"])
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: internal disagreement at l = 3")
 
 
 def test_missing_file_exits_2(capsys):
@@ -333,6 +361,44 @@ def test_lift_over_the_output_bound_exits_1(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, ["lift", str(path)])
     assert (code, out) == (1, "")
     assert err == "error: 2 solutions of 2 vertices are 4 values, over the output bound of 3\n"
+
+
+def _lift_by_json_dumps(data) -> str:
+    """The lift output as json.dumps(..., indent=2) writes it."""
+    solutions = lifts.solve(lifts.LiftSystem.from_json_dict(data))
+    if solutions is None:
+        return "INADMISSIBLE\n"
+    return json.dumps([{str(v): s[v] for v in sorted(s, key=str)} for s in solutions], indent=2) + "\n"
+
+
+def _random_lift_json(rng: random.Random) -> dict:
+    pool = list(range(-3, 40)) + ["u", 'q"t', "back\\slash", "ü", "v 1", "", "\n"]
+    vertices = rng.sample(pool, rng.randint(0, 8))
+    p = rng.randint(1, 12)
+    value = {v: rng.randrange(p) for v in vertices}
+    edges = []
+    for i, v in enumerate(vertices[1:], 1):
+        tail = rng.choice(vertices[:i])
+        edges.append({"id": f"t{i}", "tail": tail, "head": v, "winding": value[v] - value[tail]})
+    for i in range(rng.randint(0, 4) if vertices else 0):
+        tail, head = rng.choice(vertices), rng.choice(vertices)
+        offset = value[head] - value[tail] + p * rng.randint(-2, 2) + (rng.random() < 0.2)
+        edges.append({"id": f"c{i}", "tail": tail, "head": head, "winding": offset})
+    return {"vertices": vertices, "edges": edges, "p": p}
+
+
+def test_lift_output_matches_json_dumps_byte_for_byte(capsys, tmp_path):
+    golden = json.loads((Path(__file__).with_name("golden_cli.json")).read_text(encoding="utf-8"))
+    cases = [golden["files"][c["argv"][1]] for c in golden["cases"] if c["argv"][0] == "lift"]
+    rng = random.Random(20260)
+    cases += [_random_lift_json(rng) for _ in range(300)]
+    assert any(not data["vertices"] for data in cases)
+    assert sum(_lift_by_json_dumps(data) == "INADMISSIBLE\n" for data in cases) > 10
+    path = tmp_path / "sys.json"
+    for data in cases:
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, _ = run(capsys, ["lift", str(path)])
+        assert (code, out) == (0, _lift_by_json_dumps(data)), data
 
 
 def test_output_to_file_is_deterministic(capsys, tmp_path, trefoil_file):

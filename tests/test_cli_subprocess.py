@@ -38,3 +38,17 @@ def test_module_entry_point_matches_recording(argv, tmp_path):
     )
     assert (run.returncode, run.stdout) == (case["exit"], case["stdout"])
     assert (run.stderr == "") == (case["exit"] == 0)
+
+
+def test_cli_import_loads_no_heavy_stdlib_modules():
+    # dataclasses pulls in inspect and ast, fractions pulls in decimal; every
+    # covercalc call would pay for them at start-up. -S keeps site's own imports out.
+    heavy = ("dataclasses", "fractions", "decimal", "inspect", "ast")
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", f"import sys, covercalc.cli; print(*sorted({heavy!r} & sys.modules.keys()))"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (0, "\n", "")

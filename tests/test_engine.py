@@ -14,10 +14,12 @@ from covercalc.diagrams import (
     cycle_windings,
     surplus,
     theta,
+    validate_complete,
 )
 from covercalc.engine import (
     cwl_delta,
     lmo_leading_multiplier,
+    lmo_window,
     multiplier,
     window_nonzero,
 )
@@ -138,6 +140,27 @@ def test_multiplier_matches_state_enumeration():
             for signed in (True, False):
                 want = multiplier_enumeration(constants, Counter(vectors), p, signed)
                 assert multiplier(d, p, signed=signed) == want, (d.label, p, signed)
+
+
+def test_repeated_subdivision_keeps_diagrams_valid_and_multipliers_exact():
+    d = attach_leg_by_subdivision(attach_leg_by_subdivision(theta(), "e1", "l1"), "e1~l1a", "l2")
+    assert validate_complete(d) is None
+    assert {l.id: l.edge for l in d.legs} == {"l1": "e1~l1a~l2b", "l2": "e1~l1a~l2a"}
+    # split any edge, often one a leg targets, with either target segment
+    rng = random.Random(8)
+    for trial in range(40):
+        d = theta("t", windings=(rng.randint(-3, 3), rng.randint(-3, 3), 0))
+        for i in range(rng.randint(1, 7)):
+            targeted = [l.edge for l in d.legs]
+            edge = rng.choice(targeted if targeted and rng.random() < 0.7 else [e.id for e in d.edges])
+            d = attach_leg_by_subdivision(
+                d, edge, f"n{i}", sign=rng.choice((1, -1)), target=rng.choice(("first", "second"))
+            )
+            assert validate_complete(d) is None, (trial, i)
+        constants, vectors = leg_product(d)
+        for p in (2, 3, 5, 6):
+            want = multiplier_enumeration(constants, Counter(vectors), p, True)
+            assert multiplier(d, p) == want, (trial, p)
 
 
 def test_multiplier_path_disagreement_raises(monkeypatch):
@@ -297,6 +320,41 @@ def test_window_always_succeeds_in_range():
             l_found, value = window_nonzero(l, p)
             assert l <= l_found < l + p
             assert value != 0
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 5, 7, 12, 40, 200])
+def test_lmo_window_steps_the_binomial_sums(p):
+    # p = 40 and 200 exceed some windows' last leg count, so only min(p, l_end + 1) classes are kept
+    for l_start in (1, 2, 9, 39, 40, 41, 120):
+        for count in (1, 2, p + 3, 60):
+            rows = lmo_window(l_start, count, p)
+            assert rows == [lmo_leading_multiplier(l, p) for l in range(l_start, l_start + count)]
+
+
+@pytest.mark.parametrize("args", [(0, 3, 5), (1, 0, 5), (1, 3, 0), (-2, 3, 5)])
+def test_lmo_window_rejects_bad_arguments(args):
+    with pytest.raises(ValueError, match="must all be >= 1"):
+        lmo_window(*args)
+
+
+def test_lmo_window_refuses_over_the_work_bound_before_computing(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a refused window must not compute")
+
+    monkeypatch.setattr(engine, "lmo_leading_multiplier", forbidden)
+    # l_end = 6 and m = min(7, 6 + 1) = 7: 6 * (2 * 7 + 6 * (6 // 7 + 1)) = 120
+    monkeypatch.setattr(engine, "MAX_WINDOW_WORK", 119)
+    with pytest.raises(ValueError, match="window work 120 exceeds the work bound of 119"):
+        lmo_window(5, 2, 7)
+    monkeypatch.setattr(engine, "MAX_WINDOW_WORK", 120)
+    with pytest.raises(AssertionError, match="must not compute"):
+        lmo_window(5, 2, 7)
+
+
+def test_lmo_window_checks_its_last_row(monkeypatch):
+    monkeypatch.setattr(engine, "lmo_leading_multiplier", lambda l, p: 1)
+    with pytest.raises(RuntimeError, match="internal disagreement at l = 4: stepped 7 vs binomial sum 1"):
+        lmo_window(1, 4, 7)
 
 
 def test_leading_term_json_shape():
