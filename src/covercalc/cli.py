@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from . import diagrams, engine, knots, lifts
 
@@ -38,7 +38,7 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
+def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -46,6 +46,28 @@ def _emit(text: str, out_path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _own_output(format_fn):
+    """Run ``format_fn`` with CPython's limit on int-to-str digits lifted.
+
+    The limit guards parsing untrusted text; the integers printed here are
+    results already bounded by the library, such as |H_1| under MAX_H1_BITS.
+    Input is parsed outside these functions and keeps the limit.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return format_fn
+
+    def wrapper(*args):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return format_fn(*args)
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    return wrapper
+
+
+@_own_output
 def _table(rows, header, fmt: str) -> str:
     # big integers go out as bare decimals in CSV and strings in JSON
     if fmt == "csv":
@@ -85,6 +107,11 @@ def cmd_cwl(args) -> str:
     knot = _load_knot(args.knot)
     diagram = _load_diagram(args.diagram)
     term = engine.cwl_delta(knot, diagram, args.p, signed=not args.unsigned)
+    return _term_json(term)
+
+
+@_own_output
+def _term_json(term) -> str:
     return json.dumps(term.to_json_dict(), indent=2) + "\n"
 
 
@@ -159,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

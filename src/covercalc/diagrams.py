@@ -22,15 +22,12 @@ looks for a bridge, an edge on no cycle. The mod-p lift solver in
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, Mapping, Optional, Sequence
+from collections.abc import Hashable, Mapping, Sequence
 
 from .laurent import (
     _json_id, _json_ids_apart, _json_int, _json_list, _json_object, _json_objects, _json_str,
     _Record, _set,
 )
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 class Edge(_Record):
@@ -198,12 +195,14 @@ def surplus(d: DecoratedDiagram) -> int:
 
 def degree(d: DecoratedDiagram) -> Fraction:
     """Half the total vertex count of the dashed graph (trivalent + univalent)."""
-    from fractions import Fraction  # its only use: kept off the import path of the CLI
+    # imported here to keep it off the CLI's import path; the return
+    # annotation is a string (PEP 563) and never needs the name
+    from fractions import Fraction
 
     return Fraction(len(d.vertices) + len(d.legs), 2)
 
 
-def validate_complete(d: DecoratedDiagram) -> Optional[Violation]:
+def validate_complete(d: DecoratedDiagram) -> Violation | None:
     """Check the completeness invariants; return the first violation, or None.
 
     In order: well-formed references, trivalence (edge endpoints plus leg

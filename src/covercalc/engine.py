@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Optional
 
 from .diagrams import DecoratedDiagram, cycle_windings, is_theta_shaped, require_valid, surplus
 from .knots import KnotDescriptor, h1_order
@@ -41,11 +40,11 @@ class LeadingTerm(_Record):
     def __init__(
         self,
         magnitude: int,
-        sign: Optional[int],
+        sign: int | None,
         grade: int,
         label: str,
         p: int,
-        note: Optional[str] = None,
+        note: str | None = None,
     ):
         _set(self, "magnitude", magnitude)
         _set(self, "sign", sign)
@@ -139,7 +138,7 @@ def multiplier(d: DecoratedDiagram, p: int, signed: bool = True) -> int:
     return by_group
 
 
-def _sign_from_twists(d: DecoratedDiagram) -> Optional[int]:
+def _sign_from_twists(d: DecoratedDiagram) -> int | None:
     # Full ±1 twist data pins the comparison sign against the all-positive
     # reference orientation; anything less leaves the global sign unknown.
     if not d.edges:

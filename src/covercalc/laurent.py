@@ -2,14 +2,14 @@
 
 A polynomial is stored as a map from integer exponents to nonzero integer
 coefficients. Its one roots-of-unity computation, the product of its values
-over all p-th roots of unity, is an exact integer resultant (a determinant
-or a subresultant remainder sequence), never a complex float, so every
-exported quantity is an exact integer.
+over all p-th roots of unity, is an exact integer resultant (a subresultant
+remainder sequence, checked against a circulant determinant for p <= 16),
+never a complex float, so every exported quantity is an exact integer.
 """
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from collections.abc import Mapping
 
 CROSS_CHECK_MAX_P = 16  # every |H_1| is also computed by the circulant up to this p
 MAX_H1_BITS = 2**21  # refuse a resultant whose a-priori size bound exceeds this many bits
@@ -105,27 +105,16 @@ class LaurentPoly:
 
         The polynomial is shifted by a unit t^k so its constant term is
         nonzero, and exponents of degree p or more are folded mod p, leaving
-        a_0 + ... + a_d t^d. An input whose product may need more than
+        A = a_0 + ... + a_d t^d. An input whose product may need more than
         MAX_H1_BITS bits (see _h1_bits_bound) is refused with ValueError
-        before any path runs. Two exact paths compute the product, and the
-        input size picks one:
-
-        - ring path, when 3d <= p and d (ceil(log2 |a_d|) + 4) <= 32: reduce
-          y^p modulo the monic lift a_d^(d-1) A(y / a_d) by square-and-multiply,
-          then take the d x d Bareiss determinant of multiplication by
-          y^p - a_d^p; O(d^3 + d^2 log p) operations, on integers inflated by
-          a_d^(p(d-1));
-        - subresultant path, otherwise: Res(t^p - 1, A) by Collins'
-          subresultant remainder sequence; O(p d) operations, most of them
-          in the first pseudo-remainder step over the sparse t^p - 1.
-
-        The rule was fitted on wheel knots and random polynomials: the ring
-        path wins only at low degree (up to d = 8 when monic), where its
-        log p powering beats the subresultant's p steps. For p <= 16 the
-        result is cross-checked against the determinant of the p x p
-        circulant matrix of the polynomial in Z[t]/(t^p - 1), and a
-        disagreement raises RuntimeError. Only the absolute value is
-        meaningful; the unit shift changes the sign.
+        before anything runs. The product is Res(t^p - 1, A), computed by
+        Collins' subresultant remainder sequence whose first remainder,
+        a_d^(p-d+1) (t^p - 1) mod A, comes from square-and-multiply: O(d^2 log p)
+        operations for it and O(d^2) for the rest. For p <= CROSS_CHECK_MAX_P
+        the result is cross-checked against the determinant of the p x p
+        circulant matrix of A in Z[t]/(t^p - 1), and a disagreement raises
+        RuntimeError. Only the absolute value is meaningful; the unit shift
+        changes the sign.
         """
         if p_order < 1:
             raise ValueError("p_order must be >= 1")
@@ -142,17 +131,12 @@ class LaurentPoly:
                 f"|H_1| at p = {p_order} may need {bits} bits, "
                 f"over the output bound of {MAX_H1_BITS}"
             )
-        d = len(coeffs) - 1
-        lift_bits = (abs(coeffs[d]) - 1).bit_length()  # ceil(log2 |a_d|)
-        if 3 * d <= p_order and d * (lift_bits + 4) <= 32:
-            path, value = "ring", _ring_product(coeffs, p_order)
-        else:
-            path, value = "subresultant", _subresultant_product(coeffs, p_order)
+        value = _subresultant_product(coeffs, p_order)
         if p_order <= CROSS_CHECK_MAX_P:
             check = _circulant_product(coeffs, p_order)
             if check != value:
                 raise RuntimeError(
-                    f"internal disagreement: {path} path {value} vs circulant {check}"
+                    f"internal disagreement: subresultant path {value} vs circulant {check}"
                 )
         return value
 
@@ -332,53 +316,71 @@ def _subresultant_product(coeffs: list[int], p: int) -> int:
     Algebraic Number Theory, Alg. 3.3.7, without content removal): each
     pseudo-remainder is divided exactly by g h^delta, which keeps the
     integers at the size of the subresultants instead of letting them grow
-    exponentially. Returns the same signed integer as _circulant_product.
+    exponentially. t^p - 1 is never formed: _power_remainder gives its
+    remainder. Returns the same signed integer as _circulant_product.
     """
-    b = _trim(_folded(coeffs, p))
+    b = _trim(_folded(coeffs, p) if len(coeffs) > p else coeffs[:])
     if not b:
         return 0
-    a = [-1] + [0] * (p - 1) + [1]
+    a, da = None, p  # a is None while it stands for t^p - 1
     g = h = sign = 1
+    # Res(t^p - 1, -b) = (-1)^p Res(t^p - 1, b); a monic b then needs no scaling
+    if b[-1] < 0:
+        b = [-c for c in b]
+        sign = -1 if p & 1 else 1
     while len(b) > 1:
-        da, db = len(a) - 1, len(b) - 1
+        db = len(b) - 1
         delta = da - db  # >= 1: deg b < p to start, and remainders drop in degree
         if da & db & 1:
             sign = -sign
-        r = _pseudo_remainder(a, b)
+        r = _power_remainder(b, p) if a is None else _pseudo_remainder(a, b)
         if not r:
             return 0  # a common factor: some p-th root of unity is a root of A
         scale = g * h**delta
-        a, b = b, [c // scale for c in r]
+        a, da, b = b, db, [c // scale for c in r]
         g = a[-1]
         h = g**delta // h ** (delta - 1)
-    da = len(a) - 1
     return sign * b[0] ** da // h ** (da - 1)
 
 
-def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
-    """The remainder of lead(b)^(deg a - deg b + 1) a on division by b, trimmed.
+def _power_remainder(b: list[int], p: int) -> list[int]:
+    """lead(b)^(p - d + 1) (t^p - 1) mod b, trimmed, for d = deg b with 1 <= d < p.
 
-    Each of the deg a - deg b + 1 elimination steps multiplies the running
-    remainder by lead(b) and subtracts a multiple of b from its top d + 1
-    coefficients, d = deg b. Only those d + 1 coefficients are kept; one
-    below them is read from a, scaled by the power of lead(b) it has
-    accumulated, when the window reaches it. On the sparse t^p - 1 the first
-    step of the sequence so costs O((p - d + 1) d), not O(p^2).
+    Square-and-multiply keeps r = lead(b)^e t^k mod b: each bit of p squares
+    r, multiplies it by t when the bit is set and pseudo-reduces once, adding
+    the reduction's steps to e. O(d^2 log p) operations on lists of length 2d.
     """
     d = len(b) - 1
     lead = b[d]
-    lower = b[-2::-1]  # b[d-1], ..., b[0]
-    window = a[len(a) - 1 - d:][::-1]  # coefficients of a from the top down
-    for k in range(len(a) - d):
-        i = len(a) - d - 2 - k  # the coefficient entering the window
-        entering = a[i] * lead ** (k + 1) if i >= 0 and a[i] else 0
-        top = window[0]
-        if top:
-            window = [lead * w - top * c for w, c in zip(window[1:], lower)]
-        else:
-            window = [lead * w for w in window[1:]]
-        window.append(entering)
-    return _trim(window[-2::-1])
+    r, e = [1], 0
+    for bit in bin(p)[2:]:
+        shift = bit == "1"
+        square = [0] * (2 * len(r) - 1 + shift)
+        for i, x in enumerate(r):
+            if x:
+                for j, y in enumerate(r, i + shift):
+                    square[j] += x * y
+        e = 2 * e + (len(square) - d if len(square) > d else 0)
+        r = _pseudo_remainder(square, b)
+    scale = lead ** (p - d + 1 - e)
+    r = [c * scale for c in r] or [0]
+    r[0] -= scale * lead**e
+    return _trim(r)
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of lead(b)^(len(a) - len(b) + 1) a on division by b, trimmed."""
+    d = len(b) - 1
+    lead, lower = b[d], b[:d]
+    r = a[:]
+    for top in range(len(a) - 1, d - 1, -1):
+        c = r.pop()
+        if lead != 1:
+            r = [lead * x for x in r]
+        if c:
+            for i, y in enumerate(lower, top - d):
+                r[i] -= c * y
+    return _trim(r)
 
 
 def _trim(poly: list[int]) -> list[int]:
@@ -386,54 +388,6 @@ def _trim(poly: list[int]) -> list[int]:
     while poly and not poly[-1]:
         poly.pop()
     return poly
-
-
-def _ring_product(coeffs: list[int], p: int) -> int:
-    """prod over p-th roots of unity z of sum_k coeffs[k] z^k, for coeffs[-1] != 0.
-
-    With A = a_d prod (t - alpha) the product is
-    (-1)^(pd) a_d^p prod (alpha^p - 1). The roots beta = a_d alpha of the
-    monic integer lift F(y) = a_d^(d-1) A(y / a_d) turn this into
-    (-1)^(pd) N(y^p - a_d^p) / a_d^(p(d-1)), where N is the determinant of
-    multiplication in Z[y]/(F).
-    """
-    d = len(coeffs) - 1
-    lead = coeffs[d]
-    if d == 0:
-        return lead**p
-    # F = y^d + sum_{i<d} f[i] y^i, reduced by y^d -> -sum f[i] y^i
-    f = [coeffs[i] * lead ** (d - 1 - i) for i in range(d)]
-
-    def reduce(poly: list[int]) -> list[int]:
-        for top in range(len(poly) - 1, d - 1, -1):
-            c = poly[top]
-            if c:
-                for i in range(d):
-                    poly[top - d + i] -= c * f[i]
-        return poly[:d]
-
-    def times_y(g: list[int]) -> list[int]:
-        return reduce([0] + g)
-
-    power = [1] + [0] * (d - 1)
-    for bit in bin(p)[2:]:
-        square = [0] * (2 * d - 1)
-        for i, a in enumerate(power):
-            if a:
-                for j, b in enumerate(power):
-                    square[i + j] += a * b
-        power = reduce(square)
-        if bit == "1":
-            power = times_y(power)
-    power[0] -= lead**p
-    columns = [power]
-    for _ in range(d - 1):
-        columns.append(times_y(columns[-1]))
-    norm = _bareiss_det(columns)
-    value, rest = divmod(norm, lead ** (p * (d - 1)))
-    if rest:
-        raise RuntimeError(f"ring-path norm not divisible by a_d^(p(d-1)), a_d={lead}, p={p}")
-    return -value if p * d % 2 else value
 
 
 def _bareiss_det(matrix: list[list[int]]) -> int:

@@ -9,7 +9,7 @@ the system is solvable iff every chord's cycle has offset sum 0 mod p.
 """
 from __future__ import annotations
 
-from typing import Hashable, Mapping, Optional
+from collections.abc import Hashable, Mapping
 
 from .diagrams import spanning_tree
 from .laurent import (
@@ -84,7 +84,7 @@ class LiftSystem(_Record):
         )
 
 
-def _potentials(system: LiftSystem) -> Optional[dict]:
+def _potentials(system: LiftSystem) -> dict | None:
     """Vertex values with the lowest-id root at 0, or None when inconsistent.
 
     Propagates values along ``diagrams.spanning_tree`` from the root, then
@@ -114,7 +114,7 @@ def _potentials(system: LiftSystem) -> Optional[dict]:
     return potential
 
 
-def solve(system: LiftSystem) -> Optional[list[dict]]:
+def solve(system: LiftSystem) -> list[dict] | None:
     """All solutions of the lift equations, or None when inconsistent.
 
     Solutions are ordered by the root's value 0..p-1 so output is

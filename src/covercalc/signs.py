@@ -12,7 +12,7 @@ convention that repeats the leading factor when l_0 = ±1.
 """
 from __future__ import annotations
 
-from typing import Hashable, Mapping, Sequence
+from collections.abc import Hashable, Mapping, Sequence
 
 from .diagrams import DecoratedDiagram
 from .laurent import _Record, _set

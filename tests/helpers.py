@@ -233,8 +233,16 @@ def forbid_resultant_paths(monkeypatch) -> None:
     def refuse(coeffs, p):
         raise AssertionError("no resultant path may run")
 
-    for name in ("_ring_product", "_subresultant_product", "_circulant_product"):
+    for name in ("_subresultant_product", "_circulant_product"):
         monkeypatch.setattr(laurent, name, refuse)
+
+
+def lucas(n: int) -> int:
+    """The Lucas number L_n; |H_1| of the figure-eight's p-fold cover is L_2p - 2."""
+    a, b = 2, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
 
 
 def multiplier_enumeration(constants, groups, p, signed):

@@ -1,14 +1,15 @@
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
 from covercalc import lifts
 from covercalc.cli import main
-from covercalc.knots import trefoil, unknot, wheel_knot
+from covercalc.knots import figure_eight, trefoil, unknot, wheel_knot
 
-from helpers import chord_fixture, example_two_leg_theta, forbid_resultant_paths, replaced, theta
+from helpers import chord_fixture, example_two_leg_theta, forbid_resultant_paths, lucas, replaced, theta
 
 
 @pytest.fixture
@@ -67,6 +68,52 @@ def test_h1_json_format_uses_strings(capsys, trefoil_file):
     code, out, _ = run(capsys, ["h1", trefoil_file, "--p", "2", "--format", "json"])
     assert code == 0
     assert json.loads(out) == [{"p": 2, "h1": "3"}]
+
+
+def _decimal(digits: str) -> int:
+    # int() refuses a string of over 4,300 digits by default, so read 1,000 at a time
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i : i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_output_past_the_int_to_str_digit_limit(capsys, tmp_path):
+    # |H_1| = L_22000 - 2 has 4,598 digits, past CPython's default limit of 4,300
+    path = tmp_path / "figure-eight.json"
+    path.write_text(json.dumps(figure_eight().to_json_dict()))
+    knot_file = str(path)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    want = lucas(22000) - 2
+    code, out, err = run(capsys, ["h1", knot_file, "--p", "11000"])
+    assert (code, err) == (0, "")
+    header, row = out.splitlines()
+    p, digits = row.split(",")
+    assert (header, p, len(digits), _decimal(digits)) == ("p,h1", "11000", 4598, want)
+    code, out, err = run(capsys, ["h1", knot_file, "--p", "11000", "--format", "json"])
+    assert (code, err) == (0, "")
+    assert _decimal(json.loads(out)[0]["h1"]) == want
+    # cwl on the theta: 2 |H_1| |multiplier|
+    code, out, err = run(capsys, ["cwl", knot_file, write_diagram(tmp_path, theta()), "--p", "11000"])
+    assert (code, err) == (0, "")
+    assert _decimal(json.loads(out)["magnitude"]) % want == 0
+    # the limit is back in place afterwards
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_input_keeps_the_int_to_str_digit_limit(capsys, tmp_path):
+    knot_file = tmp_path / "figure-eight.json"
+    knot_file.write_text(json.dumps(figure_eight().to_json_dict()))
+    assert run(capsys, ["h1", str(knot_file), "--p", "11000"])[0] == 0  # lifts the limit, then restores it
+    big = "1" + "0" * 4999
+    for coef, message in ((f'"{big}"', "error: coefficient must be an integer"), (big, "error: Exceeds the limit")):
+        path = tmp_path / "big.json"
+        path.write_text('{"vars": ["t"], "terms": [{"exp": [0], "coef": %s}], "label": "big"}' % coef)
+        code, out, err = run(capsys, ["h1", str(path), "--p", "2"])
+        assert (code, out) == (1, "")
+        assert err.startswith(message), err
 
 
 def test_wheel_table(capsys):
@@ -315,7 +362,7 @@ def test_multiplier_disagreement_exits_3(capsys, monkeypatch, tmp_path, trefoil_
 def test_internal_disagreement_exits_3(capsys, monkeypatch, trefoil_file):
     from covercalc import laurent
 
-    monkeypatch.setattr(laurent, "_ring_product", lambda coeffs, p: 12345)
+    monkeypatch.setattr(laurent, "_subresultant_product", lambda coeffs, p: 12345)
     code, out, err = run(capsys, ["h1", trefoil_file, "--p", "7"])
     assert code == 3
     assert out == ""

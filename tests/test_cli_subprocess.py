@@ -41,9 +41,10 @@ def test_module_entry_point_matches_recording(argv, tmp_path):
 
 
 def test_cli_import_loads_no_heavy_stdlib_modules():
-    # dataclasses pulls in inspect and ast, fractions pulls in decimal; every
-    # covercalc call would pay for them at start-up. -S keeps site's own imports out.
-    heavy = ("dataclasses", "fractions", "decimal", "inspect", "ast")
+    # dataclasses pulls in inspect and ast, fractions pulls in decimal, typing pulls
+    # in contextlib; every covercalc call would pay for them at start-up. Annotations
+    # are strings (PEP 563), so none of them is needed. -S keeps site's own imports out.
+    heavy = ("dataclasses", "fractions", "decimal", "inspect", "ast", "typing", "contextlib")
     run = subprocess.run(
         [sys.executable, "-S", "-c", f"import sys, covercalc.cli; print(*sorted({heavy!r} & sys.modules.keys()))"],
         env={**os.environ, "PYTHONPATH": str(SRC)},

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from covercalc import laurent
 from covercalc.knots import (
     KnotDescriptor,
     f_table,
@@ -13,6 +14,8 @@ from covercalc.knots import (
     wheel_knot,
 )
 from covercalc.laurent import LaurentPoly
+
+from helpers import lucas
 
 
 def test_unknot_h1_is_one_for_all_p():
@@ -144,20 +147,21 @@ def test_from_json_missing_label_is_empty():
 TREFOIL_PERIOD = (0, 1, 3, 4, 3, 1)  # |H_1| of the trefoil's p-fold cover by p mod 6
 
 
-def lucas(n):
-    a, b = 2, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
-
-
 def test_trefoil_period_six_up_to_ten_thousand():
     # a stride of 13 = 1 mod 6 visits every residue class
     for p in list(range(1, 10_001, 13)) + [9_999, 10_000]:
         assert h1_order(trefoil(), p) == TREFOIL_PERIOD[p % 6], p
 
 
-@pytest.mark.parametrize("p", [500, 2000])
+def test_trefoil_period_six_past_ten_to_the_eighteen():
+    # no list of length p could be allocated here: t^p - 1 is reduced by squaring.
+    # h1_order would refuse these p by the output bound, so the path is called directly
+    for k in range(6):
+        p = 10**18 + k
+        assert laurent._subresultant_product([1, -1, 1], p) == TREFOIL_PERIOD[p % 6], p
+
+
+@pytest.mark.parametrize("p", [500, 2000, 11_000])
 def test_figure_eight_is_lucas_minus_two(p):
     assert h1_order(figure_eight(), p) == lucas(2 * p) - 2
 

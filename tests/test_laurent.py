@@ -302,7 +302,7 @@ def test_from_json_accepts_integers_and_decimal_strings():
     assert p == LaurentPoly({-1: 1, 0: -1, 1: 1})
 
 
-# -- the two |H_1| paths ---------------------------------------------------
+# -- |H_1|: one path and its circulant check ----------------------------------
 
 
 def test_resultant_matches_sympy_oracle():
@@ -324,7 +324,7 @@ def test_resultant_matches_sympy_oracle():
 
 
 def _count_paths(monkeypatch):
-    calls = {"ring": 0, "subresultant": 0, "circulant": 0}
+    calls = {"subresultant": 0, "circulant": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -339,41 +339,31 @@ def _count_paths(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "coeffs, p, ring, subresultant, circulant",
+    "coeffs, p, subresultant, circulant",
     [
-        ({-1: 1, 0: -1, 1: 1}, 5, 0, 1, 1),  # trefoil, 3d > p: subresultant, cross-checked
-        ({-1: 1, 0: -1, 1: 1}, 6, 1, 0, 1),  # 3d <= p <= 16: ring path, cross-checked
-        ({-1: 1, 0: -1, 1: 1}, 17, 1, 0, 0),  # above the cross-check threshold
-        ({0: 3, 1: 1, 20: 2}, 10, 1, 0, 1),  # folds to 5 + t, so the ring path runs
-        ({0: 1, 3: -1}, 3, 0, 0, 0),  # folds to zero: the product vanishes
-        ({0: 1, 18: 10}, 91, 0, 1, 0),  # d = 18 is past the ring path's degree limit
-        ({0: 1, 18: 10}, 92, 0, 1, 0),
-        ({0: 1, 8: 1}, 24, 1, 0, 0),  # monic: d (0 + 4) <= 32 up to d = 8
-        ({0: 1, 9: 1}, 27, 0, 1, 0),
-        ({0: 1, 6: 2}, 40, 1, 0, 0),  # |a_d| = 2: d (1 + 4) <= 32 up to d = 6
-        ({0: 1, 6: 3}, 40, 0, 1, 0),  # |a_d| = 3: d (2 + 4) <= 32 only up to d = 5
-        ({0: 1, 2: 2**12}, 40, 1, 0, 0),  # d = 2 takes the ring path up to |a_d| = 2^12
-        ({0: 1, 2: -(2**12) - 1}, 40, 0, 1, 0),
+        ({-1: 1, 0: -1, 1: 1}, 5, 1, 1),  # trefoil, cross-checked up to p = 16
+        ({-1: 1, 0: -1, 1: 1}, 6, 1, 1),
+        ({-1: 1, 0: -1, 1: 1}, 17, 1, 0),  # above the cross-check threshold
+        ({0: 3, 1: 1, 20: 2}, 10, 1, 1),  # folds to 5 + t
+        ({0: 1, 3: -1}, 3, 0, 0),  # folds to zero: the product vanishes
+        ({0: 1, 18: 10}, 91, 1, 0),  # one path at every degree and leading coefficient
+        ({0: 1, 18: 10}, 92, 1, 0),
+        ({0: 1, 8: 1}, 24, 1, 0),
+        ({0: 1, 9: 1}, 27, 1, 0),
+        ({0: 1, 6: 2}, 40, 1, 0),
+        ({0: 1, 6: 3}, 40, 1, 0),
+        ({0: 1, 2: 2**12}, 40, 1, 0),
+        ({0: 1, 2: -(2**12) - 1}, 40, 1, 0),
     ],
 )
-def test_resultant_path_selection(monkeypatch, coeffs, p, ring, subresultant, circulant):
+def test_resultant_path_selection(monkeypatch, coeffs, p, subresultant, circulant):
     calls = _count_paths(monkeypatch)
     uni(coeffs).resultant_with_cyclotomic(p)
-    assert calls == {"ring": ring, "subresultant": subresultant, "circulant": circulant}
-
-
-def test_resultant_paths_agree_with_sign():
-    rng = random.Random(31)
-    for _ in range(200):
-        coeffs = [rng.randint(-4, 4) for _ in range(rng.randint(1, 7))]
-        coeffs[0] = coeffs[0] or 1
-        coeffs[-1] = coeffs[-1] or -3
-        p = rng.randint(1, 12)
-        assert laurent._ring_product(coeffs, p) == laurent._circulant_product(coeffs, p)
+    assert calls == {"subresultant": subresultant, "circulant": circulant}
 
 
 def test_resultant_cross_check_disagreement_raises(monkeypatch):
-    monkeypatch.setattr(laurent, "_ring_product", lambda coeffs, p: 12345)
+    monkeypatch.setattr(laurent, "_subresultant_product", lambda coeffs, p: 12345)
     with pytest.raises(RuntimeError, match="internal disagreement"):
         uni({-1: 1, 0: -1, 1: 1}).resultant_with_cyclotomic(7)
 
@@ -448,7 +438,7 @@ def test_output_bound_refuses_before_any_path_runs(monkeypatch):
 
 
 def test_output_bound_accepts_trefoil_at_p_a_million(monkeypatch):
-    monkeypatch.setattr(laurent, "_ring_product", lambda coeffs, p: 4)
+    monkeypatch.setattr(laurent, "_subresultant_product", lambda coeffs, p: 4)
     assert uni({-1: 1, 0: -1, 1: 1}).resultant_with_cyclotomic(10**6) == 4
 
 
