@@ -187,12 +187,18 @@ def lmo_leading_multiplier(l: int, p: int) -> int:
     """Exact sum of (1 - w)^l over all p-th roots of unity w.
 
     The filter keeps the terms of (1 - t)^l whose exponent is divisible by
-    p, so the sum is p * sum over k = 0 mod p of (-1)^k C(l, k).
+    p, so the sum is p * sum over k = 0 mod p of (-1)^k C(l, k). The work,
+    about l / p binomials of l bits, is estimated as l * l * (l // p + 1),
+    the start term of lmo_window's estimate; over MAX_WINDOW_WORK raises
+    ValueError before any binomial is computed.
     """
     if l < 0:
         raise ValueError("l must be >= 0")
     if p < 1:
         raise ValueError("p must be >= 1")
+    work = l * l * (l // p + 1)
+    if work > MAX_WINDOW_WORK:
+        raise ValueError(f"LMO multiplier work {work} exceeds the work bound of {MAX_WINDOW_WORK}")
     return p * _class_sum(l, 0, p, -1)
 
 

@@ -3,14 +3,17 @@
 The order of the first homology of the p-fold branched cyclic cover of a
 knot is the absolute value of the product of its Alexander polynomial over
 all p-th roots of unity, with the convention that a vanishing product
-encodes positive first Betti number. Everything here runs in exact integer
-arithmetic through ``LaurentPoly.resultant_with_cyclotomic``, whose
-docstring states which path computes the product, how it is cross-checked
-and when the result is refused as too large.
+encodes positive first Betti number. An Alexander polynomial is palindromic
+of even degree 2n up to a unit, A(t) = t^n B(t + 1/t), and roots of unity z
+and 1/z give the same value, so the product is a square up to A(1) and
+A(-1): one resultant of B, of degree n, gives it. Everything here runs in
+exact integer arithmetic through ``LaurentPoly.resultant_with_cyclotomic``,
+whose docstring states which path computes the product, how it is
+cross-checked and when the result is refused as too large.
 """
 from __future__ import annotations
 
-from .laurent import LaurentPoly, _json_object, _json_str, _shifted_dense
+from .laurent import LaurentPoly, _json_object, _json_str, _palindromic, _shifted_dense
 
 _T = LaurentPoly({1: 1})
 _ONE = LaurentPoly({0: 1})
@@ -27,7 +30,8 @@ class KnotDescriptor:
             raise ValueError(
                 f"Alexander polynomial must evaluate to ±1 at t=1, got {at_one}"
             )
-        if not _symmetric_up_to_unit(alexander):
+        # symmetric up to ±t^k; -t^k needs no test, as an anti-palindrome vanishes at t = 1
+        if not _palindromic(_shifted_dense(alexander.terms)):
             raise ValueError(
                 "Alexander polynomial is not symmetric under t -> 1/t up to a unit"
             )
@@ -56,11 +60,6 @@ class KnotDescriptor:
             _json_str(data.get("label", ""), "knot label"),
             LaurentPoly.from_json_dict(data),
         )
-
-
-def _symmetric_up_to_unit(p: LaurentPoly) -> bool:
-    flipped = _shifted_dense(p.substitute_inverse().terms)
-    return flipped in (_shifted_dense(p.terms), _shifted_dense((-p).terms))
 
 
 def h1_order(knot: KnotDescriptor, p: int) -> int:

@@ -2,9 +2,13 @@
 
 A polynomial is stored as a map from integer exponents to nonzero integer
 coefficients. Its one roots-of-unity computation, the product of its values
-over all p-th roots of unity, is an exact integer resultant (a subresultant
-remainder sequence, checked against a circulant determinant for p <= 16),
-never a complex float, so every exported quantity is an exact integer.
+over all p-th roots of unity, is an exact integer resultant, never a complex
+float, so every exported quantity is an exact integer. A palindromic
+polynomial of even degree 2n, as every Alexander polynomial is, goes through
+its trace polynomial B of degree n (A(t) = t^n B(t + 1/t)): the product is
+the square of one resultant of B, up to A(1) and A(-1). Any other polynomial
+goes through Res(t^p - 1, A). Both are Collins subresultant sequences, and
+both are checked against a circulant determinant for p <= 16.
 """
 from __future__ import annotations
 
@@ -104,15 +108,18 @@ class LaurentPoly:
         """Product of values over all p-th roots of unity, as an exact integer.
 
         The polynomial is shifted by a unit t^k so its constant term is
-        nonzero, and exponents of degree p or more are folded mod p, leaving
-        A = a_0 + ... + a_d t^d. An input whose product may need more than
-        MAX_H1_BITS bits (see _h1_bits_bound) is refused with ValueError
-        before anything runs. The product is Res(t^p - 1, A), computed by
-        Collins' subresultant remainder sequence whose first remainder,
-        a_d^(p-d+1) (t^p - 1) mod A, comes from square-and-multiply: O(d^2 log p)
-        operations for it and O(d^2) for the rest. For p <= CROSS_CHECK_MAX_P
-        the result is cross-checked against the determinant of the p x p
-        circulant matrix of A in Z[t]/(t^p - 1), and a disagreement raises
+        nonzero, leaving A = a_0 + ... + a_d t^d. An input whose product may
+        need more than MAX_H1_BITS bits (see _h1_bits_bound, read on A folded
+        mod t^p - 1) is refused with ValueError before anything runs. A
+        palindromic A of even degree d = 2n goes to _trace_product: one
+        subresultant sequence of degree n, whose first remainder comes from a
+        Lucas ladder in O(n^2 log p) operations, and whose square gives the
+        product. Any other A is folded mod t^p - 1 and goes to
+        _subresultant_product, Res(t^p - 1, A) by a sequence of degree d,
+        whose first remainder comes from square-and-multiply in
+        O(d^2 log p). For p <= CROSS_CHECK_MAX_P the result is cross-checked
+        against the determinant of the p x p circulant matrix of the same
+        coefficient list in Z[t]/(t^p - 1), and a disagreement raises
         RuntimeError. Only the absolute value is meaningful; the unit shift
         changes the sign.
         """
@@ -121,17 +128,22 @@ class LaurentPoly:
         if not self.terms:
             raise ValueError("resultant of the zero polynomial is undefined")
         coeffs = _shifted_dense(self.terms)
+        folded = coeffs
         if len(coeffs) > p_order:
-            coeffs = _shifted_dense(dict(enumerate(_folded(coeffs, p_order))))
-            if not coeffs:
+            folded = _shifted_dense(dict(enumerate(_folded(coeffs, p_order))))
+            if not folded:
                 return 0
-        bits = _h1_bits_bound(coeffs, p_order)
+        bits = _h1_bits_bound(folded, p_order)
         if bits > MAX_H1_BITS:
             raise ValueError(
                 f"|H_1| at p = {p_order} may need {bits} bits, "
                 f"over the output bound of {MAX_H1_BITS}"
             )
-        value = _subresultant_product(coeffs, p_order)
+        if len(coeffs) & 1 and _palindromic(coeffs):
+            value = _trace_product(coeffs, p_order)
+        else:
+            coeffs = folded
+            value = _subresultant_product(coeffs, p_order)
         if p_order <= CROSS_CHECK_MAX_P:
             check = _circulant_product(coeffs, p_order)
             if check != value:
@@ -285,6 +297,11 @@ def _shifted_dense(coeffs: Mapping[int, int]) -> list[int]:
     return [coeffs.get(e, 0) for e in range(lo, max(exps) + 1)]
 
 
+def _palindromic(coeffs: list[int]) -> bool:
+    """True when the list reads the same backwards: t^d A(1/t) = A(t) for d = len - 1."""
+    return coeffs == coeffs[::-1]
+
+
 def _folded(coeffs: list[int], p: int) -> list[int]:
     """The p coefficients of sum_k coeffs[k] t^k in Z[t]/(t^p - 1)."""
     row = [0] * p
@@ -312,35 +329,90 @@ def _circulant_product(coeffs: list[int], p: int) -> int:
 def _subresultant_product(coeffs: list[int], p: int) -> int:
     """prod over p-th roots of unity z of sum_k coeffs[k] z^k, as Res(t^p - 1, A).
 
-    Collins' subresultant remainder sequence (Cohen, A Course in Computational
-    Algebraic Number Theory, Alg. 3.3.7, without content removal): each
-    pseudo-remainder is divided exactly by g h^delta, which keeps the
-    integers at the size of the subresultants instead of letting them grow
-    exponentially. t^p - 1 is never formed: _power_remainder gives its
-    remainder. Returns the same signed integer as _circulant_product.
+    t^p - 1 is never formed: _power_remainder gives the first remainder of the
+    sequence and _collins the rest. Returns the same signed integer as
+    _circulant_product.
     """
     b = _trim(_folded(coeffs, p) if len(coeffs) > p else coeffs[:])
-    if not b:
-        return 0
-    a, da = None, p  # a is None while it stands for t^p - 1
-    g = h = sign = 1
+    if len(b) < 2:
+        return b[0] ** p if b else 0
+    sign = 1
     # Res(t^p - 1, -b) = (-1)^p Res(t^p - 1, b); a monic b then needs no scaling
     if b[-1] < 0:
         b = [-c for c in b]
         sign = -1 if p & 1 else 1
-    while len(b) > 1:
+    return sign * _collins(p, b, _power_remainder(b, p))
+
+
+def _trace_product(coeffs: list[int], p: int) -> int:
+    """prod over p-th roots of unity z of A(z) = sum_k coeffs[k] z^k, A palindromic of degree 2n.
+
+    Such an A is t^n B(t + 1/t) with B = a_n + sum_k a_(n+k) V_k, where the
+    Lucas polynomials V_k (V_0 = 2, V_1 = x, V_(k+1) = x V_k - V_(k-1)) have
+    V_k(z + 1/z) = z^k + z^-k. G_p = V_(m+1) - V_m for p = 2m + 1 and
+    V_(q+1) - V_(q-1) for p = 2q is monic of degree g = p // 2 + 1, with the
+    roots 2, -2 for even p, and 2 cos(2 pi k / p) for 0 < k < p / 2. Roots of
+    unity z and 1/z give the same root, so the product is R^2 / (A(1) A(-1))
+    for even p and R^2 / A(1) for odd p, with R = Res(G_p, B), and 0 when that
+    divisor is 0. On the roots V_k equals V_j for j = min(k mod p, -k mod p)
+    <= p // 2, so folding k to j gives B mod G_p at once. R comes from
+    _collins, whose first remainder _lucas_remainder builds.
+    """
+    n = len(coeffs) // 2
+    divisor = sum(coeffs)
+    if not p & 1:
+        divisor *= sum(coeffs[::2]) - sum(coeffs[1::2])
+    if not divisor:
+        return 0
+    trace = [0] * (min(n, p // 2) + 1)  # trace[j]: the coefficient of V_j, and of 1 at j = 0
+    trace[0] = coeffs[n]
+    for k in range(1, n + 1):
+        j = min(k % p, -k % p)
+        trace[j] += coeffs[n + k] if j else 2 * coeffs[n + k]
+    b = [trace[0]] + [0] * (len(trace) - 1)
+    low, high = [2], [0, 1]  # V_(j-1), V_j
+    for j in range(1, len(trace)):
+        for i, v in enumerate(high):
+            b[i] += trace[j] * v
+        step = [0] + high
+        for i, v in enumerate(low):
+            step[i] -= v
+        low, high = high, step
+    b = _trim(b)
+    g = p // 2 + 1
+    if len(b) < 2:
+        root = b[0] ** g if b else 0
+    else:
+        if b[-1] < 0:  # Res(G_p, -B) = (-1)^g Res(G_p, B), and R is squared
+            b = [-c for c in b]
+        root = _collins(g, b, _lucas_remainder(b, p))
+    return root * root // divisor
+
+
+def _collins(da: int, b: list[int], r: list[int]) -> int:
+    """Res(a, b) for deg a = da > deg b >= 1, given r = prem(a, b).
+
+    Collins' subresultant remainder sequence (Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 3.3.7, without content removal): each
+    pseudo-remainder is divided exactly by g h^delta, which keeps the
+    integers at the size of the subresultants instead of letting them grow
+    exponentially.
+    """
+    g = h = sign = 1
+    while True:
         db = len(b) - 1
-        delta = da - db  # >= 1: deg b < p to start, and remainders drop in degree
+        delta = da - db  # >= 1: remainders drop in degree
         if da & db & 1:
             sign = -sign
-        r = _power_remainder(b, p) if a is None else _pseudo_remainder(a, b)
         if not r:
-            return 0  # a common factor: some p-th root of unity is a root of A
+            return 0  # a common factor
         scale = g * h**delta
         a, da, b = b, db, [c // scale for c in r]
         g = a[-1]
         h = g**delta // h ** (delta - 1)
-    return sign * b[0] ** da // h ** (da - 1)
+        if len(b) == 1:
+            return sign * b[0] ** da // h ** (da - 1)
+        r = _pseudo_remainder(a, b)
 
 
 def _power_remainder(b: list[int], p: int) -> list[int]:
@@ -365,6 +437,66 @@ def _power_remainder(b: list[int], p: int) -> list[int]:
     scale = lead ** (p - d + 1 - e)
     r = [c * scale for c in r] or [0]
     r[0] -= scale * lead**e
+    return _trim(r)
+
+
+def _lucas_remainder(b: list[int], p: int) -> list[int]:
+    """lead(b)^(g - n + 1) G_p mod b, trimmed, for n = deg b with 1 <= n < g = p // 2 + 1.
+
+    A Lucas ladder over the bits of p // 2 takes (V_j, V_(j+1)) to
+    (V_2j, V_2j+1) or (V_2j+1, V_2j+2) by V_2i = V_i^2 - 2 and
+    V_(i+k) = V_i V_k - V_(i-k), two products per bit; G_p is then
+    V_(j+1) - V_j for odd p and 2 V_(j+1) - x V_j for even p. For n = 1 the
+    residues are values at the root -c / lead of b = c + lead x, kept as the
+    integers lead^j V_j(-c / lead). Otherwise u = lead^eu V_j mod b and
+    w = lead^ew V_(j+1) mod b, and each product is pseudo-reduced once with
+    its steps added to its exponent, as in _power_remainder.
+    """
+    n = len(b) - 1
+    lead = b[n]
+    if n == 1:
+        c = b[0]
+        u, w, power = 2, -c, 1  # lead^j V_j(-c / lead), lead^(j+1) V_(j+1)(-c / lead), lead^j
+        for bit in bin(p // 2)[2:]:
+            square = power * power
+            if bit == "1":
+                u, w, power = u * w + c * square, w * w - 2 * square * lead * lead, square * lead
+            else:
+                u, w, power = u * u - 2 * square, u * w + c * square, square
+        return _trim([w - lead * u if p & 1 else 2 * w + c * u])
+
+    def times(u, eu, w, ew, minus):
+        """lead^e (V V' - minus) mod b and e, for u = lead^eu V and w = lead^ew V' mod b."""
+        prod = [0] * (len(u) + len(w) - 1)
+        for i, y in enumerate(u):
+            if y:
+                for k, z in enumerate(w, i):
+                    prod[k] += y * z
+        e = eu + ew
+        if len(prod) > n:
+            e += len(prod) - n
+            prod = _pseudo_remainder(prod, b)
+        prod += [0] * (len(minus) - len(prod))
+        scale = lead**e
+        for i, c in enumerate(minus):
+            prod[i] -= scale * c
+        return _trim(prod), e
+
+    x = [0, 1]
+    u, eu, w, ew = [2], 0, x, 0
+    for bit in bin(p // 2)[2:]:
+        cross = times(u, eu, w, ew, x)
+        if bit == "1":
+            u, eu, (w, ew) = *cross, times(w, ew, w, ew, [2])
+        else:
+            (u, eu), w, ew = times(u, eu, u, eu, [2]), *cross
+    terms = ((1, w, ew), (-1, u, eu)) if p & 1 else ((2, w, ew), (-1, *times(u, eu, x, 0, [])))
+    e = p // 2 + 2 - n  # g - n + 1
+    r = [0] * n
+    for c, poly, ep in terms:
+        scale = c * lead ** (e - ep)
+        for i, y in enumerate(poly):
+            r[i] += scale * y
     return _trim(r)
 
 

@@ -233,7 +233,7 @@ def forbid_resultant_paths(monkeypatch) -> None:
     def refuse(coeffs, p):
         raise AssertionError("no resultant path may run")
 
-    for name in ("_subresultant_product", "_circulant_product"):
+    for name in ("_trace_product", "_subresultant_product", "_circulant_product"):
         monkeypatch.setattr(laurent, name, refuse)
 
 

@@ -359,20 +359,11 @@ def test_multiplier_disagreement_exits_3(capsys, monkeypatch, tmp_path, trefoil_
     assert err.startswith("internal error: internal disagreement")
 
 
-def test_internal_disagreement_exits_3(capsys, monkeypatch, trefoil_file):
-    from covercalc import laurent
-
-    monkeypatch.setattr(laurent, "_subresultant_product", lambda coeffs, p: 12345)
-    code, out, err = run(capsys, ["h1", trefoil_file, "--p", "7"])
-    assert code == 3
-    assert out == ""
-    assert err.startswith("internal error: internal disagreement")
-
-
 def test_wrong_subresultant_exits_3(capsys, monkeypatch, trefoil_file):
     from covercalc import laurent
 
-    monkeypatch.setattr(laurent, "_subresultant_product", lambda coeffs, p: 12345)
+    # a knot takes the trace path, whose value the circulant checks up to p = 16
+    monkeypatch.setattr(laurent, "_trace_product", lambda coeffs, p: 12345)
     code, out, err = run(capsys, ["h1", trefoil_file, "--p-range", "2..5"])
     assert (code, out) == (3, "")
     assert err.startswith("internal error: internal disagreement: subresultant path")

@@ -296,6 +296,27 @@ def test_lmo_multiplier_float_oracle():
             assert abs(approx) < 1e-3
 
 
+def test_lmo_multiplier_refuses_over_the_work_bound_before_any_binomial(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a refused multiplier must not compute")
+
+    monkeypatch.setattr(engine, "_class_sum", forbidden)
+    for call in (lambda: lmo_leading_multiplier(10**6, 7), lambda: window_nonzero(10**6, 7)):
+        with pytest.raises(ValueError, match="LMO multiplier work 142858000000000000 exceeds"):
+            call()
+    # l = 6 at p = 7: 6 * 6 * (6 // 7 + 1) = 36, the start term of the window's own estimate
+    monkeypatch.setattr(engine, "MAX_WINDOW_WORK", 35)
+    with pytest.raises(ValueError, match="work 36 exceeds the work bound of 35"):
+        lmo_leading_multiplier(6, 7)
+    monkeypatch.setattr(engine, "MAX_WINDOW_WORK", 36)
+    with pytest.raises(AssertionError, match="must not compute"):
+        lmo_leading_multiplier(6, 7)
+    monkeypatch.undo()
+    # what the window accepts, its check accepts too
+    monkeypatch.setattr(engine, "MAX_WINDOW_WORK", 120)
+    assert lmo_window(5, 2, 7) == [lmo_leading_multiplier(l, 7) for l in (5, 6)]
+
+
 def test_window_p2_first_value():
     for l in (1, 5, 17):
         assert window_nonzero(l, 2) == (l, 2**l)

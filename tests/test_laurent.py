@@ -324,7 +324,7 @@ def test_resultant_matches_sympy_oracle():
 
 
 def _count_paths(monkeypatch):
-    calls = {"subresultant": 0, "circulant": 0}
+    calls = {"trace": 0, "subresultant": 0, "circulant": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -357,25 +357,27 @@ def _count_paths(monkeypatch):
     ],
 )
 def test_resultant_path_selection(monkeypatch, coeffs, p, subresultant, circulant):
+    # subresultant counts both sequences: the trace path for a palindromic
+    # polynomial of even degree (the trefoil, 1 + t^8), the t-world path otherwise
     calls = _count_paths(monkeypatch)
     uni(coeffs).resultant_with_cyclotomic(p)
-    assert calls == {"subresultant": subresultant, "circulant": circulant}
-
-
-def test_resultant_cross_check_disagreement_raises(monkeypatch):
-    monkeypatch.setattr(laurent, "_subresultant_product", lambda coeffs, p: 12345)
-    with pytest.raises(RuntimeError, match="internal disagreement"):
-        uni({-1: 1, 0: -1, 1: 1}).resultant_with_cyclotomic(7)
+    dense = [coeffs.get(e, 0) for e in range(min(coeffs), max(coeffs) + 1)]
+    on_trace = subresultant if dense == dense[::-1] and len(dense) % 2 else 0
+    assert calls == {"trace": on_trace, "subresultant": subresultant - on_trace, "circulant": circulant}
 
 
 def test_wrong_subresultant_is_caught_by_the_circulant(monkeypatch):
-    monkeypatch.setattr(laurent, "_subresultant_product", lambda coeffs, p: 12345)
-    with pytest.raises(RuntimeError, match="internal disagreement: subresultant path 12345"):
-        uni({-1: 1, 0: -1, 1: 1}).resultant_with_cyclotomic(5)
-    with pytest.raises(RuntimeError, match="internal disagreement: subresultant path"):
-        wheel_knot(10).alexander.resultant_with_cyclotomic(16)
-    # above the threshold nothing checks it
-    assert wheel_knot(10).alexander.resultant_with_cyclotomic(17) == 12345
+    # each input is caught on the path it takes: a knot on the trace path, a
+    # polynomial that is not palindromic on the t-world path
+    for path, poly in (("_trace_product", wheel_knot(10).alexander), ("_subresultant_product", uni({0: 2, 1: 1}))):
+        monkeypatch.setattr(laurent, path, lambda coeffs, p: 12345)
+        with pytest.raises(RuntimeError, match="internal disagreement: subresultant path 12345"):
+            poly.resultant_with_cyclotomic(5)
+        with pytest.raises(RuntimeError, match="internal disagreement: subresultant path"):
+            poly.resultant_with_cyclotomic(16)
+        # above the threshold nothing checks it
+        assert poly.resultant_with_cyclotomic(17) == 12345
+        monkeypatch.undo()
 
 
 def _random_coeffs(rng, length):
@@ -415,6 +417,73 @@ def test_subresultant_matches_circulant_with_sign(monkeypatch):
     assert max(drops) > 1
 
 
+def _random_palindrome(rng, n):
+    half = [rng.randint(-6, 6) for _ in range(n)] + [rng.choice([-3, -2, -1, 1, 2, 5])]
+    return half + half[-2::-1]  # a_0 .. a_2n with a_k = a_(2n-k), mostly non-monic
+
+
+def test_trace_product_matches_circulant_with_sign():
+    rng = random.Random(43)
+    at_one = at_minus_one = 0
+    cases = [([c], p) for c in (1, -1, 3) for p in (1, 2, 7)]  # n = 0
+    for _ in range(2000):
+        n, p = rng.randint(0, 8), rng.randint(1, 40)
+        coeffs = _random_palindrome(rng, n)
+        kind = rng.random()
+        if kind < 0.15 and n:
+            # shift the middle coefficient so that A(1) = 0
+            coeffs[n] -= sum(coeffs)
+            at_one += 1
+        elif kind < 0.3 and n and p % 2 == 0:
+            # and so that A(-1) = 0 at even p
+            coeffs[n] -= (-1) ** n * sum(c * (-1) ** k for k, c in enumerate(coeffs))
+            at_minus_one += 1
+        cases.append((coeffs, p))
+    zeros = 0
+    for coeffs, p in cases:
+        want = laurent._circulant_product(coeffs, p)
+        assert laurent._trace_product(coeffs, p) == want, (coeffs, p)
+        zeros += want == 0
+    assert at_one >= 200 and at_minus_one >= 100 and zeros >= at_one + at_minus_one
+    assert {len(c) // 2 for c, _ in cases} == set(range(9))
+    assert {p for _, p in cases} == set(range(1, 41))
+
+
+def test_trace_product_matches_the_t_world_path():
+    for knot, p in ((wheel_knot(10), 1000), (wheel_knot(30), 200)):
+        coeffs = laurent._shifted_dense(knot.alexander.terms)
+        assert laurent._trace_product(coeffs, p) == laurent._subresultant_product(coeffs, p), (knot, p)
+    for coeffs in ([1, -1, 1], [-1, 3, -1]):  # the trefoil and the figure-eight
+        for p in range(1, 4097):
+            assert laurent._trace_product(coeffs, p) == laurent._subresultant_product(coeffs, p), (coeffs, p)
+
+
+def test_a_knot_stays_on_the_half_degree_sequence(monkeypatch):
+    def refuse(b, p):
+        raise AssertionError("a knot must not reach the t-world remainder")
+
+    divisors = []
+    prem = laurent._pseudo_remainder
+
+    def recorded(a, b):
+        divisors.append(len(b) - 1)
+        return prem(a, b)
+
+    monkeypatch.setattr(laurent, "_power_remainder", refuse)
+    monkeypatch.setattr(laurent, "_pseudo_remainder", recorded)
+    knots = [uni({-1: 1, 0: -1, 1: 1}), uni({-1: -1, 0: 3, 1: -1})]
+    knots += [wheel_knot(n).alexander for n in (2, 5, 9)]
+    knots += [uni({-2: 2, -1: -3, 0: 3, 1: -3, 2: 2})]  # non-monic, 2 - 3t + 3t^2 - 3t^3 + 2t^4
+    for poly in knots:
+        n = (max(poly.terms) - min(poly.terms)) // 2
+        for p in (1, 2, 3, 7, 16, 17, 40, 101, 256):
+            divisors.clear()
+            poly.resultant_with_cyclotomic(p)
+            assert max(divisors, default=0) <= n, (poly, p)
+            if n > 1 and p > 2 * n:
+                assert max(divisors) == n  # the ladder reduces by B itself
+
+
 def test_output_bound_covers_the_product():
     rng = random.Random(41)
     for _ in range(200):
@@ -438,7 +507,7 @@ def test_output_bound_refuses_before_any_path_runs(monkeypatch):
 
 
 def test_output_bound_accepts_trefoil_at_p_a_million(monkeypatch):
-    monkeypatch.setattr(laurent, "_subresultant_product", lambda coeffs, p: 4)
+    monkeypatch.setattr(laurent, "_trace_product", lambda coeffs, p: 4)
     assert uni({-1: 1, 0: -1, 1: 1}).resultant_with_cyclotomic(10**6) == 4
 
 
