@@ -1,8 +1,10 @@
 """Exact leading-order invariants of p-fold branched cyclic covers of knots.
 
 Submodules:
-    laurent   -- exact one-variable integer Laurent polynomials, |H_1| resultants
+    laurent   -- one-variable integer Laurent polynomials and the |H_1|
+                 resultant of a palindromic one; frozen records, JSON readers
     knots     -- homology orders of branched covers, the wheel-knot family
+                 from its binomial closed form
     diagrams  -- trivalent graphs with legs, completeness validation
     lifts     -- the mod-p lift equations and their solver
     signs     -- twist chains and comparison signs

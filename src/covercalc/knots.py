@@ -8,15 +8,13 @@ of even degree 2n up to a unit, A(t) = t^n B(t + 1/t), and roots of unity z
 and 1/z give the same value, so the product is a square up to A(1) and
 A(-1): one resultant of B, of degree n, gives it. Everything here runs in
 exact integer arithmetic through ``LaurentPoly.resultant_with_cyclotomic``,
-whose docstring states which path computes the product, how it is
-cross-checked and when the result is refused as too large.
+whose docstring states how the product is computed and cross-checked, and
+when it is refused. The wheel-knot family's polynomials come from a closed
+form in binomial coefficients, with no polynomial arithmetic.
 """
 from __future__ import annotations
 
 from .laurent import LaurentPoly, _json_object, _json_str, _palindromic, _shifted_dense
-
-_T = LaurentPoly({1: 1})
-_ONE = LaurentPoly({0: 1})
 
 
 class KnotDescriptor:
@@ -70,12 +68,23 @@ def h1_order(knot: KnotDescriptor, p: int) -> int:
 
 
 def wheel_knot(n: int) -> KnotDescriptor:
-    """The n-spoke wheel surgery knot, A(t) = (1-(1-t)^n)(1-(1-t^-1)^n)."""
+    """The n-spoke wheel surgery knot, A(t) = (1-(1-t)^n)(1-(1-t^-1)^n).
+
+    As (1 - t)(1 - 1/t) = -(1 - t)^2 / t, the coefficient of t^j and of t^-j
+    is (-1)^j (C(2n, n + j) - C(n, j)) for 0 <= j <= n. One pass down from
+    C(2n, 2n) = C(n, n) = 1 steps both binomials by the ratio
+    C(m, k - 1) = C(m, k) k / (m - k + 1).
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    half = _ONE - (_ONE - _T) ** n
-    alexander = half * half.substitute_inverse()
-    return KnotDescriptor(f"wheel-{n}", alexander)
+    terms = {}
+    wide = narrow = 1  # C(2n, n + j) and C(n, j)
+    for j in range(n, 0, -1):
+        terms[j] = terms[-j] = narrow - wide if j & 1 else wide - narrow
+        wide = wide * (n + j) // (n - j + 1)
+        narrow = narrow * j // (n - j + 1)
+    terms[0] = wide - narrow
+    return KnotDescriptor(f"wheel-{n}", LaurentPoly(terms))
 
 
 def f_table(p: int, n_max: int) -> list[tuple[int, int]]:
@@ -86,7 +95,7 @@ def f_table(p: int, n_max: int) -> list[tuple[int, int]]:
 
 
 def unknot() -> KnotDescriptor:
-    return KnotDescriptor("unknot", _ONE)
+    return KnotDescriptor("unknot", LaurentPoly({0: 1}))
 
 
 def trefoil() -> KnotDescriptor:

@@ -1,14 +1,16 @@
-"""Exact integer Laurent polynomials in one variable.
+"""Exact integer Laurent polynomials in one variable, and |H_1| from them.
 
 A polynomial is stored as a map from integer exponents to nonzero integer
-coefficients. Its one roots-of-unity computation, the product of its values
-over all p-th roots of unity, is an exact integer resultant, never a complex
-float, so every exported quantity is an exact integer. A palindromic
-polynomial of even degree 2n, as every Alexander polynomial is, goes through
-its trace polynomial B of degree n (A(t) = t^n B(t + 1/t)): the product is
-the square of one resultant of B, up to A(1) and A(-1). Any other polynomial
-goes through Res(t^p - 1, A). Both are Collins subresultant sequences, and
-both are checked against a circulant determinant for p <= 16.
+coefficients. Its one computation is the product of its values over all
+p-th roots of unity, an exact integer resultant, never a complex float, so
+every exported quantity is an exact integer. The product is defined here
+only for a polynomial that is palindromic of even degree 2n up to a unit, as
+every Alexander polynomial is; anything else is refused. Such a polynomial
+goes through its trace polynomial B of degree n (A(t) = t^n B(t + 1/t)): the
+product is the square of one Collins subresultant sequence of B, up to A(1)
+and A(-1), and it is checked against a circulant determinant for p <= 16.
+The module also holds the frozen record base and the JSON field readers
+that the other modules' records share.
 """
 from __future__ import annotations
 
@@ -31,45 +33,6 @@ class LaurentPoly:
     def __init__(self, terms: Mapping[int, int] | None = None, var: str = "t"):
         self.var = var
         self.terms = {e: c for e, c in (terms or {}).items() if c}
-
-    # -- ring structure ------------------------------------------------
-
-    def _check_same_var(self, other: "LaurentPoly") -> None:
-        if self.var != other.var:
-            raise ValueError(f"variables differ: {self.var!r} vs {other.var!r}")
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check_same_var(other)
-        terms = dict(self.terms)
-        for exp, coef in other.terms.items():
-            terms[exp] = terms.get(exp, 0) + coef
-        return LaurentPoly(terms, self.var)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.terms.items()}, self.var)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check_same_var(other)
-        terms: dict[int, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                terms[e1 + e2] = terms.get(e1 + e2, 0) + c1 * c2
-        return LaurentPoly(terms, self.var)
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers are not defined; use substitute_inverse")
-        result = LaurentPoly({0: 1}, self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -94,61 +57,45 @@ class LaurentPoly:
         """Value at the variable = 1."""
         return sum(self.terms.values())
 
-    def evaluate(self, z: complex) -> complex:
-        """Evaluate numerically at ``z``. Intended for test oracles only."""
-        return sum(coef * z**exp for exp, coef in self.terms.items())
-
-    # -- the operations the rest of the library is built on ------------
-
-    def substitute_inverse(self) -> "LaurentPoly":
-        """Replace the variable by its inverse (negate every exponent)."""
-        return LaurentPoly({-e: c for e, c in self.terms.items()}, self.var)
-
     def resultant_with_cyclotomic(self, p_order: int) -> int:
         """Product of values over all p-th roots of unity, as an exact integer.
 
         The polynomial is shifted by a unit t^k so its constant term is
-        nonzero, leaving A = a_0 + ... + a_d t^d. An input whose product may
-        need more than MAX_H1_BITS bits (see _h1_bits_bound, read on A folded
-        mod t^p - 1) is refused with ValueError before anything runs. A
-        palindromic A of even degree d = 2n goes to _trace_product: one
-        subresultant sequence of degree n, whose first remainder comes from a
-        Lucas ladder in O(n^2 log p) operations, and whose square gives the
-        product. Any other A is folded mod t^p - 1 and goes to
-        _subresultant_product, Res(t^p - 1, A) by a sequence of degree d,
-        whose first remainder comes from square-and-multiply in
-        O(d^2 log p). For p <= CROSS_CHECK_MAX_P the result is cross-checked
-        against the determinant of the p x p circulant matrix of the same
-        coefficient list in Z[t]/(t^p - 1), and a disagreement raises
-        RuntimeError. Only the absolute value is meaningful; the unit shift
-        changes the sign.
+        nonzero, leaving A = a_0 + ... + a_d t^d. Unless A is palindromic of
+        even degree d = 2n, the zero polynomial included, ValueError is raised
+        before anything runs, and so it is for an input whose product may need
+        more than MAX_H1_BITS bits (see _h1_bits_bound, read on A folded mod
+        t^p - 1). A then goes to _trace_product: one subresultant sequence of
+        degree n, whose first remainder comes from a Lucas ladder in
+        O(n^2 log p) operations, and whose square gives the product. For
+        p <= CROSS_CHECK_MAX_P the result is cross-checked against the
+        determinant of the p x p circulant matrix of A in Z[t]/(t^p - 1), and
+        a disagreement raises RuntimeError. Only the absolute value is
+        meaningful; the unit shift changes the sign.
         """
         if p_order < 1:
             raise ValueError("p_order must be >= 1")
-        if not self.terms:
-            raise ValueError("resultant of the zero polynomial is undefined")
         coeffs = _shifted_dense(self.terms)
-        folded = coeffs
-        if len(coeffs) > p_order:
-            folded = _shifted_dense(dict(enumerate(_folded(coeffs, p_order))))
-            if not folded:
-                return 0
+        if not (len(coeffs) & 1 and _palindromic(coeffs)):
+            raise ValueError(
+                "the product over roots of unity is defined only for a nonzero "
+                "palindromic polynomial of even degree, as an Alexander polynomial is"
+            )
+        folded = _folded(coeffs, p_order) if len(coeffs) > p_order else coeffs
+        if not any(folded):
+            return 0
         bits = _h1_bits_bound(folded, p_order)
         if bits > MAX_H1_BITS:
             raise ValueError(
                 f"|H_1| at p = {p_order} may need {bits} bits, "
                 f"over the output bound of {MAX_H1_BITS}"
             )
-        if len(coeffs) & 1 and _palindromic(coeffs):
-            value = _trace_product(coeffs, p_order)
-        else:
-            coeffs = folded
-            value = _subresultant_product(coeffs, p_order)
+        value = _trace_product(coeffs, p_order)
         if p_order <= CROSS_CHECK_MAX_P:
             check = _circulant_product(coeffs, p_order)
             if check != value:
                 raise RuntimeError(
-                    f"internal disagreement: subresultant path {value} vs circulant {check}"
+                    f"internal disagreement: trace path {value} vs circulant {check}"
                 )
         return value
 
@@ -326,24 +273,6 @@ def _circulant_product(coeffs: list[int], p: int) -> int:
     return _bareiss_det([row[p - i:] + row[:p - i] for i in range(p)])
 
 
-def _subresultant_product(coeffs: list[int], p: int) -> int:
-    """prod over p-th roots of unity z of sum_k coeffs[k] z^k, as Res(t^p - 1, A).
-
-    t^p - 1 is never formed: _power_remainder gives the first remainder of the
-    sequence and _collins the rest. Returns the same signed integer as
-    _circulant_product.
-    """
-    b = _trim(_folded(coeffs, p) if len(coeffs) > p else coeffs[:])
-    if len(b) < 2:
-        return b[0] ** p if b else 0
-    sign = 1
-    # Res(t^p - 1, -b) = (-1)^p Res(t^p - 1, b); a monic b then needs no scaling
-    if b[-1] < 0:
-        b = [-c for c in b]
-        sign = -1 if p & 1 else 1
-    return sign * _collins(p, b, _power_remainder(b, p))
-
-
 def _trace_product(coeffs: list[int], p: int) -> int:
     """prod over p-th roots of unity z of A(z) = sum_k coeffs[k] z^k, A palindromic of degree 2n.
 
@@ -415,31 +344,6 @@ def _collins(da: int, b: list[int], r: list[int]) -> int:
         r = _pseudo_remainder(a, b)
 
 
-def _power_remainder(b: list[int], p: int) -> list[int]:
-    """lead(b)^(p - d + 1) (t^p - 1) mod b, trimmed, for d = deg b with 1 <= d < p.
-
-    Square-and-multiply keeps r = lead(b)^e t^k mod b: each bit of p squares
-    r, multiplies it by t when the bit is set and pseudo-reduces once, adding
-    the reduction's steps to e. O(d^2 log p) operations on lists of length 2d.
-    """
-    d = len(b) - 1
-    lead = b[d]
-    r, e = [1], 0
-    for bit in bin(p)[2:]:
-        shift = bit == "1"
-        square = [0] * (2 * len(r) - 1 + shift)
-        for i, x in enumerate(r):
-            if x:
-                for j, y in enumerate(r, i + shift):
-                    square[j] += x * y
-        e = 2 * e + (len(square) - d if len(square) > d else 0)
-        r = _pseudo_remainder(square, b)
-    scale = lead ** (p - d + 1 - e)
-    r = [c * scale for c in r] or [0]
-    r[0] -= scale * lead**e
-    return _trim(r)
-
-
 def _lucas_remainder(b: list[int], p: int) -> list[int]:
     """lead(b)^(g - n + 1) G_p mod b, trimmed, for n = deg b with 1 <= n < g = p // 2 + 1.
 
@@ -450,7 +354,7 @@ def _lucas_remainder(b: list[int], p: int) -> list[int]:
     residues are values at the root -c / lead of b = c + lead x, kept as the
     integers lead^j V_j(-c / lead). Otherwise u = lead^eu V_j mod b and
     w = lead^ew V_(j+1) mod b, and each product is pseudo-reduced once with
-    its steps added to its exponent, as in _power_remainder.
+    its steps added to its exponent.
     """
     n = len(b) - 1
     lead = b[n]

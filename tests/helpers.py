@@ -1,17 +1,20 @@
 """Shared fixture builders: reference diagrams, random generators, relabeling,
 Hypothesis strategies for the JSON input schemas, a guard on the |H_1| paths,
-the leg-state enumeration oracle for the multiplier, and search oracles for
-cycle windings and for edge maps that respect adjacency."""
+polynomial oracles for |H_1| (a product, a float evaluation and the t-world
+resultant Res(t^p - 1, A)), the leg-state enumeration oracle for the
+multiplier, the indicator sum checked on both multiplier paths, and search
+oracles for cycle windings and for edge maps that respect adjacency."""
 from __future__ import annotations
 
 import copy
 import itertools
 import math
 import random
+from collections import Counter
 
 from hypothesis import strategies as st
 
-from covercalc import laurent
+from covercalc import engine, laurent
 from covercalc.diagrams import (
     DecoratedDiagram,
     Edge,
@@ -233,8 +236,68 @@ def forbid_resultant_paths(monkeypatch) -> None:
     def refuse(coeffs, p):
         raise AssertionError("no resultant path may run")
 
-    for name in ("_trace_product", "_subresultant_product", "_circulant_product"):
+    for name in ("_trace_product", "_circulant_product"):
         monkeypatch.setattr(laurent, name, refuse)
+
+
+# -- polynomial oracles for |H_1| ---------------------------------------------
+
+
+def poly_mul(a: laurent.LaurentPoly, b: laurent.LaurentPoly) -> laurent.LaurentPoly:
+    """The product of two Laurent polynomials, by convolving their term maps."""
+    terms: dict[int, int] = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            terms[e1 + e2] = terms.get(e1 + e2, 0) + c1 * c2
+    return laurent.LaurentPoly(terms, a.var)
+
+
+def evaluate(poly: laurent.LaurentPoly, z: complex) -> complex:
+    """The value of ``poly`` at ``z``, in floating point."""
+    return sum(coef * z**exp for exp, coef in poly.terms.items())
+
+
+def subresultant_product(coeffs: list[int], p: int) -> int:
+    """prod over p-th roots of unity z of sum_k coeffs[k] z^k, as Res(t^p - 1, A).
+
+    The t-world path, for any A: t^p - 1 is never formed, power_remainder
+    gives the first remainder of the sequence and laurent._collins the rest.
+    Returns the same signed integer as laurent._circulant_product.
+    """
+    b = laurent._trim(laurent._folded(coeffs, p) if len(coeffs) > p else coeffs[:])
+    if len(b) < 2:
+        return b[0] ** p if b else 0
+    sign = 1
+    # Res(t^p - 1, -b) = (-1)^p Res(t^p - 1, b); a monic b then needs no scaling
+    if b[-1] < 0:
+        b = [-c for c in b]
+        sign = -1 if p & 1 else 1
+    return sign * laurent._collins(p, b, power_remainder(b, p))
+
+
+def power_remainder(b: list[int], p: int) -> list[int]:
+    """lead(b)^(p - d + 1) (t^p - 1) mod b, trimmed, for d = deg b with 1 <= d < p.
+
+    Square-and-multiply keeps r = lead(b)^e t^k mod b: each bit of p squares
+    r, multiplies it by t when the bit is set and pseudo-reduces once, adding
+    the reduction's steps to e. O(d^2 log p) operations on lists of length 2d.
+    """
+    d = len(b) - 1
+    lead = b[d]
+    r, e = [1], 0
+    for bit in bin(p)[2:]:
+        shift = bit == "1"
+        square = [0] * (2 * len(r) - 1 + shift)
+        for i, x in enumerate(r):
+            if x:
+                for j, y in enumerate(r, i + shift):
+                    square[j] += x * y
+        e = 2 * e + (len(square) - d if len(square) > d else 0)
+        r = laurent._pseudo_remainder(square, b)
+    scale = lead ** (p - d + 1 - e)
+    r = [c * scale for c in r] or [0]
+    r[0] -= scale * lead**e
+    return laurent._trim(r)
 
 
 def lucas(n: int) -> int:
@@ -270,6 +333,18 @@ def multiplier_enumeration(constants, groups, p, signed):
             else:
                 total += weight
     return p * total
+
+
+def indicator_sum(constants, vectors, p, signed=False):
+    """The mod-p indicator sum of x^c * prod (1 -/+ x^v), from both multiplier paths.
+
+    Both paths and multiplier_enumeration must agree on p times the sum.
+    """
+    by_poly = engine._multiplier_polynomial(constants, vectors, p, signed)
+    assert by_poly == engine._multiplier_grouped(constants, Counter(vectors), p, signed)
+    assert by_poly == multiplier_enumeration(constants, Counter(vectors), p, signed)
+    assert by_poly % p == 0
+    return by_poly // p
 
 
 def cycle_windings_by_potentials(d: DecoratedDiagram) -> list[list[int]]:

@@ -359,14 +359,14 @@ def test_multiplier_disagreement_exits_3(capsys, monkeypatch, tmp_path, trefoil_
     assert err.startswith("internal error: internal disagreement")
 
 
-def test_wrong_subresultant_exits_3(capsys, monkeypatch, trefoil_file):
+def test_wrong_trace_product_exits_3(capsys, monkeypatch, trefoil_file):
     from covercalc import laurent
 
     # a knot takes the trace path, whose value the circulant checks up to p = 16
     monkeypatch.setattr(laurent, "_trace_product", lambda coeffs, p: 12345)
     code, out, err = run(capsys, ["h1", trefoil_file, "--p-range", "2..5"])
     assert (code, out) == (3, "")
-    assert err.startswith("internal error: internal disagreement: subresultant path")
+    assert err == "internal error: internal disagreement: trace path 12345 vs circulant 3\n"
 
 
 def test_h1_over_the_output_bound_exits_1(capsys, monkeypatch, tmp_path):

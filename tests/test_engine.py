@@ -30,6 +30,7 @@ from helpers import (
     dumbbell,
     example_two_leg_theta,
     flip_all,
+    indicator_sum,
     kappa_diagram,
     multiplier_enumeration,
     petersen_with_legs,
@@ -169,6 +170,52 @@ def test_multiplier_path_disagreement_raises(monkeypatch):
         multiplier(theta_with_legs(40), 3)
 
 
+# The two multiplier paths on bare leg products: p times the mod-p indicator
+# sum of x^c * prod (1 -/+ x^v) in Z[Z_p^b].
+
+
+def test_multiplier_paths_four_monomials():
+    # (1 + a)(1 + b) = 1 + a + b + ab: only the constant has even exponents
+    assert indicator_sum((0, 0), [(1, 0), (0, 1)], 2) == 1
+
+
+def test_multiplier_paths_at_p1_sum_every_coefficient():
+    # t^3 (1 + t)(1 + t^-2)(1 + t^5) has coefficient sum 8
+    assert indicator_sum((3,), [(1,), (-2,), (5,)], 1) == 8
+    assert indicator_sum((3,), [(1,), (-2,), (5,)], 1, signed=True) == 0
+
+
+def test_multiplier_paths_without_legs_test_the_constants():
+    assert indicator_sum((1, 2), [], 2) == 0
+    assert indicator_sum((2, -4), [], 2) == 1
+
+
+def test_multiplier_paths_match_float_oracle():
+    # p times the coefficient at 0 in Z[Z_p^b] is p^(1-b) times the sum of
+    # the product's values over all b-tuples of p-th roots of unity
+    rng = random.Random(20260823)
+    for _ in range(60):
+        b = rng.randint(1, 2)
+        constants = tuple(rng.randint(-6, 6) for _ in range(b))
+        vectors = [tuple(rng.randint(-3, 3) for _ in range(b)) for _ in range(rng.randint(0, 7))]
+        order = rng.randint(1, 7)
+        sign = rng.choice((1, -1))
+        exact = engine._multiplier_polynomial(constants, vectors, order, sign == -1)
+        assert engine._multiplier_grouped(constants, Counter(vectors), order, sign == -1) == exact
+        roots = [cmath.exp(2j * cmath.pi * q / order) for q in range(order)]
+        approx = 0
+        for w in itertools.product(roots, repeat=b):
+            value = math.prod(z**c for z, c in zip(w, constants))
+            for vec in vectors:
+                value *= 1 + sign * math.prod(z**v for z, v in zip(w, vec))
+            approx += value
+        approx *= order ** (1 - b)
+        assert abs(approx.imag) < 1e-6 * max(1.0, abs(exact))
+        assert abs(approx.real - exact) <= 1e-6 * max(1.0, abs(exact))
+
+
+
+
 def test_kappa_matches_binomial_identity():
     for n in range(1, 11):
         for p in range(1, 8):
@@ -280,6 +327,25 @@ def test_lmo_multiplier_l0_gives_p():
 def test_lmo_multiplier_p1_vanishes():
     for l in range(1, 10):
         assert lmo_leading_multiplier(l, 1) == 0
+
+
+def test_lmo_multiplier_cube_at_p2():
+    # (1-1)^3 + (1-(-1))^3 = 8; also 2 * (C(3,0) + C(3,2)) = 8
+    assert lmo_leading_multiplier(3, 2) == 8
+
+
+def test_lmo_multiplier_at_p1_is_the_value_at_one():
+    assert lmo_leading_multiplier(4, 1) == 0
+
+
+def test_lmo_multiplier_of_the_constant_counts_the_roots():
+    # (1 - w)^0 = 1 at each of the three cube roots of unity
+    assert lmo_leading_multiplier(0, 3) == 3
+
+
+def test_lmo_multiplier_rejects_bad_order():
+    with pytest.raises(ValueError):
+        lmo_leading_multiplier(1, 0)
 
 
 def test_lmo_multiplier_float_oracle():

@@ -1,145 +1,43 @@
-import cmath
-import itertools
 import json
-import math
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 from covercalc import laurent
-from covercalc.engine import _multiplier_grouped, _multiplier_polynomial, lmo_leading_multiplier
+from covercalc.engine import lmo_leading_multiplier
 from covercalc.knots import wheel_knot
 from covercalc.laurent import LaurentPoly, _bareiss_det
 
-from helpers import forbid_resultant_paths, multiplier_enumeration
+from helpers import forbid_resultant_paths, indicator_sum, poly_mul, subresultant_product
 
-T = LaurentPoly({1: 1})
-ONE = LaurentPoly({0: 1})
 uni = LaurentPoly
+TREFOIL = uni({-1: 1, 0: -1, 1: 1})
 
 
-# -- strategies ------------------------------------------------------------
-
-exponents = st.integers(min_value=-6, max_value=6)
-coefficients = st.integers(min_value=-9, max_value=9)
-univariate_polys = st.dictionaries(exponents, coefficients, max_size=8).map(uni)
+def _random_palindrome(rng, n):
+    half = [rng.randint(-6, 6) for _ in range(n)] + [rng.choice([-3, -2, -1, 1, 2, 5])]
+    return half + half[-2::-1]  # a_0 .. a_2n with a_k = a_(2n-k), mostly non-monic
 
 
-def test_add_cancellation():
-    assert (ONE - T) + T == ONE
-
-
-def test_add_identity():
-    p = uni({-2: 3, 1: -1})
-    assert LaurentPoly() + p == p
-
-
-def test_add_doubling():
-    assert (ONE - T) + (ONE - T) == uni({0: 2, 1: -2})
-
-
-def test_mul_direct_expansion():
-    assert (ONE - T) * (ONE - T.substitute_inverse()) == uni({0: 2, 1: -1, -1: -1})
-
-
-def test_mul_binomial_cube():
-    assert (ONE - T) ** 3 == uni({0: 1, 1: -3, 2: 3, 3: -1})
-
-
-def test_mul_unit():
-    assert T * T.substitute_inverse() == ONE
-
-
-def test_variable_mismatch_raises():
-    other = LaurentPoly({1: 1}, "s")
-    with pytest.raises(ValueError):
-        T + other
-    with pytest.raises(ValueError):
-        T * other
-
-
-def test_substitute_inverse_basic():
-    assert (ONE - T).substitute_inverse() == uni({0: 1, -1: -1})
-
-
-def test_substitute_inverse_palindrome():
-    sym = uni({-1: 1, 0: -1, 1: 1})
-    assert sym.substitute_inverse() == sym
-
-
-def test_substitute_inverse_square():
-    assert ((ONE - T) ** 2).substitute_inverse() == uni({0: 1, -1: -2, -2: 1})
-
-
-# -- roots-of-unity sums ------------------------------------------------------
-# The engine computes these sums as coefficients in Z[Z_p^b]: the sum of
-# (1 - w)^l over the p-th roots of unity by lmo_leading_multiplier, and p times
-# the mod-p indicator sum of x^c * prod (1 -/+ x^v) by both multiplier paths.
-
-
-def indicator_sum(constants, vectors, p, signed=False):
-    """The mod-p indicator sum from both multiplier paths and the enumeration."""
-    by_poly = _multiplier_polynomial(constants, vectors, p, signed)
-    assert by_poly == _multiplier_grouped(constants, Counter(vectors), p, signed)
-    assert by_poly == multiplier_enumeration(constants, Counter(vectors), p, signed)
-    assert by_poly % p == 0
-    return by_poly // p
-
-
-def test_root_of_unity_sum_cube_at_p2():
-    # (1-1)^3 + (1-(-1))^3 = 8; also 2 * (C(3,0) + C(3,2)) = 8
-    assert lmo_leading_multiplier(3, 2) == 8
-
-
-def test_root_of_unity_sum_p1_is_value_at_one():
-    assert lmo_leading_multiplier(4, 1) == 0
-
-
-def test_root_of_unity_sum_constant():
-    # (1 - w)^0 = 1 at each of the three cube roots of unity
-    assert lmo_leading_multiplier(0, 3) == 3
-
-
-def test_root_of_unity_sum_rejects_bad_order():
-    with pytest.raises(ValueError):
-        lmo_leading_multiplier(1, 0)
-
-
-def test_root_of_unity_sum_requires_univariate():
-    data = {"vars": ["a", "b"], "terms": [{"exp": [1, 0], "coef": "1"}]}
-    with pytest.raises(ValueError, match="exactly one variable"):
-        LaurentPoly.from_json_dict(data)
-
-
-def test_modp_indicator_sum_four_monomials():
-    # (1 + a)(1 + b) = 1 + a + b + ab: only the constant has even exponents
-    assert indicator_sum((0, 0), [(1, 0), (0, 1)], 2) == 1
-
-
-def test_modp_indicator_sum_p1_sums_everything():
-    # t^3 (1 + t)(1 + t^-2)(1 + t^5) has coefficient sum 8
-    assert indicator_sum((3,), [(1,), (-2,), (5,)], 1) == 8
-    assert indicator_sum((3,), [(1,), (-2,), (5,)], 1, signed=True) == 0
-
-
-def test_modp_indicator_sum_odd_exponent():
-    assert indicator_sum((1, 2), [], 2) == 0
-    assert indicator_sum((2, -4), [], 2) == 1
+def _random_palindromic_poly(rng, max_n):
+    """A palindromic polynomial of even degree 2n <= 2 max_n, shifted by a random unit."""
+    coeffs = _random_palindrome(rng, rng.randint(0, max_n))
+    shift = rng.randint(-4, 4)
+    return uni({k + shift: c for k, c in enumerate(coeffs)})
 
 
 def test_resultant_identity_polynomial():
-    assert abs(ONE.resultant_with_cyclotomic(5)) == 1
+    assert abs(uni({0: 1}).resultant_with_cyclotomic(5)) == 1
 
 
 def test_resultant_trefoil_p2():
-    trefoil = uni({-1: 1, 0: -1, 1: 1})
-    assert abs(trefoil.resultant_with_cyclotomic(2)) == 3
+    assert abs(TREFOIL.resultant_with_cyclotomic(2)) == 3
 
 
 def test_resultant_vanishes_at_root_of_unity():
-    assert (ONE - T).resultant_with_cyclotomic(3) == 0
+    # 1 + t + t^2 vanishes at the primitive cube roots of unity
+    assert uni({0: 1, 1: 1, 2: 1}).resultant_with_cyclotomic(3) == 0
 
 
 def test_resultant_rejects_zero_polynomial():
@@ -147,47 +45,23 @@ def test_resultant_rejects_zero_polynomial():
         LaurentPoly().resultant_with_cyclotomic(2)
 
 
-# -- properties -------------------------------------------------------------
-
-
-@given(univariate_polys, univariate_polys)
-def test_addition_commutes(p, q):
-    assert p + q == q + p
-
-
-@given(univariate_polys, univariate_polys, univariate_polys)
-def test_multiplication_commutes_and_associates(p, q, r):
-    assert p * q == q * p
-    assert (p * q) * r == p * (q * r)
-
-
-@given(univariate_polys, univariate_polys, univariate_polys)
-def test_distributivity(p, q, r):
-    assert p * (q + r) == p * q + p * r
-
-
-def test_root_of_unity_sum_matches_float_oracle():
-    # p times the coefficient at 0 in Z[Z_p^b] is p^(1-b) times the sum of
-    # the product's values over all b-tuples of p-th roots of unity
-    rng = random.Random(20260823)
-    for _ in range(60):
-        b = rng.randint(1, 2)
-        constants = tuple(rng.randint(-6, 6) for _ in range(b))
-        vectors = [tuple(rng.randint(-3, 3) for _ in range(b)) for _ in range(rng.randint(0, 7))]
-        order = rng.randint(1, 7)
-        sign = rng.choice((1, -1))
-        exact = _multiplier_polynomial(constants, vectors, order, sign == -1)
-        assert _multiplier_grouped(constants, Counter(vectors), order, sign == -1) == exact
-        roots = [cmath.exp(2j * cmath.pi * q / order) for q in range(order)]
-        approx = 0
-        for w in itertools.product(roots, repeat=b):
-            value = math.prod(z**c for z, c in zip(w, constants))
-            for vec in vectors:
-                value *= 1 + sign * math.prod(z**v for z, v in zip(w, vec))
-            approx += value
-        approx *= order ** (1 - b)
-        assert abs(approx.imag) < 1e-6 * max(1.0, abs(exact))
-        assert abs(approx.real - exact) <= 1e-6 * max(1.0, abs(exact))
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {},  # zero
+        {0: 2, 1: 1},  # not palindromic
+        {0: 1, 1: -1},  # anti-palindromic, 1 - t
+        {-1: 1, 0: -1, 1: 2},
+        {0: 1, 1: 1},  # palindromes of odd degree
+        {-2: 3, -1: 1, 0: 1, 1: 3},
+        {0: 1, 5: 1},
+    ],
+)
+def test_resultant_refuses_all_but_even_palindromes_before_any_path_runs(monkeypatch, terms):
+    forbid_resultant_paths(monkeypatch)
+    for p in (1, 2, 5, 17, 10**6):
+        with pytest.raises(ValueError, match="only for a nonzero palindromic polynomial of even degree"):
+            uni(terms).resultant_with_cyclotomic(p)
 
 
 def test_grouped_product_at_composite_orders():
@@ -217,25 +91,23 @@ def test_modp_indicator_specializes_on_univariate():
 def test_resultant_invariant_under_units_and_inversion():
     rng = random.Random(11)
     for _ in range(30):
-        p = uni({rng.randint(-4, 6): rng.randint(-4, 4) for _ in range(5)})
-        if not p:
-            continue
+        p = _random_palindromic_poly(rng, 3)
         order = rng.randint(1, 8)
         base = abs(p.resultant_with_cyclotomic(order))
-        shifted = p * uni({rng.randint(-3, 3): 1})
+        k = rng.randint(-3, 3)
+        shifted = uni({e + k: c for e, c in p.terms.items()})
         assert abs(shifted.resultant_with_cyclotomic(order)) == base
-        assert abs(p.substitute_inverse().resultant_with_cyclotomic(order)) == base
+        inverted = uni({-e: c for e, c in p.terms.items()})
+        assert abs(inverted.resultant_with_cyclotomic(order)) == base
 
 
 def test_resultant_multiplicative():
+    # a connected sum of knots multiplies their Alexander polynomials
     rng = random.Random(13)
     for _ in range(30):
-        a = uni({rng.randint(-2, 4): rng.randint(-3, 3) for _ in range(4)})
-        b = uni({rng.randint(-2, 4): rng.randint(-3, 3) for _ in range(4)})
-        if not a or not b:
-            continue
+        a, b = _random_palindromic_poly(rng, 2), _random_palindromic_poly(rng, 2)
         order = rng.randint(1, 7)
-        lhs = abs((a * b).resultant_with_cyclotomic(order))
+        lhs = abs(poly_mul(a, b).resultant_with_cyclotomic(order))
         rhs = abs(a.resultant_with_cyclotomic(order)) * abs(b.resultant_with_cyclotomic(order))
         assert lhs == rhs
 
@@ -297,6 +169,12 @@ def test_from_json_rejects_terms_that_are_not_a_list_of_objects(terms):
         LaurentPoly.from_json_dict({"vars": ["t"], "terms": terms})
 
 
+def test_from_json_requires_exactly_one_variable():
+    data = {"vars": ["a", "b"], "terms": [{"exp": [1, 0], "coef": "1"}]}
+    with pytest.raises(ValueError, match="exactly one variable"):
+        LaurentPoly.from_json_dict(data)
+
+
 def test_from_json_accepts_integers_and_decimal_strings():
     p = LaurentPoly.from_json_dict(knot_json(([-1], 1), (["0"], "-1"), ([1], "1")))
     assert p == LaurentPoly({-1: 1, 0: -1, 1: 1})
@@ -309,10 +187,9 @@ def test_resultant_matches_sympy_oracle():
     sympy = pytest.importorskip("sympy")
     t = sympy.Symbol("t")
     rng = random.Random(29)
-    cases = [(ONE - T, 3), (uni({0: 1, 1: 1}), 4), (uni({0: 5}), 1), (uni({0: -2, 3: 1}), 2)]
+    cases = [(TREFOIL, 3), (uni({0: 1, 1: 1, 2: 1}), 4), (uni({0: 5}), 1), (uni({-1: -2, 0: 1, 1: -2}), 2)]
     for _ in range(40):
-        # nonzero coefficients, so the leading one is non-monic most of the time
-        poly = uni({rng.randint(-4, 8): rng.choice([-5, -3, -2, -1, 1, 2, 3, 4]) for _ in range(rng.randint(1, 6))})
+        poly = _random_palindromic_poly(rng, 4)
         d = max(poly.terms) - min(poly.terms)
         for p in {1, rng.randint(2, 6), max(1, d), max(1, 3 * d - 1), max(1, 3 * d), 17}:
             cases.append((poly, p))
@@ -324,7 +201,7 @@ def test_resultant_matches_sympy_oracle():
 
 
 def _count_paths(monkeypatch):
-    calls = {"trace": 0, "subresultant": 0, "circulant": 0}
+    calls = {"trace": 0, "circulant": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -339,45 +216,37 @@ def _count_paths(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "coeffs, p, subresultant, circulant",
+    "coeffs, p, trace, circulant",
     [
         ({-1: 1, 0: -1, 1: 1}, 5, 1, 1),  # trefoil, cross-checked up to p = 16
         ({-1: 1, 0: -1, 1: 1}, 6, 1, 1),
         ({-1: 1, 0: -1, 1: 1}, 17, 1, 0),  # above the cross-check threshold
-        ({0: 3, 1: 1, 20: 2}, 10, 1, 1),  # folds to 5 + t
-        ({0: 1, 3: -1}, 3, 0, 0),  # folds to zero: the product vanishes
-        ({0: 1, 18: 10}, 91, 1, 0),  # one path at every degree and leading coefficient
-        ({0: 1, 18: 10}, 92, 1, 0),
+        ({0: 3, 1: 1, 19: 1, 20: 3}, 10, 1, 1),  # degree 20 at p = 10 folds to 6 + t + t^9
+        ({0: 1, 3: -2, 6: 1}, 3, 0, 0),  # (1 - t^3)^2 folds to zero: the product vanishes
+        ({0: 10, 9: 1, 18: 10}, 91, 1, 0),  # one path at every degree and leading coefficient
+        ({0: 10, 9: 1, 18: 10}, 92, 1, 0),
         ({0: 1, 8: 1}, 24, 1, 0),
-        ({0: 1, 9: 1}, 27, 1, 0),
-        ({0: 1, 6: 2}, 40, 1, 0),
-        ({0: 1, 6: 3}, 40, 1, 0),
-        ({0: 1, 2: 2**12}, 40, 1, 0),
-        ({0: 1, 2: -(2**12) - 1}, 40, 1, 0),
+        ({0: 1, 5: 3, 10: 1}, 27, 1, 0),
+        ({0: 2, 3: 1, 6: 2}, 40, 1, 0),
+        ({0: 3, 3: -1, 6: 3}, 40, 1, 0),
+        ({0: 2**12, 1: 1, 2: 2**12}, 40, 1, 0),
+        ({0: -(2**12) - 1, 1: 1, 2: -(2**12) - 1}, 40, 1, 0),
     ],
 )
-def test_resultant_path_selection(monkeypatch, coeffs, p, subresultant, circulant):
-    # subresultant counts both sequences: the trace path for a palindromic
-    # polynomial of even degree (the trefoil, 1 + t^8), the t-world path otherwise
+def test_resultant_path_selection(monkeypatch, coeffs, p, trace, circulant):
     calls = _count_paths(monkeypatch)
     uni(coeffs).resultant_with_cyclotomic(p)
-    dense = [coeffs.get(e, 0) for e in range(min(coeffs), max(coeffs) + 1)]
-    on_trace = subresultant if dense == dense[::-1] and len(dense) % 2 else 0
-    assert calls == {"trace": on_trace, "subresultant": subresultant - on_trace, "circulant": circulant}
+    assert calls == {"trace": trace, "circulant": circulant}
 
 
-def test_wrong_subresultant_is_caught_by_the_circulant(monkeypatch):
-    # each input is caught on the path it takes: a knot on the trace path, a
-    # polynomial that is not palindromic on the t-world path
-    for path, poly in (("_trace_product", wheel_knot(10).alexander), ("_subresultant_product", uni({0: 2, 1: 1}))):
-        monkeypatch.setattr(laurent, path, lambda coeffs, p: 12345)
-        with pytest.raises(RuntimeError, match="internal disagreement: subresultant path 12345"):
-            poly.resultant_with_cyclotomic(5)
-        with pytest.raises(RuntimeError, match="internal disagreement: subresultant path"):
-            poly.resultant_with_cyclotomic(16)
-        # above the threshold nothing checks it
-        assert poly.resultant_with_cyclotomic(17) == 12345
-        monkeypatch.undo()
+def test_wrong_trace_product_is_caught_by_the_circulant(monkeypatch):
+    monkeypatch.setattr(laurent, "_trace_product", lambda coeffs, p: 12345)
+    poly = wheel_knot(10).alexander
+    for p in (5, 16):
+        with pytest.raises(RuntimeError, match=r"^internal disagreement: trace path 12345 vs circulant -?\d+$"):
+            poly.resultant_with_cyclotomic(p)
+    # above the threshold nothing checks it
+    assert poly.resultant_with_cyclotomic(17) == 12345
 
 
 def _random_coeffs(rng, length):
@@ -411,15 +280,10 @@ def test_subresultant_matches_circulant_with_sign(monkeypatch):
     zeros = 0
     for coeffs, p in cases:
         want = laurent._circulant_product(coeffs, p)
-        assert laurent._subresultant_product(coeffs, p) == want, (coeffs, p)
+        assert subresultant_product(coeffs, p) == want, (coeffs, p)
         zeros += want == 0
     assert zeros >= 30
     assert max(drops) > 1
-
-
-def _random_palindrome(rng, n):
-    half = [rng.randint(-6, 6) for _ in range(n)] + [rng.choice([-3, -2, -1, 1, 2, 5])]
-    return half + half[-2::-1]  # a_0 .. a_2n with a_k = a_(2n-k), mostly non-monic
 
 
 def test_trace_product_matches_circulant_with_sign():
@@ -452,16 +316,13 @@ def test_trace_product_matches_circulant_with_sign():
 def test_trace_product_matches_the_t_world_path():
     for knot, p in ((wheel_knot(10), 1000), (wheel_knot(30), 200)):
         coeffs = laurent._shifted_dense(knot.alexander.terms)
-        assert laurent._trace_product(coeffs, p) == laurent._subresultant_product(coeffs, p), (knot, p)
+        assert laurent._trace_product(coeffs, p) == subresultant_product(coeffs, p), (knot, p)
     for coeffs in ([1, -1, 1], [-1, 3, -1]):  # the trefoil and the figure-eight
         for p in range(1, 4097):
-            assert laurent._trace_product(coeffs, p) == laurent._subresultant_product(coeffs, p), (coeffs, p)
+            assert laurent._trace_product(coeffs, p) == subresultant_product(coeffs, p), (coeffs, p)
 
 
 def test_a_knot_stays_on_the_half_degree_sequence(monkeypatch):
-    def refuse(b, p):
-        raise AssertionError("a knot must not reach the t-world remainder")
-
     divisors = []
     prem = laurent._pseudo_remainder
 
@@ -469,9 +330,8 @@ def test_a_knot_stays_on_the_half_degree_sequence(monkeypatch):
         divisors.append(len(b) - 1)
         return prem(a, b)
 
-    monkeypatch.setattr(laurent, "_power_remainder", refuse)
     monkeypatch.setattr(laurent, "_pseudo_remainder", recorded)
-    knots = [uni({-1: 1, 0: -1, 1: 1}), uni({-1: -1, 0: 3, 1: -1})]
+    knots = [TREFOIL, uni({-1: -1, 0: 3, 1: -1})]
     knots += [wheel_knot(n).alexander for n in (2, 5, 9)]
     knots += [uni({-2: 2, -1: -3, 0: 3, 1: -3, 2: 2})]  # non-monic, 2 - 3t + 3t^2 - 3t^3 + 2t^4
     for poly in knots:
@@ -487,9 +347,7 @@ def test_a_knot_stays_on_the_half_degree_sequence(monkeypatch):
 def test_output_bound_covers_the_product():
     rng = random.Random(41)
     for _ in range(200):
-        poly = uni({rng.randint(-5, 5): rng.randint(-9, 9) for _ in range(rng.randint(1, 6))})
-        if not poly.terms:
-            continue
+        poly = _random_palindromic_poly(rng, 3)
         p = rng.randint(1, 30)
         folded = laurent._folded(laurent._shifted_dense(poly.terms), p)
         if not any(folded):
@@ -508,16 +366,17 @@ def test_output_bound_refuses_before_any_path_runs(monkeypatch):
 
 def test_output_bound_accepts_trefoil_at_p_a_million(monkeypatch):
     monkeypatch.setattr(laurent, "_trace_product", lambda coeffs, p: 4)
-    assert uni({-1: 1, 0: -1, 1: 1}).resultant_with_cyclotomic(10**6) == 4
+    assert TREFOIL.resultant_with_cyclotomic(10**6) == 4
 
 
 def test_output_bound_is_read_on_the_folded_polynomial(monkeypatch):
-    monkeypatch.setattr(laurent, "MAX_H1_BITS", 2)
-    # 5 + t - 5t^2 at p = 2 folds to t: 1 bit, where the unfolded sum a_i^2 = 51 would give 6
-    assert abs(uni({0: 5, 1: 1, 2: -5}).resultant_with_cyclotomic(2)) == 1
+    monkeypatch.setattr(laurent, "MAX_H1_BITS", 3)
+    # 5 + t - 10t^2 + t^3 + 5t^4 at p = 2 folds to 2t: 3 bits, where the
+    # unfolded sum a_i^2 = 152 would give 8
+    assert abs(uni({0: 5, 1: 1, 2: -10, 3: 1, 4: 5}).resultant_with_cyclotomic(2)) == 4
+    monkeypatch.setattr(laurent, "MAX_H1_BITS", 8)
+    # 1 - 6t + t^2 at p = 3: floor(3 log2(38) / 2) + 1 = 8 bits, and 196 has 8
+    assert abs(uni({0: 1, 1: -6, 2: 1}).resultant_with_cyclotomic(3)) == 196
     monkeypatch.setattr(laurent, "MAX_H1_BITS", 7)
-    # 3 + t at p = 4: floor(4 log2(10) / 2) + 1 = 7 bits, and 80 has 7
-    assert uni({0: 3, 1: 1}).resultant_with_cyclotomic(4) == 80
-    monkeypatch.setattr(laurent, "MAX_H1_BITS", 6)
-    with pytest.raises(ValueError, match="may need 7 bits"):
-        uni({0: 3, 1: 1}).resultant_with_cyclotomic(4)
+    with pytest.raises(ValueError, match="may need 8 bits"):
+        uni({0: 1, 1: -6, 2: 1}).resultant_with_cyclotomic(3)
