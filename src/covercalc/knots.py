@@ -6,15 +6,18 @@ all p-th roots of unity, with the convention that a vanishing product
 encodes positive first Betti number. An Alexander polynomial is palindromic
 of even degree 2n up to a unit, A(t) = t^n B(t + 1/t), and roots of unity z
 and 1/z give the same value, so the product is a square up to A(1) and
-A(-1): one resultant of B, of degree n, gives it. Everything here runs in
-exact integer arithmetic through ``LaurentPoly.resultant_with_cyclotomic``,
-whose docstring states how the product is computed and cross-checked, and
-when it is refused. The wheel-knot family's polynomials come from a closed
-form in binomial coefficients, with no polynomial arithmetic.
+A(-1): one resultant of B, of degree n, gives it, and for p <= 16 the
+t-world Res(t^p - 1, A) checks it, all in exact integers through
+``LaurentPoly.resultant_with_cyclotomic``, whose docstring says how and when
+it refuses. Wheel-knot polynomials come from a closed form in binomial
+coefficients, and a wheel table's work is bounded before its first row.
 """
 from __future__ import annotations
 
-from .laurent import LaurentPoly, _json_object, _json_str, _palindromic, _shifted_dense
+from .laurent import (CROSS_CHECK_MAX_P, LaurentPoly, _json_object, _json_str, _palindromic,
+                      _shifted_dense)
+
+MAX_TABLE_WORK = 2**29  # estimated word operations one f_table call may spend
 
 
 class KnotDescriptor:
@@ -88,9 +91,25 @@ def wheel_knot(n: int) -> KnotDescriptor:
 
 
 def f_table(p: int, n_max: int) -> list[tuple[int, int]]:
-    """Rows (n, |H_1| of the p-fold cover of the n-spoke wheel) for n=1..n_max."""
+    """Rows (n, |H_1| of the p-fold cover of the n-spoke wheel) for n=1..n_max.
+
+    Over MAX_TABLE_WORK estimated word operations raises ValueError before
+    any row. Row n costs n^2 to build, plus (k B)^2 / 2^13 (fitted to CPython
+    3.11 on a 2-CPU x86-64 machine) per remainder sequence of degree k on
+    B-bit integers: k = min(n - 1, p // 2), B = pn on the trace path, whose
+    result is squared, and k = min(2n - 2, p - 1), B = 2pn on the t-world
+    check, as _h1_bits_bound reads about 2pn on wheel-n (|A| <= (1 + 2^n)^2
+    on the unit circle).
+    """
     if p < 1 or n_max < 1:
         raise ValueError("p and n_max must be >= 1")
+    work = 0
+    for n in range(1, n_max + 1):  # at least n^2 a row: stops within 1,200 rows
+        trace = min(n - 1, p // 2) * p * n
+        check = min(2 * n - 2, p - 1) * 2 * p * n if p <= CROSS_CHECK_MAX_P else 0
+        work += n * n + (trace * trace + check * check >> 13)
+        if work > MAX_TABLE_WORK:
+            raise ValueError(f"wheel-table work exceeds the work bound of {MAX_TABLE_WORK}")
     return [(n, h1_order(wheel_knot(n), p)) for n in range(1, n_max + 1)]
 
 

@@ -8,7 +8,7 @@ only for a polynomial that is palindromic of even degree 2n up to a unit, as
 every Alexander polynomial is; anything else is refused. Such a polynomial
 goes through its trace polynomial B of degree n (A(t) = t^n B(t + 1/t)): the
 product is the square of one Collins subresultant sequence of B, up to A(1)
-and A(-1), and it is checked against a circulant determinant for p <= 16.
+and A(-1), and for p <= 16 it is checked against the t-world Res(t^p - 1, A).
 The module also holds the frozen record base and the JSON field readers
 that the other modules' records share.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 
-CROSS_CHECK_MAX_P = 16  # every |H_1| is also computed by the circulant up to this p
+CROSS_CHECK_MAX_P = 16  # every |H_1| is also computed as Res(t^p - 1, A) up to this p
 MAX_H1_BITS = 2**21  # refuse a resultant whose a-priori size bound exceeds this many bits
 
 
@@ -68,10 +68,10 @@ class LaurentPoly:
         t^p - 1). A then goes to _trace_product: one subresultant sequence of
         degree n, whose first remainder comes from a Lucas ladder in
         O(n^2 log p) operations, and whose square gives the product. For
-        p <= CROSS_CHECK_MAX_P the result is cross-checked against the
-        determinant of the p x p circulant matrix of A in Z[t]/(t^p - 1), and
-        a disagreement raises RuntimeError. Only the absolute value is
-        meaningful; the unit shift changes the sign.
+        p <= CROSS_CHECK_MAX_P the result is cross-checked against
+        _t_world_product, Res(t^p - 1, A) on A folded mod t^p - 1 in O(p^2)
+        operations, and a disagreement raises RuntimeError. Only the absolute
+        value is meaningful; the unit shift changes the sign.
         """
         if p_order < 1:
             raise ValueError("p_order must be >= 1")
@@ -92,10 +92,10 @@ class LaurentPoly:
             )
         value = _trace_product(coeffs, p_order)
         if p_order <= CROSS_CHECK_MAX_P:
-            check = _circulant_product(coeffs, p_order)
+            check = _t_world_product(folded, p_order)
             if check != value:
                 raise RuntimeError(
-                    f"internal disagreement: trace path {value} vs circulant {check}"
+                    f"internal disagreement: trace path {value} vs t-world {check}"
                 )
         return value
 
@@ -267,10 +267,16 @@ def _h1_bits_bound(folded: list[int], p: int) -> int:
     return int(p * math.log2(sum(c * c for c in folded)) / 2) + 1
 
 
-def _circulant_product(coeffs: list[int], p: int) -> int:
-    """det of the p x p circulant of sum_k coeffs[k] t^k in Z[t]/(t^p - 1)."""
-    row = _folded(coeffs, p)
-    return _bareiss_det([row[p - i:] + row[:p - i] for i in range(p)])
+def _t_world_product(folded: list[int], p: int) -> int:
+    """prod over p-th roots of unity z of A(z) = sum_k folded[k] z^k, as Res(t^p - 1, A).
+
+    deg A < p, so one pseudo-remainder of t^p - 1 by A, O(p^2) operations,
+    starts the Collins sequence; no step of the trace identity is shared.
+    """
+    b = _trim(folded[:])
+    if len(b) < 2:
+        return b[0] ** p if b else 0
+    return _collins(p, b, _pseudo_remainder([-1] + [0] * (p - 1) + [1], b))
 
 
 def _trace_product(coeffs: list[int], p: int) -> int:
@@ -307,19 +313,14 @@ def _trace_product(coeffs: list[int], p: int) -> int:
         for i, v in enumerate(low):
             step[i] -= v
         low, high = high, step
-    b = _trim(b)
+    b = _trim(b)  # not zero: B = 0 mod G_p would make A(1) = 0
     g = p // 2 + 1
-    if len(b) < 2:
-        root = b[0] ** g if b else 0
-    else:
-        if b[-1] < 0:  # Res(G_p, -B) = (-1)^g Res(G_p, B), and R is squared
-            b = [-c for c in b]
-        root = _collins(g, b, _lucas_remainder(b, p))
+    root = _collins(g, b, _lucas_remainder(b, p)) if len(b) > 1 else b[0] ** g
     return root * root // divisor
 
 
 def _collins(da: int, b: list[int], r: list[int]) -> int:
-    """Res(a, b) for deg a = da > deg b >= 1, given r = prem(a, b).
+    """Res(a, b) for deg a = da > deg b >= 1, given r = prem(a, b); lead(b) may be negative.
 
     Collins' subresultant remainder sequence (Cohen, A Course in Computational
     Algebraic Number Theory, Alg. 3.3.7, without content removal): each
@@ -425,25 +426,3 @@ def _trim(poly: list[int]) -> list[int]:
         poly.pop()
     return poly
 
-
-def _bareiss_det(matrix: list[list[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free Bareiss elimination."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [row[:] for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]

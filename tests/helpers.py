@@ -1,9 +1,10 @@
 """Shared fixture builders: reference diagrams, random generators, relabeling,
 Hypothesis strategies for the JSON input schemas, a guard on the |H_1| paths,
-polynomial oracles for |H_1| (a product, a float evaluation and the t-world
-resultant Res(t^p - 1, A)), the leg-state enumeration oracle for the
-multiplier, the indicator sum checked on both multiplier paths, and search
-oracles for cycle windings and for edge maps that respect adjacency."""
+polynomial oracles for |H_1| (a product, a float evaluation, the t-world
+resultant Res(t^p - 1, A) and the circulant determinant), the leg-state
+enumeration oracle for the multiplier, the indicator sum checked on both
+multiplier paths, and search oracles for cycle windings and for edge maps
+that respect adjacency."""
 from __future__ import annotations
 
 import copy
@@ -236,7 +237,7 @@ def forbid_resultant_paths(monkeypatch) -> None:
     def refuse(coeffs, p):
         raise AssertionError("no resultant path may run")
 
-    for name in ("_trace_product", "_circulant_product"):
+    for name in ("_trace_product", "_t_world_product"):
         monkeypatch.setattr(laurent, name, refuse)
 
 
@@ -262,7 +263,7 @@ def subresultant_product(coeffs: list[int], p: int) -> int:
 
     The t-world path, for any A: t^p - 1 is never formed, power_remainder
     gives the first remainder of the sequence and laurent._collins the rest.
-    Returns the same signed integer as laurent._circulant_product.
+    Returns the same signed integer as circulant_product.
     """
     b = laurent._trim(laurent._folded(coeffs, p) if len(coeffs) > p else coeffs[:])
     if len(b) < 2:
@@ -298,6 +299,40 @@ def power_remainder(b: list[int], p: int) -> list[int]:
     r = [c * scale for c in r] or [0]
     r[0] -= scale * lead**e
     return laurent._trim(r)
+
+
+def circulant_product(coeffs: list[int], p: int) -> int:
+    """det of the p x p circulant of sum_k coeffs[k] t^k in Z[t]/(t^p - 1).
+
+    The circulant's eigenvalues are the values of A at the p-th roots of
+    unity, so its determinant is their product: an oracle that shares no
+    step with the remainder sequences. O(p^3) operations.
+    """
+    row = laurent._folded(coeffs, p)
+    return bareiss_det([row[p - i:] + row[:p - i] for i in range(p)])
+
+
+def bareiss_det(matrix: list[list[int]]) -> int:
+    """Determinant of an integer matrix by fraction-free Bareiss elimination."""
+    n = len(matrix)
+    if n == 0:
+        return 1
+    m = [row[:] for row in matrix]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 def lucas(n: int) -> int:

@@ -217,6 +217,12 @@ def test_window_over_the_work_bound_exits_1(capsys):
     assert err.endswith(" exceeds the work bound of 34359738368\n")
 
 
+def test_wheel_table_over_the_work_bound_exits_1(capsys):
+    code, out, err = run(capsys, ["wheel-table", "--p", "2", "--n-max", "2000"])
+    assert (code, out) == (1, "")
+    assert err == "error: wheel-table work exceeds the work bound of 536870912\n"
+
+
 def test_window_disagreement_exits_3(capsys, monkeypatch):
     from covercalc import engine
 
@@ -362,11 +368,11 @@ def test_multiplier_disagreement_exits_3(capsys, monkeypatch, tmp_path, trefoil_
 def test_wrong_trace_product_exits_3(capsys, monkeypatch, trefoil_file):
     from covercalc import laurent
 
-    # a knot takes the trace path, whose value the circulant checks up to p = 16
+    # a knot takes the trace path, which the t-world check covers up to p = 16
     monkeypatch.setattr(laurent, "_trace_product", lambda coeffs, p: 12345)
     code, out, err = run(capsys, ["h1", trefoil_file, "--p-range", "2..5"])
     assert (code, out) == (3, "")
-    assert err == "internal error: internal disagreement: trace path 12345 vs circulant 3\n"
+    assert err == "internal error: internal disagreement: trace path 12345 vs t-world 3\n"
 
 
 def test_h1_over_the_output_bound_exits_1(capsys, monkeypatch, tmp_path):

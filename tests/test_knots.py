@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from covercalc import laurent
+from covercalc import knots, laurent
 from covercalc.knots import (
     KnotDescriptor,
     f_table,
@@ -78,6 +78,36 @@ def test_f_table_values():
 
 def test_f_table_trivial_cover():
     assert all(f == 1 for _, f in f_table(1, 10))
+
+
+@pytest.mark.parametrize("p, n_max", [(2, 2000), (7, 2000), (101, 150), (1, 10**9), (10**18, 2)])
+def test_f_table_over_the_work_bound_refuses_before_any_row(monkeypatch, p, n_max):
+    assert knots.MAX_TABLE_WORK == 2**29
+
+    def refuse(n):
+        raise AssertionError("no row may be built")
+
+    monkeypatch.setattr(knots, "wheel_knot", refuse)
+    with pytest.raises(ValueError, match="^wheel-table work exceeds the work bound of 536870912$"):
+        f_table(p, n_max)
+
+
+def test_f_table_work_counts_the_t_world_check_up_to_p_16(monkeypatch):
+    # its sequence, of degree min(2n - 2, p - 1) over |H_1|'s bits, makes p = 16 dearer than p = 17
+    monkeypatch.setattr(knots, "wheel_knot", lambda n: None)
+    monkeypatch.setattr(knots, "h1_order", lambda knot, p: 0)
+    assert len(f_table(17, 700)) == 700
+    with pytest.raises(ValueError, match="exceeds the work bound"):
+        f_table(16, 400)
+
+
+def test_table_work_reads_the_output_bound_of_the_wheel():
+    # f_table takes 2pn bits: on the unit circle wheel-n's A is |1 - (1 - z)^n|^2 <= (1 + 2^n)^2
+    for n in range(1, 41):
+        coeffs = laurent._shifted_dense(wheel_knot(n).alexander.terms)
+        for p in (1, 2, 3, 7, 16, 17, 101, 1000):
+            folded = laurent._folded(coeffs, p) if len(coeffs) > p else coeffs
+            assert laurent._h1_bits_bound(folded, p) <= 2 * p * n + p, (n, p)
 
 
 def test_f_table_divergent_subsequence_for_p6():

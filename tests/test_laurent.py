@@ -7,9 +7,16 @@ from hypothesis import given, strategies as st
 from covercalc import laurent
 from covercalc.engine import lmo_leading_multiplier
 from covercalc.knots import wheel_knot
-from covercalc.laurent import LaurentPoly, _bareiss_det
+from covercalc.laurent import LaurentPoly
 
-from helpers import forbid_resultant_paths, indicator_sum, poly_mul, subresultant_product
+from helpers import (
+    bareiss_det,
+    circulant_product,
+    forbid_resultant_paths,
+    indicator_sum,
+    poly_mul,
+    subresultant_product,
+)
 
 uni = LaurentPoly
 TREFOIL = uni({-1: 1, 0: -1, 1: 1})
@@ -113,11 +120,11 @@ def test_resultant_multiplicative():
 
 
 def test_bareiss_det_small_cases():
-    assert _bareiss_det([]) == 1
-    assert _bareiss_det([[7]]) == 7
-    assert _bareiss_det([[1, 2], [3, 4]]) == -2
-    assert _bareiss_det([[0, 1], [1, 0]]) == -1
-    assert _bareiss_det([[1, 2], [2, 4]]) == 0
+    assert bareiss_det([]) == 1
+    assert bareiss_det([[7]]) == 7
+    assert bareiss_det([[1, 2], [3, 4]]) == -2
+    assert bareiss_det([[0, 1], [1, 0]]) == -1
+    assert bareiss_det([[1, 2], [2, 4]]) == 0
 
 
 def test_json_round_trip_preserves_big_integers():
@@ -180,7 +187,7 @@ def test_from_json_accepts_integers_and_decimal_strings():
     assert p == LaurentPoly({-1: 1, 0: -1, 1: 1})
 
 
-# -- |H_1|: one path and its circulant check ----------------------------------
+# -- |H_1|: one path and its t-world check ------------------------------------
 
 
 def test_resultant_matches_sympy_oracle():
@@ -201,7 +208,7 @@ def test_resultant_matches_sympy_oracle():
 
 
 def _count_paths(monkeypatch):
-    calls = {"trace": 0, "circulant": 0}
+    calls = {"trace": 0, "t_world": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -216,7 +223,7 @@ def _count_paths(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "coeffs, p, trace, circulant",
+    "coeffs, p, trace, t_world",
     [
         ({-1: 1, 0: -1, 1: 1}, 5, 1, 1),  # trefoil, cross-checked up to p = 16
         ({-1: 1, 0: -1, 1: 1}, 6, 1, 1),
@@ -233,17 +240,17 @@ def _count_paths(monkeypatch):
         ({0: -(2**12) - 1, 1: 1, 2: -(2**12) - 1}, 40, 1, 0),
     ],
 )
-def test_resultant_path_selection(monkeypatch, coeffs, p, trace, circulant):
+def test_resultant_path_selection(monkeypatch, coeffs, p, trace, t_world):
     calls = _count_paths(monkeypatch)
     uni(coeffs).resultant_with_cyclotomic(p)
-    assert calls == {"trace": trace, "circulant": circulant}
+    assert calls == {"trace": trace, "t_world": t_world}
 
 
-def test_wrong_trace_product_is_caught_by_the_circulant(monkeypatch):
+def test_wrong_trace_product_is_caught_by_the_t_world_check(monkeypatch):
     monkeypatch.setattr(laurent, "_trace_product", lambda coeffs, p: 12345)
     poly = wheel_knot(10).alexander
     for p in (5, 16):
-        with pytest.raises(RuntimeError, match=r"^internal disagreement: trace path 12345 vs circulant -?\d+$"):
+        with pytest.raises(RuntimeError, match=r"^internal disagreement: trace path 12345 vs t-world -?\d+$"):
             poly.resultant_with_cyclotomic(p)
     # above the threshold nothing checks it
     assert poly.resultant_with_cyclotomic(17) == 12345
@@ -279,7 +286,7 @@ def test_subresultant_matches_circulant_with_sign(monkeypatch):
     cases += [(_random_coeffs(rng, 8) + [3], 1) for _ in range(5)]  # p = 1
     zeros = 0
     for coeffs, p in cases:
-        want = laurent._circulant_product(coeffs, p)
+        want = circulant_product(coeffs, p)
         assert subresultant_product(coeffs, p) == want, (coeffs, p)
         zeros += want == 0
     assert zeros >= 30
@@ -305,12 +312,59 @@ def test_trace_product_matches_circulant_with_sign():
         cases.append((coeffs, p))
     zeros = 0
     for coeffs, p in cases:
-        want = laurent._circulant_product(coeffs, p)
+        want = circulant_product(coeffs, p)
         assert laurent._trace_product(coeffs, p) == want, (coeffs, p)
         zeros += want == 0
     assert at_one >= 200 and at_minus_one >= 100 and zeros >= at_one + at_minus_one
     assert {len(c) // 2 for c, _ in cases} == set(range(9))
     assert {p for _, p in cases} == set(range(1, 41))
+
+
+def test_t_world_check_matches_trace_circulant_and_sympy_with_sign(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    drops = []
+    prem = laurent._pseudo_remainder
+
+    def recorded(a, b):
+        r = prem(a, b)
+        drops.append(len(b) - len(r))
+        return r
+
+    rng = random.Random(47)
+    cases = [laurent._shifted_dense(wheel_knot(n).alexander.terms) for n in range(1, 31)]
+    at_one = at_minus_one = 0
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        half = [rng.choice([-3, -2, 2, 5])] + _random_coeffs(rng, n)  # non-monic, sparse
+        coeffs = half + half[-2::-1]
+        if rng.random() < 0.5:
+            coeffs[n] -= sum(coeffs)  # A(1) = 0
+            at_one += 1
+        else:
+            coeffs[n] -= (-1) ** n * sum(c * (-1) ** k for k, c in enumerate(coeffs))  # A(-1) = 0
+            at_minus_one += 1
+        cases.append(coeffs)
+    monkeypatch.setattr(laurent, "_pseudo_remainder", recorded)
+    zeros = most = 0
+    for coeffs in cases:
+        poly = sympy.Poly.from_list(coeffs[::-1], t)
+        for p in range(1, 17):
+            folded = laurent._folded(coeffs, p) if len(coeffs) > p else coeffs
+            drops.clear()
+            want = laurent._t_world_product(folded, p)
+            most = max([most, *drops])
+            assert want == laurent._trace_product(coeffs, p) == circulant_product(coeffs, p), (coeffs, p)
+            # sympy.resultant(f, g) has the sign of Res(g, f) when deg f < deg g
+            if poly.degree() > p:
+                oracle = (-1) ** (p * poly.degree()) * sympy.resultant(poly, sympy.Poly(t**p - 1, t))
+            else:
+                oracle = sympy.resultant(sympy.Poly(t**p - 1, t), poly)
+            assert want == oracle, (coeffs, p)
+            zeros += want == 0
+    assert at_one >= 20 and at_minus_one >= 20 and zeros >= at_one * 16
+    assert all(c[-1] not in (1, -1) for c in cases[1:])  # wheel-n leads with ±n
+    assert most > 1
 
 
 def test_trace_product_matches_the_t_world_path():
@@ -323,14 +377,25 @@ def test_trace_product_matches_the_t_world_path():
 
 
 def test_a_knot_stays_on_the_half_degree_sequence(monkeypatch):
-    divisors = []
-    prem = laurent._pseudo_remainder
+    # only the trace path's divisors: the t-world check divides by A folded,
+    # of degree up to min(2n, p - 1)
+    divisors, tracing = [], []
+    prem, trace = laurent._pseudo_remainder, laurent._trace_product
 
     def recorded(a, b):
-        divisors.append(len(b) - 1)
+        if tracing:
+            divisors.append(len(b) - 1)
         return prem(a, b)
 
+    def traced(coeffs, p):
+        tracing.append(p)
+        try:
+            return trace(coeffs, p)
+        finally:
+            tracing.pop()
+
     monkeypatch.setattr(laurent, "_pseudo_remainder", recorded)
+    monkeypatch.setattr(laurent, "_trace_product", traced)
     knots = [TREFOIL, uni({-1: -1, 0: 3, 1: -1})]
     knots += [wheel_knot(n).alexander for n in (2, 5, 9)]
     knots += [uni({-2: 2, -1: -3, 0: 3, 1: -3, 2: 2})]  # non-monic, 2 - 3t + 3t^2 - 3t^3 + 2t^4
