@@ -2,7 +2,8 @@
 
 Submodules:
     laurent   -- one-variable integer Laurent polynomials and the |H_1|
-                 resultant of a palindromic one; frozen records, JSON readers
+                 resultant of a palindromic one, with its work estimate
+    records   -- the frozen record base and the JSON field readers
     knots     -- homology orders of branched covers, the wheel-knot family
                  from its binomial closed form
     diagrams  -- trivalent graphs with legs, completeness validation

@@ -6,7 +6,7 @@ attached at their own trivalent vertices with a wrap sign, and optional
 half-twist data. Completeness validation enforces the one-leg-per-vertex
 rule that rules out chords and forks.
 
-``Edge``, ``Leg`` and ``Violation`` are frozen records on ``laurent._Record``
+``Edge``, ``Leg`` and ``Violation`` are frozen records on ``records._Record``
 (slots, equality and hashing by fields, assignment raises), the value
 semantics of frozen dataclasses without importing ``dataclasses``.
 ``DecoratedDiagram`` compares by fields too but stays mutable and
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Mapping, Sequence
 
-from .laurent import (
+from .records import (
     _json_id, _json_ids_apart, _json_int, _json_list, _json_object, _json_objects, _json_str,
     _Record, _set,
 )

@@ -13,7 +13,7 @@ this feeds the Casson-Walker-Lescop delta 2|H_1| per admissible copy. The
 LMO multiplier of l legs is the b = 1 case (1 - x)^l, whose filter is the
 binomial sum p * sum over k = 0 mod p of (-1)^k C(l, k); ``lmo_window``
 steps it over consecutive l in Z[t]/(t^p - 1). A delta comes back as a
-``LeadingTerm``, a frozen record on ``laurent._Record``.
+``LeadingTerm``, a frozen record on ``records._Record``.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from collections import Counter
 
 from .diagrams import DecoratedDiagram, cycle_windings, is_theta_shaped, require_valid, surplus
 from .knots import KnotDescriptor, h1_order
-from .laurent import _Record, _set
+from .records import _Record, _set
 
 MAX_WORK = 2**25  # (legs + 1) * min(prod(m_i + 1), p^b) one multiplier call may spend
 MAX_WINDOW_WORK = 2**35  # estimated bit operations one lmo_window call may spend

@@ -10,17 +10,15 @@ A(-1): one resultant of B, of degree n, gives it, and for p <= 16 the
 t-world Res(t^p - 1, A) checks it, all in exact integers through
 ``LaurentPoly.resultant_with_cyclotomic``, whose docstring says how and when
 it refuses. Wheel-knot polynomials come from a closed form in binomial
-coefficients, and a wheel table's work is bounded before its first row.
+coefficients, and a wheel table's summed row estimates are bounded alike.
 """
 from __future__ import annotations
 
-from .laurent import (CROSS_CHECK_MAX_P, LaurentPoly, _json_object, _json_str, _palindromic,
-                      _shifted_dense)
-
-MAX_TABLE_WORK = 2**29  # estimated word operations one f_table call may spend
+from .laurent import MAX_H1_WORK, LaurentPoly, _h1_work, _palindromic, _shifted_dense
+from .records import _json_object, _json_str, _Record, _set
 
 
-class KnotDescriptor:
+class KnotDescriptor(_Record):
     """A knot presented by its Alexander polynomial (up to units ±t^k)."""
 
     __slots__ = ("label", "alexander")
@@ -36,18 +34,8 @@ class KnotDescriptor:
             raise ValueError(
                 "Alexander polynomial is not symmetric under t -> 1/t up to a unit"
             )
-        self.label = label
-        self.alexander = alexander
-
-    def __repr__(self) -> str:
-        return f"KnotDescriptor({self.label!r}, {self.alexander!r})"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, KnotDescriptor)
-            and self.label == other.label
-            and self.alexander == other.alexander
-        )
+        _set(self, "label", label)
+        _set(self, "alexander", alexander)
 
     def to_json_dict(self) -> dict:
         data = self.alexander.to_json_dict()
@@ -65,8 +53,6 @@ class KnotDescriptor:
 
 def h1_order(knot: KnotDescriptor, p: int) -> int:
     """|H_1| of the p-fold branched cyclic cover; 0 encodes positive Betti number."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
     return abs(knot.alexander.resultant_with_cyclotomic(p))
 
 
@@ -93,23 +79,18 @@ def wheel_knot(n: int) -> KnotDescriptor:
 def f_table(p: int, n_max: int) -> list[tuple[int, int]]:
     """Rows (n, |H_1| of the p-fold cover of the n-spoke wheel) for n=1..n_max.
 
-    Over MAX_TABLE_WORK estimated word operations raises ValueError before
-    any row. Row n costs n^2 to build, plus (k B)^2 / 2^13 (fitted to CPython
-    3.11 on a 2-CPU x86-64 machine) per remainder sequence of degree k on
-    B-bit integers: k = min(n - 1, p // 2), B = pn on the trace path, whose
-    result is squared, and k = min(2n - 2, p - 1), B = 2pn on the t-world
-    check, as _h1_bits_bound reads about 2pn on wheel-n (|A| <= (1 + 2^n)^2
-    on the unit circle).
+    Over MAX_H1_WORK estimated word operations raises ValueError before any
+    row. Row n costs _h1_work(n - 1, p, 2pn): wheel-n has half-degree n - 1,
+    as C(2n, 2n) - C(n, n) = 0, and |A| <= (1 + 2^n)^2 on the unit circle
+    bounds its |H_1| by 2pn bits.
     """
     if p < 1 or n_max < 1:
         raise ValueError("p and n_max must be >= 1")
     work = 0
     for n in range(1, n_max + 1):  # at least n^2 a row: stops within 1,200 rows
-        trace = min(n - 1, p // 2) * p * n
-        check = min(2 * n - 2, p - 1) * 2 * p * n if p <= CROSS_CHECK_MAX_P else 0
-        work += n * n + (trace * trace + check * check >> 13)
-        if work > MAX_TABLE_WORK:
-            raise ValueError(f"wheel-table work exceeds the work bound of {MAX_TABLE_WORK}")
+        work += _h1_work(n - 1, p, 2 * p * n)
+        if work > MAX_H1_WORK:
+            raise ValueError(f"wheel-table work exceeds the work bound of {MAX_H1_WORK}")
     return [(n, h1_order(wheel_knot(n), p)) for n in range(1, n_max + 1)]
 
 

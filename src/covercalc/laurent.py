@@ -9,16 +9,19 @@ every Alexander polynomial is; anything else is refused. Such a polynomial
 goes through its trace polynomial B of degree n (A(t) = t^n B(t + 1/t)): the
 product is the square of one Collins subresultant sequence of B, up to A(1)
 and A(-1), and for p <= 16 it is checked against the t-world Res(t^p - 1, A).
-The module also holds the frozen record base and the JSON field readers
-that the other modules' records share.
+A product is refused before either path runs when its size bound exceeds
+MAX_H1_BITS or the estimated work of those paths exceeds MAX_H1_WORK.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
 
+from .records import _json_int, _json_objects
+
 CROSS_CHECK_MAX_P = 16  # every |H_1| is also computed as Res(t^p - 1, A) up to this p
 MAX_H1_BITS = 2**21  # refuse a resultant whose a-priori size bound exceeds this many bits
+MAX_H1_WORK = 2**29  # estimated word operations (_h1_work) of one |H_1| or one wheel table
 
 
 class LaurentPoly:
@@ -65,13 +68,13 @@ class LaurentPoly:
         even degree d = 2n, the zero polynomial included, ValueError is raised
         before anything runs, and so it is for an input whose product may need
         more than MAX_H1_BITS bits (see _h1_bits_bound, read on A folded mod
-        t^p - 1). A then goes to _trace_product: one subresultant sequence of
-        degree n, whose first remainder comes from a Lucas ladder in
-        O(n^2 log p) operations, and whose square gives the product. For
-        p <= CROSS_CHECK_MAX_P the result is cross-checked against
-        _t_world_product, Res(t^p - 1, A) on A folded mod t^p - 1 in O(p^2)
-        operations, and a disagreement raises RuntimeError. Only the absolute
-        value is meaningful; the unit shift changes the sign.
+        t^p - 1) or more than MAX_H1_WORK estimated work (_h1_work). A then
+        goes to _trace_product: one subresultant sequence of degree n, whose
+        first remainder comes from a Lucas ladder in O(n^2 log p) operations,
+        and whose square gives the product. For p <= CROSS_CHECK_MAX_P it is
+        checked against _t_world_product, Res(t^p - 1, A) on the folded A in
+        O(p^2) operations, and a disagreement raises RuntimeError. Only the
+        absolute value is meaningful; the unit shift changes the sign.
         """
         if p_order < 1:
             raise ValueError("p_order must be >= 1")
@@ -89,6 +92,11 @@ class LaurentPoly:
             raise ValueError(
                 f"|H_1| at p = {p_order} may need {bits} bits, "
                 f"over the output bound of {MAX_H1_BITS}"
+            )
+        work = _h1_work(len(coeffs) // 2, p_order, bits)
+        if work > MAX_H1_WORK:
+            raise ValueError(
+                f"|H_1| at p = {p_order} needs work {work}, over the work bound of {MAX_H1_WORK}"
             )
         value = _trace_product(coeffs, p_order)
         if p_order <= CROSS_CHECK_MAX_P:
@@ -135,106 +143,6 @@ class LaurentPoly:
         return cls(terms, names[0])
 
 
-class _Record:
-    """A frozen value record whose fields are its ``__slots__``.
-
-    Equality holds only between instances of the same class with equal
-    fields, the hash is over the fields and the repr has the dataclass form.
-    Assignment raises, so a subclass's ``__init__`` sets its fields with
-    ``object.__setattr__``, as a frozen dataclass does; copies and pickles
-    rebuild a record through that ``__init__``.
-    """
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._fields()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-_set = object.__setattr__  # how a record's __init__ sets its fields
-
-
-def _json_int(value, what: str) -> int:
-    """An integer from a JSON integer or decimal string; anything else raises ValueError."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise ValueError(f"{what} must be an integer or a decimal string, got {value!r}")
-
-
-def _json_id(value, what: str):
-    """A vertex, edge or leg id: a JSON string or integer; anything else raises ValueError."""
-    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
-        return value
-    raise ValueError(f"{what} must be a string or an integer, got {value!r}")
-
-
-def _json_ids_apart(ids, what: str) -> None:
-    """Raise ValueError when two different ids print alike, such as 1 and "1".
-
-    Such ids would collide as JSON object keys; exact repeats are left to the
-    caller's duplicate checks.
-    """
-    seen: dict = {}
-    for i in ids:
-        first = seen.setdefault(str(i), i)
-        if first != i:
-            raise ValueError(f"{what}s {first!r} and {i!r} share the JSON key {str(i)!r}")
-
-
-def _json_str(value, what: str) -> str:
-    """A JSON string; anything else raises ValueError."""
-    if not isinstance(value, str):
-        raise ValueError(f"{what} must be a string, got {value!r}")
-    return value
-
-
-def _json_object(value, what: str) -> dict:
-    """A JSON object; anything else raises ValueError."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{what} must be an object, got {type(value).__name__}")
-    return value
-
-
-def _json_list(value, what: str) -> list:
-    """A JSON list; anything else raises ValueError."""
-    if not isinstance(value, list):
-        raise ValueError(f"{what} must be a list, got {type(value).__name__}")
-    return value
-
-
-def _json_objects(value, what: str, each: str) -> list:
-    """A JSON list of objects; anything else raises ValueError."""
-    for item in _json_list(value, what):
-        _json_object(item, f"each {each}")
-    return value
-
-
 def _shifted_dense(coeffs: Mapping[int, int]) -> list[int]:
     """Dense coefficients a_0..a_d with a_0 and a_d nonzero; [] for zero."""
     exps = [e for e, c in coeffs.items() if c]
@@ -265,6 +173,19 @@ def _h1_bits_bound(folded: list[int], p: int) -> int:
     is at most that mean to the p-th power, so |product| <= (sum a_k^2)^(p/2).
     """
     return int(p * math.log2(sum(c * c for c in folded)) / 2) + 1
+
+
+def _h1_work(h: int, p: int, bits: int) -> int:
+    """Estimated word operations of |H_1| at p for half-degree h and a bits-bit result.
+
+    Forming B costs (h + 1)^2, and a remainder sequence of degree k on s-bit
+    integers (k s)^2 / 2^13, fitted to CPython 3.11 on a 2-CPU x86-64 machine:
+    k = min(h, p // 2) and s = bits / 2 on the trace path, whose result is
+    squared, and k = min(2h, p - 1) and s = bits on the t-world check.
+    """
+    trace = min(h, p // 2) * bits // 2
+    check = min(2 * h, p - 1) * bits if p <= CROSS_CHECK_MAX_P else 0
+    return (h + 1) ** 2 + (trace * trace + check * check >> 13)
 
 
 def _t_world_product(folded: list[int], p: int) -> int:

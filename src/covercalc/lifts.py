@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Hashable, Mapping
 
 from .diagrams import spanning_tree
-from .laurent import (
+from .records import (
     _json_id, _json_ids_apart, _json_int, _json_list, _json_object, _json_objects, _Record, _set,
 )
 

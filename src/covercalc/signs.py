@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Hashable, Mapping, Sequence
 
 from .diagrams import DecoratedDiagram
-from .laurent import _Record, _set
+from .records import _Record, _set
 
 
 def chain_twist(linkings: Sequence[int]) -> int:

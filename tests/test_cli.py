@@ -385,6 +385,15 @@ def test_h1_over_the_output_bound_exits_1(capsys, monkeypatch, tmp_path):
     assert err.endswith(" bits, over the output bound of 2097152\n")
 
 
+def test_h1_over_the_work_bound_exits_1(capsys, monkeypatch, tmp_path):
+    forbid_resultant_paths(monkeypatch)
+    path = tmp_path / "w40.json"
+    path.write_text(json.dumps(wheel_knot(40).to_json_dict()))
+    code, out, err = run(capsys, ["h1", str(path), "--p", "4000"])
+    assert (code, out) == (1, "")
+    assert err == "error: |H_1| at p = 4000 needs work 4519106515, over the work bound of 536870912\n"
+
+
 def test_cwl_over_the_work_bound_exits_1(capsys, monkeypatch, tmp_path, trefoil_file):
     from covercalc import engine
 

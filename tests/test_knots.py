@@ -1,4 +1,6 @@
 import cmath
+import copy
+import pickle
 import random
 
 import pytest
@@ -82,7 +84,7 @@ def test_f_table_trivial_cover():
 
 @pytest.mark.parametrize("p, n_max", [(2, 2000), (7, 2000), (101, 150), (1, 10**9), (10**18, 2)])
 def test_f_table_over_the_work_bound_refuses_before_any_row(monkeypatch, p, n_max):
-    assert knots.MAX_TABLE_WORK == 2**29
+    assert laurent.MAX_H1_WORK == 2**29
 
     def refuse(n):
         raise AssertionError("no row may be built")
@@ -99,6 +101,28 @@ def test_f_table_work_counts_the_t_world_check_up_to_p_16(monkeypatch):
     assert len(f_table(17, 700)) == 700
     with pytest.raises(ValueError, match="exceeds the work bound"):
         f_table(16, 400)
+
+
+# the largest n_max each p accepts; a row costs laurent._h1_work(n - 1, p, 2pn)
+LARGEST_TABLES = [(1, 1171), (2, 1170), (7, 943), (16, 372), (17, 790), (101, 82), (10**5, 4)]
+
+
+@pytest.mark.parametrize("p, n_max", LARGEST_TABLES)
+def test_f_table_refusal_boundary(monkeypatch, p, n_max):
+    monkeypatch.setattr(knots, "wheel_knot", lambda n: None)
+    monkeypatch.setattr(knots, "h1_order", lambda knot, p: 0)
+    assert len(f_table(p, n_max)) == n_max
+    with pytest.raises(ValueError, match="^wheel-table work exceeds the work bound of 536870912$"):
+        f_table(p, n_max + 1)
+
+
+@pytest.mark.parametrize("p, n_max", LARGEST_TABLES)
+def test_every_row_of_an_accepted_table_passes_the_per_call_work_bound(p, n_max):
+    # the last row is the dearest; the per-call estimate reads its true size bound, not 2pn
+    coeffs = laurent._shifted_dense(wheel_knot(n_max).alexander.terms)
+    folded = laurent._folded(coeffs, p) if len(coeffs) > p else coeffs
+    bits = laurent._h1_bits_bound(folded, p)
+    assert laurent._h1_work(n_max - 1, p, bits) <= laurent.MAX_H1_WORK
 
 
 def test_table_work_reads_the_output_bound_of_the_wheel():
@@ -123,6 +147,27 @@ def test_construction_rejects_bad_value_at_one():
 def test_construction_rejects_asymmetric():
     with pytest.raises(ValueError):
         KnotDescriptor("bad", LaurentPoly({0: -1, 1: 1, 2: 1}))
+
+
+def test_knot_descriptor_has_record_semantics():
+    k = trefoil()
+    assert k == KnotDescriptor("trefoil", LaurentPoly({-1: 1, 0: -1, 1: 1}))
+    assert k != KnotDescriptor("other", k.alexander)
+    assert k != figure_eight()
+    assert k != ("trefoil", k.alexander)
+    assert repr(k) == "KnotDescriptor(label='trefoil', alexander=LaurentPoly(1*t^-1 + -1 + 1*t^1))"
+    for attempt in (lambda: setattr(k, "label", "x"), lambda: delattr(k, "alexander")):
+        with pytest.raises(AttributeError):
+            attempt()
+    with pytest.raises(TypeError):  # its polynomial is unhashable, as before
+        hash(k)
+
+
+def test_knot_descriptor_copies_and_pickles_compare_equal():
+    k = wheel_knot(5)
+    for again in (copy.copy(k), copy.deepcopy(k), pickle.loads(pickle.dumps(k))):
+        assert again == k
+        assert type(again) is KnotDescriptor
 
 
 def test_h1_multiplicative_under_connect_sum():

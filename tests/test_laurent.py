@@ -1,13 +1,17 @@
+import ast
 import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from covercalc import laurent
 from covercalc.engine import lmo_leading_multiplier
-from covercalc.knots import wheel_knot
+from covercalc.knots import KnotDescriptor, wheel_knot
 from covercalc.laurent import LaurentPoly
+from covercalc.records import _Record
 
 from helpers import (
     bareiss_det,
@@ -445,3 +449,51 @@ def test_output_bound_is_read_on_the_folded_polynomial(monkeypatch):
     monkeypatch.setattr(laurent, "MAX_H1_BITS", 7)
     with pytest.raises(ValueError, match="may need 8 bits"):
         uni({0: 1, 1: -6, 2: 1}).resultant_with_cyclotomic(3)
+
+
+def test_work_bound_refuses_before_any_path_runs(monkeypatch):
+    assert laurent.MAX_H1_WORK == 2**29
+    forbid_resultant_paths(monkeypatch)
+    for n, p, work in ((40, 4000, 4519106515), (80, 1000, 4740040387)):
+        message = f"|H_1| at p = {p} needs work {work}, over the work bound of 536870912"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            wheel_knot(n).alexander.resultant_with_cyclotomic(p)
+
+
+def test_output_bound_is_checked_before_the_work_bound(monkeypatch):
+    forbid_resultant_paths(monkeypatch)
+    monkeypatch.setattr(laurent, "MAX_H1_WORK", 0)
+    with pytest.raises(ValueError, match="over the output bound"):
+        wheel_knot(80).alexander.resultant_with_cyclotomic(10**6)
+    with pytest.raises(ValueError, match="over the work bound of 0$"):
+        TREFOIL.resultant_with_cyclotomic(5)
+
+
+def test_work_bound_accepts_every_half_degree_one_polynomial_above_p_16():
+    # even at the largest output the bits bound admits, the trace path's estimate stays under
+    for p in (17, 11000, 10**6, 10**18):
+        assert laurent._h1_work(1, p, laurent.MAX_H1_BITS) < laurent.MAX_H1_WORK
+
+
+SRC = Path(laurent.__file__).parent
+
+
+def test_laurent_holds_polynomials_and_records_live_in_records():
+    tree = ast.parse((SRC / "laurent.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    defined |= {t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets}
+    assert not {"_Record", "_set"} & defined
+    assert not [name for name in defined if name.startswith("_json_")]
+    for module in ("diagrams", "lifts", "signs", "engine"):
+        tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+        sources = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert "laurent" not in sources, module
+    knots_tree = ast.parse((SRC / "knots.py").read_text(encoding="utf-8"))
+    from_laurent = {
+        alias.name for node in ast.walk(knots_tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "laurent" for alias in node.names
+    }
+    assert not from_laurent & {"CROSS_CHECK_MAX_P", "_Record", "_set"}
+    assert not [name for name in from_laurent if name.startswith("_json_")]
+    assert issubclass(KnotDescriptor, _Record)
+    assert not {"__eq__", "__repr__", "__hash__"} & set(vars(KnotDescriptor))
