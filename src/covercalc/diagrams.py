@@ -13,7 +13,8 @@ semantics of frozen dataclasses without importing ``dataclasses``.
 unhashable.
 
 One graph search serves every traversal: ``spanning_tree`` grows a tree
-from the lowest-id vertex. Validation checks that it reaches every vertex.
+from the lowest-id vertex. Validation checks that it reaches every vertex,
+and ``require_valid`` returns it, so a caller grows one tree per diagram.
 One pass up the tree gives every edge its cycle vector, its coefficient in
 each fundamental cycle, in O(E b) for b cycles: ``cycle_windings`` sums
 windings and leg wraps against these vectors, and ``is_theta_shaped``
@@ -210,6 +211,12 @@ def validate_complete(d: DecoratedDiagram) -> Violation | None:
     connectivity of the edge graph (the lowest-id vertex the spanning tree
     misses is named), leg targets incident to their vertex, and surplus >= 2.
     """
+    violation = _validate(d)
+    return violation if isinstance(violation, Violation) else None
+
+
+def _validate(d: DecoratedDiagram) -> Violation | tuple:
+    # validate_complete's violation or, for a valid d, the spanning_tree it grew
     vset = set(d.vertices)
     if len(vset) != len(d.vertices):
         return Violation("reference", d.label, "duplicate vertex ids")
@@ -247,8 +254,9 @@ def validate_complete(d: DecoratedDiagram) -> Violation | None:
         if len(legs_at[v]) > 1:
             return Violation("fork", v, "more than one leg attached to a vertex")
 
+    tree = None
     if d.vertices:
-        root, steps, _ = spanning_tree(d.vertices, d.edges)
+        tree = root, steps, _ = spanning_tree(d.vertices, d.edges)
         if len(steps) != len(d.vertices) - 1:
             reached = {root} | {child for _, _, child, _ in steps}
             stray = min((v for v in d.vertices if v not in reached), key=_id_key)
@@ -261,16 +269,18 @@ def validate_complete(d: DecoratedDiagram) -> Violation | None:
     s = surplus(d)
     if s < 2:
         return Violation("surplus", d.label, f"surplus {s} is below the required 2")
-    return None
+    return tree
 
 
-def require_valid(d: DecoratedDiagram) -> None:
-    violation = validate_complete(d)
-    if violation is not None:
-        raise DiagramError(violation)
+def require_valid(d: DecoratedDiagram) -> tuple:
+    """Raise DiagramError on d's first violation; return d's spanning_tree."""
+    tree = _validate(d)
+    if isinstance(tree, Violation):
+        raise DiagramError(tree)
+    return tree
 
 
-def _edge_cycles(d: DecoratedDiagram) -> dict:
+def _edge_cycles(d: DecoratedDiagram, tree: tuple | None = None) -> dict:
     """Each edge's coefficients in the fundamental cycles, keyed by edge id.
 
     Cycle k runs the k-th chord (in edge order) tail -> head and closes
@@ -278,9 +288,10 @@ def _edge_cycles(d: DecoratedDiagram) -> dict:
     edge from parent to child runs along cycle k once for each end of chord
     k in the subtree below the child, +1 for its tail and -1 for its head,
     times the edge's step sign. One pass up the tree sums these per subtree.
-    An edge whose vector is zero lies on no cycle: it is a bridge.
+    An edge whose vector is zero lies on no cycle: it is a bridge. ``tree``
+    is d's spanning_tree, when the caller has it already.
     """
-    _, steps, chords = spanning_tree(d.vertices, d.edges)
+    _, steps, chords = tree or spanning_tree(d.vertices, d.edges)
     below = {v: [0] * len(chords) for v in d.vertices}
     cycles = {}
     for k, e in enumerate(chords):
@@ -303,7 +314,11 @@ def cycle_windings(d: DecoratedDiagram) -> list[list[int]]:
     edge order; the rows are a basis of the cycle windings. O((E + L) b)
     for b cycles. Needs a valid d.
     """
-    cycles = _edge_cycles(d)
+    return _winding_rows(d, _edge_cycles(d))
+
+
+def _winding_rows(d: DecoratedDiagram, cycles: dict) -> list[list[int]]:
+    # cycle_windings from the _edge_cycles of d
     constant = [0] * (len(d.edges) - len(d.vertices) + 1)
     for e in d.edges:
         if e.winding:
@@ -320,7 +335,12 @@ def is_theta_shaped(d: DecoratedDiagram) -> bool:
     edges: the theta graph or the dumbbell (two loops and a bridge). Sawing
     keeps bridges, so d is theta-shaped iff it has surplus 2 and no bridge.
     """
-    return surplus(d) == 2 and all(any(c) for c in _edge_cycles(d).values())
+    return _theta_shaped(d, _edge_cycles(d))
+
+
+def _theta_shaped(d: DecoratedDiagram, cycles: dict) -> bool:
+    # is_theta_shaped from the _edge_cycles of d
+    return surplus(d) == 2 and all(any(c) for c in cycles.values())
 
 
 # -- construction helpers ------------------------------------------------

@@ -6,8 +6,13 @@ graph Y-link decoration with b basis cycles that element is
 x^c * prod over legs of (1 -/+ x^v), with c the constant cycle windings and
 v a leg's winding contributions, both read off the rows of
 ``diagrams.cycle_windings``, so the filter is p times the signed count of
-leg states whose cycle windings all vanish mod p; m legs sharing v give
-(1 -/+ x^v)^m, with binomial sums over residue classes as coefficients.
+leg states whose cycle windings all vanish mod p. ``multiplier`` takes one
+factor per winding line: the m legs on u and the n legs on -u mod p give
+(1 -/+ y)^m (1 -/+ 1/y)^n in Z[y]/(y^q - 1) for y = x^u of order q, with
+binomial sums over residue classes as coefficients, and for each
+coordinate k the first line c e_k with c prime to p is read off at the end
+instead of multiplied in. The product with one factor per leg, which
+shares none of this, checks every call.
 For decorations that saw to the theta graph (``diagrams.is_theta_shaped``)
 this feeds the Casson-Walker-Lescop delta 2|H_1| per admissible copy. The
 LMO multiplier of l legs is the b = 1 case (1 - x)^l, whose filter is the
@@ -20,7 +25,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from .diagrams import DecoratedDiagram, cycle_windings, is_theta_shaped, require_valid, surplus
+from .diagrams import (
+    DecoratedDiagram, _edge_cycles, _theta_shaped, _winding_rows, require_valid, surplus,
+)
 from .knots import KnotDescriptor, h1_order
 from .records import _Record, _set
 
@@ -74,24 +81,60 @@ def _class_sum(m, r, q, sign):
     return sign**r * (even + sign**q * odd)
 
 
-def _multiplier_grouped(constants, groups, p, signed):
+def _multiplier_lines(constants, groups, p, signed):
     """p times the coefficient at 0 of x^c * prod over groups of (1 -/+ x^v)^m.
 
-    x^v has order q = p / gcd(p, v) in Z_p^b, so the factor of the m legs
-    sharing v has min(q, m + 1) terms x^(r v), with coefficient _class_sum.
+    Legs on v and on -v mod p share the line of u = min(v, -v mod p). With
+    m legs on u and n on -u, y = x^u of order q = p / gcd(p, u) gives the
+    factor (1 -/+ y)^m (1 -/+ 1/y)^n in Z[y]/(y^q - 1): two lists of
+    _class_sum and one cyclic convolution. Legs on v = 0 mod p give the
+    scalar (1 -/+ 1)^m. A line u = c e_k with c prime to p is not multiplied
+    in for the first such line of each coordinate k: the other lines' sparse
+    product R, read at residue r, needs x^(j u) with r_k + j c = 0 mod p,
+    that is j = -r_k / c, and r = 0 on every coordinate no line takes.
     """
     sign = -1 if signed else 1
-    ring = {tuple(c % p for c in constants): 1}
+    scalar, lines = 1, {}
     for vec, m in groups.items():
-        q = p // math.gcd(p, *vec)
+        v = tuple(x % p for x in vec)
+        u = min(v, tuple(-x % p for x in v))
+        if not any(u):
+            scalar *= (1 + sign) ** m
+        else:
+            lines.setdefault(u, [0, 0])[v != u] += m
+    if not scalar:
+        return 0
+    taken, ring = {}, {tuple(c % p for c in constants): 1}
+    for u, (m, n) in lines.items():
+        q = p // math.gcd(p, *u)
+        back = [_class_sum(n, j, q, sign) for j in range(min(q, n + 1))]
+        factor = {}
+        for i in range(min(q, m + 1)):
+            front = _class_sum(m, i, q, sign)
+            for j, c in enumerate(back):
+                k = (i - j) % q
+                factor[k] = factor.get(k, 0) + front * c
+        axes = [k for k, c in enumerate(u) if c]
+        k = axes[0]
+        if len(axes) == 1 and k not in taken and math.gcd(u[k], p) == 1:
+            taken[k] = (pow(u[k], -1, p), factor)
+            continue
         product = {}
-        for r in range(min(q, m + 1)):
-            c = _class_sum(m, r, q, sign)
-            for exp, coef in ring.items():
-                key = tuple((e + r * v) % p for e, v in zip(exp, vec))
-                product[key] = product.get(key, 0) + c * coef
+        for j, c in factor.items():
+            if c:
+                shift = tuple(j * x for x in u)
+                for exp, coef in ring.items():
+                    key = tuple((e + s) % p for e, s in zip(exp, shift))
+                    product[key] = product.get(key, 0) + c * coef
         ring = product
-    return p * ring.get((0,) * len(constants), 0)
+    free = [k for k in range(len(constants)) if k not in taken]
+    total = 0
+    for exp, coef in ring.items():
+        if not any(exp[k] for k in free):
+            for k, (inverse, factor) in taken.items():
+                coef *= factor.get(-exp[k] * inverse % p, 0)
+            total += coef
+    return p * scalar * total
 
 
 def _multiplier_polynomial(constants, vectors, p, signed):
@@ -114,28 +157,32 @@ def _multiplier_polynomial(constants, vectors, p, signed):
 def multiplier(d: DecoratedDiagram, p: int, signed: bool = True) -> int:
     """p times the signed count of leg states with all cycle windings = 0 mod p.
 
-    Computed in Z[Z_p^b] with one factor per group of m_i legs sharing a
-    winding vector and with one factor per leg; the two must agree, else
-    RuntimeError. Both supports stay within S = min(prod(m_i + 1), p^b), and
-    a call whose work (legs + 1) * S exceeds MAX_WORK raises ValueError first.
+    Computed in Z[Z_p^b] with one factor per winding line (_multiplier_lines)
+    and checked against the product with one factor per leg; the two must
+    agree, else RuntimeError. With legs grouped by equal winding vectors
+    into groups of m_i, the per-leg support stays within
+    S = min(prod(m_i + 1), p^b), and a call whose work (legs + 1) * S
+    exceeds MAX_WORK raises ValueError before either path runs.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    require_valid(d)
-    rows = cycle_windings(d)
-    constants = tuple(row[0] for row in rows)
-    vectors = [tuple(row[i] for row in rows) for i in range(1, len(d.legs) + 1)]
+    return _multiplier_of_rows(_winding_rows(d, _edge_cycles(d, require_valid(d))), p, signed)
+
+
+def _multiplier_of_rows(rows, p, signed):
+    # multiplier from the cycle_windings rows of a valid diagram, which has b >= 2 rows
+    constants, *vectors = zip(*rows)
     groups = Counter(vectors)
     work = (len(vectors) + 1) * min(math.prod(m + 1 for m in groups.values()), p ** len(rows))
     if work > MAX_WORK:
         raise ValueError(f"multiplier work {work} exceeds the work bound of {MAX_WORK}")
-    by_group = _multiplier_grouped(constants, groups, p, signed)
+    by_line = _multiplier_lines(constants, groups, p, signed)
     by_leg = _multiplier_polynomial(constants, vectors, p, signed)
-    if by_group != by_leg:
+    if by_line != by_leg:
         raise RuntimeError(
-            f"internal disagreement: grouped product {by_group} vs per-leg product {by_leg}"
+            f"internal disagreement: line product {by_line} vs per-leg product {by_leg}"
         )
-    return by_group
+    return by_line
 
 
 def _sign_from_twists(d: DecoratedDiagram) -> int | None:
@@ -160,15 +207,17 @@ def cwl_delta(
 ) -> LeadingTerm:
     """Casson-Walker-Lescop leading delta for a theta-with-legs decoration.
 
-    Magnitude is 2 * |H_1| of the cover times the absolute multiplier; the
-    invariant vanishes on higher-surplus shapes, so a non-theta sawn diagram
-    reports magnitude 0 with a note.
+    Magnitude is 2 * |H_1| of the cover times the absolute multiplier, and
+    |H_1| is not computed when the multiplier is 0; the invariant vanishes
+    on higher-surplus shapes, so a non-theta sawn diagram reports magnitude
+    0 with a note. One validation and one spanning tree serve the shape test
+    and the winding rows.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    require_valid(d)
+    cycles = _edge_cycles(d, require_valid(d))
     grade = surplus(d)
-    if not is_theta_shaped(d):
+    if not _theta_shaped(d, cycles):
         return LeadingTerm(
             magnitude=0,
             sign=None,
@@ -177,8 +226,8 @@ def cwl_delta(
             p=p,
             note="sawn diagram is not a theta graph; the invariant vanishes here",
         )
-    m = multiplier(d, p, signed=signed)
-    magnitude = 2 * h1_order(knot, p) * abs(m)
+    m = _multiplier_of_rows(_winding_rows(d, cycles), p, signed)
+    magnitude = 2 * h1_order(knot, p) * abs(m) if m else 0
     sign = _sign_from_twists(d) if magnitude else None
     return LeadingTerm(magnitude=magnitude, sign=sign, grade=grade, label=d.label, p=p)
 

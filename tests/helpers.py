@@ -2,9 +2,9 @@
 Hypothesis strategies for the JSON input schemas, a guard on the |H_1| paths,
 polynomial oracles for |H_1| (a product, a float evaluation, the t-world
 resultant Res(t^p - 1, A) and the circulant determinant), the leg-state
-enumeration oracle for the multiplier, the indicator sum checked on both
-multiplier paths, and search oracles for cycle windings and for edge maps
-that respect adjacency."""
+enumeration and grouped-product oracles for the multiplier, the indicator
+sum checked on both multiplier paths and both oracles, and search oracles
+for cycle windings and for edge maps that respect adjacency."""
 from __future__ import annotations
 
 import copy
@@ -370,14 +370,39 @@ def multiplier_enumeration(constants, groups, p, signed):
     return p * total
 
 
-def indicator_sum(constants, vectors, p, signed=False):
-    """The mod-p indicator sum of x^c * prod (1 -/+ x^v), from both multiplier paths.
+def multiplier_grouped(constants, groups, p, signed):
+    """p times the coefficient at 0 of x^c * prod over groups of (1 -/+ x^v)^m.
 
-    Both paths and multiplier_enumeration must agree on p times the sum.
+    x^v has order q = p / gcd(p, v) in Z_p^b, so the factor of the m legs
+    sharing v has min(q, m + 1) terms x^(r v), with coefficient
+    engine._class_sum. One sparse b-dimensional product per group, with no
+    merging of v and -v and nothing read off unmultiplied.
     """
+    sign = -1 if signed else 1
+    ring = {tuple(c % p for c in constants): 1}
+    for vec, m in groups.items():
+        q = p // math.gcd(p, *vec)
+        product = {}
+        for r in range(min(q, m + 1)):
+            c = engine._class_sum(m, r, q, sign)
+            for exp, coef in ring.items():
+                key = tuple((e + r * v) % p for e, v in zip(exp, vec))
+                product[key] = product.get(key, 0) + c * coef
+        ring = product
+    return p * ring.get((0,) * len(constants), 0)
+
+
+def indicator_sum(constants, vectors, p, signed=False):
+    """The mod-p indicator sum of x^c * prod (1 -/+ x^v), from four computations.
+
+    The line path and the per-leg path of ``engine.multiplier``, the grouped
+    oracle and multiplier_enumeration must agree on p times the sum.
+    """
+    groups = Counter(vectors)
     by_poly = engine._multiplier_polynomial(constants, vectors, p, signed)
-    assert by_poly == engine._multiplier_grouped(constants, Counter(vectors), p, signed)
-    assert by_poly == multiplier_enumeration(constants, Counter(vectors), p, signed)
+    assert by_poly == engine._multiplier_lines(constants, groups, p, signed)
+    assert by_poly == multiplier_grouped(constants, groups, p, signed)
+    assert by_poly == multiplier_enumeration(constants, groups, p, signed)
     assert by_poly % p == 0
     return by_poly // p
 

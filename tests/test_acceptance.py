@@ -85,7 +85,7 @@ def test_criterion_4_multiplier_double_path():
         p = rng.randint(1, 7)
         multiplier(d, p)
         multiplier(d, p, signed=False)
-    _report(4, "enumeration and polynomial filter agree on 100 random diagrams")
+    _report(4, "line and per-leg products agree on 100 random diagrams")
 
 
 def test_criterion_5_kappa_identity():

@@ -365,6 +365,17 @@ def test_multiplier_disagreement_exits_3(capsys, monkeypatch, tmp_path, trefoil_
     assert err.startswith("internal error: internal disagreement")
 
 
+def test_wrong_line_product_exits_3(capsys, monkeypatch, tmp_path, trefoil_file):
+    from covercalc import engine
+
+    # the per-leg check catches a wrong line path as the line path catches the check
+    monkeypatch.setattr(engine, "_multiplier_lines", lambda *args: 0)
+    diagram_file = write_diagram(tmp_path, example_two_leg_theta())
+    code, out, err = run(capsys, ["cwl", trefoil_file, diagram_file, "--p", "2"])
+    assert (code, out) == (3, "")
+    assert err == "internal error: internal disagreement: line product 0 vs per-leg product -2\n"
+
+
 def test_wrong_trace_product_exits_3(capsys, monkeypatch, trefoil_file):
     from covercalc import laurent
 

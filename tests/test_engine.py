@@ -33,6 +33,7 @@ from helpers import (
     indicator_sum,
     kappa_diagram,
     multiplier_enumeration,
+    multiplier_grouped,
     petersen_with_legs,
     random_diagram,
     relabel,
@@ -90,7 +91,7 @@ def test_multiplier_leg_cap(monkeypatch):
     def refuse(*args):
         raise AssertionError("no multiplier path may run")
 
-    monkeypatch.setattr(engine, "_multiplier_grouped", refuse)
+    monkeypatch.setattr(engine, "_multiplier_lines", refuse)
     monkeypatch.setattr(engine, "_multiplier_polynomial", refuse)
     with pytest.raises(ValueError, match="work 289 .* work bound of 256"):
         multiplier(theta_with_legs(16), 101)
@@ -170,6 +171,33 @@ def test_multiplier_path_disagreement_raises(monkeypatch):
         multiplier(theta_with_legs(40), 3)
 
 
+def test_wrong_line_path_is_caught_by_the_per_leg_check(monkeypatch):
+    want = multiplier(theta_with_legs(40), 3)
+    monkeypatch.setattr(engine, "_multiplier_lines", lambda *args: want + 3)
+    message = f"^internal disagreement: line product {want + 3} vs per-leg product {want}$"
+    with pytest.raises(RuntimeError, match=message):
+        multiplier(theta_with_legs(40), 3)
+    with pytest.raises(RuntimeError, match="internal disagreement"):
+        cwl_delta(unknot(), theta_with_legs(40), 3)
+
+
+def test_multiplier_is_p_times_one_count_past_the_stable_range():
+    # a leg's winding entries are -1, 0 or 1, so each cycle winds within
+    # |c_j| + sum_i |v_ij| = W of 0: for p > W, 0 mod p means 0, and the
+    # multiplier is p times the signed count of states with all windings 0
+    rng = random.Random(61)
+    for trial in range(40):
+        d = random_diagram(rng, max_legs=10)
+        constants, vectors = leg_product(d)
+        assert all(x in (-1, 0, 1) for vec in vectors for x in vec)
+        w = max(abs(c) + sum(abs(vec[j]) for vec in vectors) for j, c in enumerate(constants))
+        big = 10**9 + 7
+        for signed in (True, False):
+            zero_count = multiplier_enumeration(constants, Counter(vectors), big, signed) // big
+            for p in (w + 1, w + 2, w + 5, 2 * w + 3, 10**6 + 3):
+                assert multiplier(d, p, signed=signed) == p * zero_count, (trial, signed, p)
+
+
 # The two multiplier paths on bare leg products: p times the mod-p indicator
 # sum of x^c * prod (1 -/+ x^v) in Z[Z_p^b].
 
@@ -190,6 +218,35 @@ def test_multiplier_paths_without_legs_test_the_constants():
     assert indicator_sum((2, -4), [], 2) == 1
 
 
+def test_multiplier_paths_on_lines_that_merge_or_stay_multiplied():
+    # at p = 2, v = -v: the legs on (1, 0) and (-1, 0) share one line
+    assert indicator_sum((0, 0), [(1, 0), (-1, 0), (1, 1)], 2, signed=True) == 2
+    # (2, 0) at p = 4 has order 2, so it is multiplied in, not read off
+    assert indicator_sum((0, 0), [(2, 0), (-2, 0), (0, 1)], 4) == 2
+    assert indicator_sum((2, 0), [(2, 0), (2, 0), (0, 1)], 4, signed=True) == -2
+    # vectors that are 0 mod p give the scalar (1 -/+ 1)^m
+    assert indicator_sum((0, 0), [(0, 0), (3, 0), (0, 1)], 3) == 4
+    assert indicator_sum((0, 0), [(0, 0), (3, 0), (0, 1)], 3, signed=True) == 0
+    # no line lies on an axis, and the third coordinate has no leg at all
+    assert indicator_sum((0, 0, 5), [(1, 1, 0), (1, -1, 0)], 5) == 1
+    assert indicator_sum((0, 0, 1), [(1, 1, 0), (1, -1, 0)], 5) == 0
+
+
+def test_multiplier_paths_agree_on_random_vectors():
+    # p = 1, p = 2 and composite p, where a unit vector c e_k with gcd(c, p) > 1
+    # must stay multiplied; zero vectors and coordinates no leg reaches
+    rng = random.Random(20261019)
+    for _ in range(400):
+        b = rng.randint(1, 3)
+        constants = tuple(rng.randint(-6, 6) for _ in range(b))
+        vectors = [tuple(rng.randint(-3, 3) for _ in range(b)) for _ in range(rng.randint(0, 7))]
+        if rng.random() < 0.5 and vectors:
+            vectors += rng.choices(vectors, k=rng.randint(1, 3))
+        p = rng.choice((1, 2, 3, 4, 5, 6, 8, 9, 12, 13))
+        for signed in (True, False):
+            indicator_sum(constants, vectors, p, signed)
+
+
 def test_multiplier_paths_match_float_oracle():
     # p times the coefficient at 0 in Z[Z_p^b] is p^(1-b) times the sum of
     # the product's values over all b-tuples of p-th roots of unity
@@ -201,7 +258,8 @@ def test_multiplier_paths_match_float_oracle():
         order = rng.randint(1, 7)
         sign = rng.choice((1, -1))
         exact = engine._multiplier_polynomial(constants, vectors, order, sign == -1)
-        assert engine._multiplier_grouped(constants, Counter(vectors), order, sign == -1) == exact
+        assert engine._multiplier_lines(constants, Counter(vectors), order, sign == -1) == exact
+        assert multiplier_grouped(constants, Counter(vectors), order, sign == -1) == exact
         roots = [cmath.exp(2j * cmath.pi * q / order) for q in range(order)]
         approx = 0
         for w in itertools.product(roots, repeat=b):
@@ -259,6 +317,14 @@ def test_cwl_legless_theta_admissible():
             term = cwl_delta(knot, theta(), p)
             assert term.magnitude == 2 * p * h1_order(knot, p)
             assert term.grade == 2
+
+
+def test_cwl_with_a_zero_multiplier_needs_no_h1():
+    # |H_1| of wheel-40 at p = 4000 is over its work bound, but nothing multiplies it
+    with pytest.raises(ValueError, match="over the work bound"):
+        h1_order(wheel_knot(40), 4000)
+    term = cwl_delta(wheel_knot(40), theta(windings=(0, 1, 0)), 4000)
+    assert (term.magnitude, term.sign, term.grade) == (0, None, 2)
 
 
 def test_cwl_legless_theta_inadmissible():

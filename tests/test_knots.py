@@ -134,6 +134,16 @@ def test_table_work_reads_the_output_bound_of_the_wheel():
             assert laurent._h1_bits_bound(folded, p) <= 2 * p * n + p, (n, p)
 
 
+def test_wheel_table_is_symmetric_and_vanishes_exactly_at_multiples_of_six():
+    # f(p, n) = |prod over z^p = 1, w^n = 1 of (1 - z - w)|^2 = f(n, p), and
+    # 1 - z - w = 0 only for z, w = exp(+-i pi / 3), sixth roots of unity
+    f = {p: dict(f_table(p, 24)) for p in range(1, 25)}
+    for p in range(1, 25):
+        for n in range(1, 25):
+            assert f[p][n] == f[n][p], (p, n)
+            assert (f[p][n] == 0) == (p % 6 == 0 and n % 6 == 0), (p, n)
+
+
 def test_f_table_divergent_subsequence_for_p6():
     values = [h1_order(wheel_knot(6 * k + 3), 6) for k in range(8)]
     assert all(a < b for a, b in zip(values, values[1:]))
