@@ -1,11 +1,11 @@
 """Exact leading-order invariants of p-fold branched cyclic covers of knots.
 
 Submodules:
-    laurent   -- one-variable integer Laurent polynomials and the |H_1|
-                 resultant of a palindromic one, with its work estimate
     records   -- the frozen record base and the JSON field readers
-    knots     -- homology orders of branched covers, the wheel-knot family
-                 from its binomial closed form
+    laurent   -- the |H_1| resultant of a knot's dense palindromic
+                 coefficients, with its size and work bounds
+    knots     -- knots as checked palindromes, homology orders of branched
+                 covers, the wheel-knot family from its binomial closed form
     diagrams  -- trivalent graphs with legs, completeness validation
     lifts     -- the mod-p lift equations and their solver
     signs     -- twist chains and comparison signs
@@ -14,7 +14,6 @@ Submodules:
     cli       -- command-line frontend
 """
 
-from .laurent import LaurentPoly
 from .knots import KnotDescriptor, h1_order, wheel_knot, f_table
 from .diagrams import DecoratedDiagram, Edge, Leg, validate_complete, surplus, degree
 from .lifts import LiftSystem, LiftEdge, solve, admissible
@@ -24,7 +23,6 @@ from .engine import (
 )
 
 __all__ = [
-    "LaurentPoly",
     "KnotDescriptor",
     "h1_order",
     "wheel_knot",

@@ -86,12 +86,6 @@ def _load_knot(path: str) -> knots.KnotDescriptor:
     return knots.KnotDescriptor.from_json_dict(_load_json(path))
 
 
-def _load_diagram(path: str) -> diagrams.DecoratedDiagram:
-    d = diagrams.DecoratedDiagram.from_json_dict(_load_json(path))
-    diagrams.require_valid(d)
-    return d
-
-
 def cmd_h1(args) -> str:
     knot = _load_knot(args.knot)
     rows = [(p, knots.h1_order(knot, p)) for p in _parse_p_values(args)]
@@ -105,8 +99,8 @@ def cmd_wheel_table(args) -> str:
 
 def cmd_cwl(args) -> str:
     knot = _load_knot(args.knot)
-    diagram = _load_diagram(args.diagram)
-    term = engine.cwl_delta(knot, diagram, args.p, signed=not args.unsigned)
+    diagram = diagrams.DecoratedDiagram.from_json_dict(_load_json(args.diagram))
+    term = engine.cwl_delta(knot, diagram, args.p, signed=not args.unsigned)  # the one validation
     return _term_json(term)
 
 

@@ -3,57 +3,93 @@
 The order of the first homology of the p-fold branched cyclic cover of a
 knot is the absolute value of the product of its Alexander polynomial over
 all p-th roots of unity, with the convention that a vanishing product
-encodes positive first Betti number. An Alexander polynomial is palindromic
-of even degree 2n up to a unit, A(t) = t^n B(t + 1/t), and roots of unity z
-and 1/z give the same value, so the product is a square up to A(1) and
-A(-1): one resultant of B, of degree n, gives it, and for p <= 16 the
-t-world Res(t^p - 1, A) checks it, all in exact integers through
-``LaurentPoly.resultant_with_cyclotomic``, whose docstring says how and when
-it refuses. Wheel-knot polynomials come from a closed form in binomial
-coefficients, and a wheel table's summed row estimates are bounded alike.
+encodes positive first Betti number. A knot holds its polynomial as the
+dense palindrome a_0..a_2n, checked once at construction; A(t) =
+t^n B(t + 1/t), and roots of unity z and 1/z give the same value, so the
+product is a square up to A(1) and A(-1): one resultant of B, of degree n,
+gives it, and for p <= 16 the t-world Res(t^p - 1, A) checks it, all in
+exact integers through ``laurent.resultant_with_cyclotomic``, whose
+docstring says how and when it refuses. Wheel-knot polynomials come from a
+closed form in binomial coefficients, and a wheel table's summed row
+estimates are bounded alike.
 """
 from __future__ import annotations
 
-from .laurent import MAX_H1_WORK, LaurentPoly, _h1_work, _palindromic, _shifted_dense
-from .records import _json_object, _json_str, _Record, _set
+from .laurent import MAX_H1_WORK, _h1_work, resultant_with_cyclotomic
+from .records import _json_int, _json_object, _json_objects, _json_str, _Record, _set
 
 
 class KnotDescriptor(_Record):
-    """A knot presented by its Alexander polynomial (up to units ±t^k)."""
+    """A knot presented by its Alexander polynomial A, up to units ±t^k.
 
-    __slots__ = ("label", "alexander")
+    ``coeffs`` is the tuple a_0..a_2n of A(t) = sum_k a_k t^(low + k), both
+    ends nonzero; ``low`` and the variable name ``var`` are kept only for the
+    JSON round trip.
+    """
 
-    def __init__(self, label: str, alexander: LaurentPoly):
-        at_one = alexander.coefficient_sum()
+    __slots__ = ("label", "coeffs", "low", "var")
+
+    def __init__(self, label: str, coeffs, low: int = 0, var: str = "t"):
+        coeffs = tuple(coeffs)
+        at_one = sum(coeffs)
         if at_one not in (1, -1):
             raise ValueError(
                 f"Alexander polynomial must evaluate to ±1 at t=1, got {at_one}"
             )
-        # symmetric up to ±t^k; -t^k needs no test, as an anti-palindrome vanishes at t = 1
-        if not _palindromic(_shifted_dense(alexander.terms)):
+        if not coeffs[0]:
+            raise ValueError("Alexander polynomial coeffs must begin with a nonzero coefficient")
+        # symmetric up to ±t^k; -t^k needs no test, as an anti-palindrome
+        # vanishes at t = 1, nor an odd degree, as its palindromes have even A(1)
+        if coeffs != coeffs[::-1]:
             raise ValueError(
                 "Alexander polynomial is not symmetric under t -> 1/t up to a unit"
             )
         _set(self, "label", label)
-        _set(self, "alexander", alexander)
+        _set(self, "coeffs", coeffs)
+        _set(self, "low", low)
+        _set(self, "var", var)
 
     def to_json_dict(self) -> dict:
-        data = self.alexander.to_json_dict()
-        data["label"] = self.label
-        return data
+        terms = enumerate(self.coeffs, self.low)
+        return {
+            "vars": [self.var],
+            "terms": [{"exp": [exp], "coef": str(coef)} for exp, coef in terms if coef],
+            "label": self.label,
+        }
 
     @classmethod
     def from_json_dict(cls, data) -> "KnotDescriptor":
+        """Parse the ``to_json_dict`` form strictly, dropping zero terms.
+
+        ``vars`` must hold exactly one name, ``terms`` must be a list of
+        objects and each ``exp`` must hold exactly one exponent. Exponents
+        and coefficients must be JSON integers or decimal strings; floats
+        and booleans raise ValueError rather than being truncated, and so
+        does an exponent given twice.
+        """
         _json_object(data, "knot")
-        return cls(
-            _json_str(data.get("label", ""), "knot label"),
-            LaurentPoly.from_json_dict(data),
-        )
+        label = _json_str(data.get("label", ""), "knot label")
+        names = data["vars"]
+        if not (isinstance(names, list) and len(names) == 1 and isinstance(names[0], str)):
+            raise ValueError(f"vars must name exactly one variable, got {names!r}")
+        terms: dict[int, int] = {}
+        for term in _json_objects(data["terms"], "terms", "term"):
+            exp = term["exp"]
+            if not (isinstance(exp, list) and len(exp) == 1):
+                raise ValueError(f"exp must hold exactly one exponent, got {exp!r}")
+            e = _json_int(exp[0], "exponent")
+            if e in terms:
+                raise ValueError(f"duplicate exponent {e}")
+            terms[e] = _json_int(term["coef"], "coefficient")
+        exps = [e for e, c in terms.items() if c]
+        low = min(exps, default=0)
+        coeffs = [terms.get(e, 0) for e in range(low, max(exps, default=-1) + 1)]
+        return cls(label, coeffs, low, names[0])
 
 
 def h1_order(knot: KnotDescriptor, p: int) -> int:
     """|H_1| of the p-fold branched cyclic cover; 0 encodes positive Betti number."""
-    return abs(knot.alexander.resultant_with_cyclotomic(p))
+    return abs(resultant_with_cyclotomic(knot.coeffs, p))
 
 
 def wheel_knot(n: int) -> KnotDescriptor:
@@ -66,14 +102,13 @@ def wheel_knot(n: int) -> KnotDescriptor:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    terms = {}
+    half = []  # at t^(n-1) down to t^0; t^n has C(2n, 2n) - C(n, n) = 0
     wide = narrow = 1  # C(2n, n + j) and C(n, j)
     for j in range(n, 0, -1):
-        terms[j] = terms[-j] = narrow - wide if j & 1 else wide - narrow
         wide = wide * (n + j) // (n - j + 1)
         narrow = narrow * j // (n - j + 1)
-    terms[0] = wide - narrow
-    return KnotDescriptor(f"wheel-{n}", LaurentPoly(terms))
+        half.append(wide - narrow if j & 1 else narrow - wide)
+    return KnotDescriptor(f"wheel-{n}", half + half[-2::-1], 1 - n)
 
 
 def f_table(p: int, n_max: int) -> list[tuple[int, int]]:
@@ -95,12 +130,12 @@ def f_table(p: int, n_max: int) -> list[tuple[int, int]]:
 
 
 def unknot() -> KnotDescriptor:
-    return KnotDescriptor("unknot", LaurentPoly({0: 1}))
+    return KnotDescriptor("unknot", (1,))
 
 
 def trefoil() -> KnotDescriptor:
-    return KnotDescriptor("trefoil", LaurentPoly({-1: 1, 0: -1, 1: 1}))
+    return KnotDescriptor("trefoil", (1, -1, 1), -1)
 
 
 def figure_eight() -> KnotDescriptor:
-    return KnotDescriptor("figure-eight", LaurentPoly({-1: -1, 0: 3, 1: -1}))
+    return KnotDescriptor("figure-eight", (-1, 3, -1), -1)

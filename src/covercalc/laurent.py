@@ -1,163 +1,65 @@
-"""Exact integer Laurent polynomials in one variable, and |H_1| from them.
+"""|H_1| of branched cyclic covers from a knot's dense palindromic coefficients.
 
-A polynomial is stored as a map from integer exponents to nonzero integer
-coefficients. Its one computation is the product of its values over all
-p-th roots of unity, an exact integer resultant, never a complex float, so
-every exported quantity is an exact integer. The product is defined here
-only for a polynomial that is palindromic of even degree 2n up to a unit, as
-every Alexander polynomial is; anything else is refused. Such a polynomial
-goes through its trace polynomial B of degree n (A(t) = t^n B(t + 1/t)): the
-product is the square of one Collins subresultant sequence of B, up to A(1)
-and A(-1), and for p <= 16 it is checked against the t-world Res(t^p - 1, A).
-A product is refused before either path runs when its size bound exceeds
-MAX_H1_BITS or the estimated work of those paths exceeds MAX_H1_WORK.
+The input is the list a_0..a_2n of an Alexander polynomial shifted by a unit
+t^k so that both ends are nonzero; ``knots.KnotDescriptor`` checks at
+construction that it is a palindrome, so this module only computes. The one
+computation is the product of A over all p-th roots of unity, an exact
+integer resultant, never a complex float. It goes through the trace
+polynomial B of degree n (A(t) = t^n B(t + 1/t)): the product is the square
+of one Collins subresultant sequence of B, up to A(1) and A(-1), and for
+p <= 16 it is checked against the t-world Res(t^p - 1, A). A product is
+refused before either path runs when its size bound exceeds MAX_H1_BITS or
+the estimated work of those paths exceeds MAX_H1_WORK.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
-
-from .records import _json_int, _json_objects
+from collections.abc import Sequence
 
 CROSS_CHECK_MAX_P = 16  # every |H_1| is also computed as Res(t^p - 1, A) up to this p
 MAX_H1_BITS = 2**21  # refuse a resultant whose a-priori size bound exceeds this many bits
 MAX_H1_WORK = 2**29  # estimated word operations (_h1_work) of one |H_1| or one wheel table
 
 
-class LaurentPoly:
-    """An integer Laurent polynomial in the variable ``var``.
+def resultant_with_cyclotomic(coeffs: Sequence[int], p: int) -> int:
+    """prod over p-th roots of unity z of A(z) = sum_k coeffs[k] z^k, as an exact integer.
 
-    Instances are immutable by convention: no method mutates ``terms``. The
-    variable name is carried to and from the JSON ``vars`` field.
+    ``coeffs`` is a palindrome a_0..a_2n with a_0 nonzero, as a knot holds
+    it. ValueError is raised before anything runs for p < 1, and for an
+    input whose product may need more than MAX_H1_BITS bits (see
+    _h1_bits_bound, read on A folded mod t^p - 1) or more than MAX_H1_WORK
+    estimated work (_h1_work). A then goes to _trace_product: one
+    subresultant sequence of degree n, whose first remainder comes from a
+    Lucas ladder in O(n^2 log p) operations, and whose square gives the
+    product. For p <= CROSS_CHECK_MAX_P it is checked against
+    _t_world_product, Res(t^p - 1, A) on the folded A in O(p^2) operations,
+    and a disagreement raises RuntimeError. Only the absolute value is
+    meaningful; the unit shift changes the sign.
     """
-
-    __slots__ = ("var", "terms")
-
-    def __init__(self, terms: Mapping[int, int] | None = None, var: str = "t"):
-        self.var = var
-        self.terms = {e: c for e, c in (terms or {}).items() if c}
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, LaurentPoly)
-            and self.var == other.var
-            and self.terms == other.terms
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    folded = _folded(coeffs, p) if len(coeffs) > p else coeffs
+    if not any(folded):
+        return 0
+    bits = _h1_bits_bound(folded, p)
+    if bits > MAX_H1_BITS:
+        raise ValueError(
+            f"|H_1| at p = {p} may need {bits} bits, over the output bound of {MAX_H1_BITS}"
         )
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __repr__(self) -> str:
-        parts = [
-            f"{coef}*{self.var}^{exp}" if exp else f"{coef}"
-            for exp, coef in sorted(self.terms.items())
-        ]
-        return "LaurentPoly(" + (" + ".join(parts) or "0") + ")"
-
-    # -- queries -------------------------------------------------------
-
-    def coefficient_sum(self) -> int:
-        """Value at the variable = 1."""
-        return sum(self.terms.values())
-
-    def resultant_with_cyclotomic(self, p_order: int) -> int:
-        """Product of values over all p-th roots of unity, as an exact integer.
-
-        The polynomial is shifted by a unit t^k so its constant term is
-        nonzero, leaving A = a_0 + ... + a_d t^d. Unless A is palindromic of
-        even degree d = 2n, the zero polynomial included, ValueError is raised
-        before anything runs, and so it is for an input whose product may need
-        more than MAX_H1_BITS bits (see _h1_bits_bound, read on A folded mod
-        t^p - 1) or more than MAX_H1_WORK estimated work (_h1_work). A then
-        goes to _trace_product: one subresultant sequence of degree n, whose
-        first remainder comes from a Lucas ladder in O(n^2 log p) operations,
-        and whose square gives the product. For p <= CROSS_CHECK_MAX_P it is
-        checked against _t_world_product, Res(t^p - 1, A) on the folded A in
-        O(p^2) operations, and a disagreement raises RuntimeError. Only the
-        absolute value is meaningful; the unit shift changes the sign.
-        """
-        if p_order < 1:
-            raise ValueError("p_order must be >= 1")
-        coeffs = _shifted_dense(self.terms)
-        if not (len(coeffs) & 1 and _palindromic(coeffs)):
-            raise ValueError(
-                "the product over roots of unity is defined only for a nonzero "
-                "palindromic polynomial of even degree, as an Alexander polynomial is"
-            )
-        folded = _folded(coeffs, p_order) if len(coeffs) > p_order else coeffs
-        if not any(folded):
-            return 0
-        bits = _h1_bits_bound(folded, p_order)
-        if bits > MAX_H1_BITS:
-            raise ValueError(
-                f"|H_1| at p = {p_order} may need {bits} bits, "
-                f"over the output bound of {MAX_H1_BITS}"
-            )
-        work = _h1_work(len(coeffs) // 2, p_order, bits)
-        if work > MAX_H1_WORK:
-            raise ValueError(
-                f"|H_1| at p = {p_order} needs work {work}, over the work bound of {MAX_H1_WORK}"
-            )
-        value = _trace_product(coeffs, p_order)
-        if p_order <= CROSS_CHECK_MAX_P:
-            check = _t_world_product(folded, p_order)
-            if check != value:
-                raise RuntimeError(
-                    f"internal disagreement: trace path {value} vs t-world {check}"
-                )
-        return value
-
-    # -- serialization ---------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "vars": [self.var],
-            "terms": [
-                {"exp": [exp], "coef": str(coef)}
-                for exp, coef in sorted(self.terms.items())
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "LaurentPoly":
-        """Parse the ``to_json_dict`` form strictly.
-
-        ``vars`` must hold exactly one name, ``terms`` must be a list of
-        objects and each ``exp`` must hold exactly one exponent. Exponents
-        and coefficients must be JSON integers or decimal strings; floats
-        and booleans raise ValueError rather than being truncated, and so
-        does an exponent given twice.
-        """
-        names = data["vars"]
-        if not (isinstance(names, list) and len(names) == 1 and isinstance(names[0], str)):
-            raise ValueError(f"vars must name exactly one variable, got {names!r}")
-        terms: dict[int, int] = {}
-        for term in _json_objects(data["terms"], "terms", "term"):
-            exp = term["exp"]
-            if not (isinstance(exp, list) and len(exp) == 1):
-                raise ValueError(f"exp must hold exactly one exponent, got {exp!r}")
-            e = _json_int(exp[0], "exponent")
-            if e in terms:
-                raise ValueError(f"duplicate exponent {e}")
-            terms[e] = _json_int(term["coef"], "coefficient")
-        return cls(terms, names[0])
+    work = _h1_work(len(coeffs) // 2, p, bits)
+    if work > MAX_H1_WORK:
+        raise ValueError(
+            f"|H_1| at p = {p} needs work {work}, over the work bound of {MAX_H1_WORK}"
+        )
+    value = _trace_product(coeffs, p)
+    if p <= CROSS_CHECK_MAX_P:
+        check = _t_world_product(folded, p)
+        if check != value:
+            raise RuntimeError(f"internal disagreement: trace path {value} vs t-world {check}")
+    return value
 
 
-def _shifted_dense(coeffs: Mapping[int, int]) -> list[int]:
-    """Dense coefficients a_0..a_d with a_0 and a_d nonzero; [] for zero."""
-    exps = [e for e, c in coeffs.items() if c]
-    if not exps:
-        return []
-    lo = min(exps)
-    return [coeffs.get(e, 0) for e in range(lo, max(exps) + 1)]
-
-
-def _palindromic(coeffs: list[int]) -> bool:
-    """True when the list reads the same backwards: t^d A(1/t) = A(t) for d = len - 1."""
-    return coeffs == coeffs[::-1]
-
-
-def _folded(coeffs: list[int], p: int) -> list[int]:
+def _folded(coeffs: Sequence[int], p: int) -> list[int]:
     """The p coefficients of sum_k coeffs[k] t^k in Z[t]/(t^p - 1)."""
     row = [0] * p
     for k, c in enumerate(coeffs):
@@ -165,7 +67,7 @@ def _folded(coeffs: list[int], p: int) -> list[int]:
     return row
 
 
-def _h1_bits_bound(folded: list[int], p: int) -> int:
+def _h1_bits_bound(folded: Sequence[int], p: int) -> int:
     """A bound on the bit length of the product of sum_k folded[k] z^k over z^p = 1.
 
     By Parseval the mean of |A(z)|^2 over the p roots is sum a_k^2 when the
@@ -188,19 +90,19 @@ def _h1_work(h: int, p: int, bits: int) -> int:
     return (h + 1) ** 2 + (trace * trace + check * check >> 13)
 
 
-def _t_world_product(folded: list[int], p: int) -> int:
+def _t_world_product(folded: Sequence[int], p: int) -> int:
     """prod over p-th roots of unity z of A(z) = sum_k folded[k] z^k, as Res(t^p - 1, A).
 
     deg A < p, so one pseudo-remainder of t^p - 1 by A, O(p^2) operations,
     starts the Collins sequence; no step of the trace identity is shared.
     """
-    b = _trim(folded[:])
+    b = _trim(list(folded))  # folded may be the knot's tuple
     if len(b) < 2:
         return b[0] ** p if b else 0
     return _collins(p, b, _pseudo_remainder([-1] + [0] * (p - 1) + [1], b))
 
 
-def _trace_product(coeffs: list[int], p: int) -> int:
+def _trace_product(coeffs: Sequence[int], p: int) -> int:
     """prod over p-th roots of unity z of A(z) = sum_k coeffs[k] z^k, A palindromic of degree 2n.
 
     Such an A is t^n B(t + 1/t) with B = a_n + sum_k a_(n+k) V_k, where the

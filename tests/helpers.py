@@ -244,18 +244,18 @@ def forbid_resultant_paths(monkeypatch) -> None:
 # -- polynomial oracles for |H_1| ---------------------------------------------
 
 
-def poly_mul(a: laurent.LaurentPoly, b: laurent.LaurentPoly) -> laurent.LaurentPoly:
-    """The product of two Laurent polynomials, by convolving their term maps."""
-    terms: dict[int, int] = {}
-    for e1, c1 in a.terms.items():
-        for e2, c2 in b.terms.items():
-            terms[e1 + e2] = terms.get(e1 + e2, 0) + c1 * c2
-    return laurent.LaurentPoly(terms, a.var)
+def poly_mul(a, b) -> list[int]:
+    """The product of two polynomials given by dense coefficients a_0.., by convolution."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            prod[j] += x * y
+    return prod
 
 
-def evaluate(poly: laurent.LaurentPoly, z: complex) -> complex:
-    """The value of ``poly`` at ``z``, in floating point."""
-    return sum(coef * z**exp for exp, coef in poly.terms.items())
+def evaluate(coeffs, z: complex, low: int = 0) -> complex:
+    """The value of sum_k coeffs[k] z^(low + k), in floating point."""
+    return sum(c * z ** (low + k) for k, c in enumerate(coeffs))
 
 
 def subresultant_product(coeffs: list[int], p: int) -> int:
@@ -265,7 +265,7 @@ def subresultant_product(coeffs: list[int], p: int) -> int:
     gives the first remainder of the sequence and laurent._collins the rest.
     Returns the same signed integer as circulant_product.
     """
-    b = laurent._trim(laurent._folded(coeffs, p) if len(coeffs) > p else coeffs[:])
+    b = laurent._trim(laurent._folded(coeffs, p) if len(coeffs) > p else list(coeffs))
     if len(b) < 2:
         return b[0] ** p if b else 0
     sign = 1
@@ -390,6 +390,27 @@ def multiplier_grouped(constants, groups, p, signed):
                 product[key] = product.get(key, 0) + c * coef
         ring = product
     return p * ring.get((0,) * len(constants), 0)
+
+
+def integer_product(constants, vectors, signed):
+    """x^c * prod (1 -/+ x^v) in Z[x^±1]^b, exponents left unreduced: {exponent: coefficient}.
+
+    No step reduces mod p, so one product serves every p: see integer_filter.
+    """
+    sign = -1 if signed else 1
+    ring = {tuple(constants): 1}
+    for vec in vectors:
+        product = dict(ring)
+        for exp, coef in ring.items():
+            key = tuple(e + v for e, v in zip(exp, vec))
+            product[key] = product.get(key, 0) + sign * coef
+        ring = {exp: coef for exp, coef in product.items() if coef}
+    return ring
+
+
+def integer_filter(product, p):
+    """p times the sum of the coefficients of ``product`` whose exponents are all 0 mod p."""
+    return p * sum(coef for exp, coef in product.items() if all(e % p == 0 for e in exp))
 
 
 def indicator_sum(constants, vectors, p, signed=False):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from covercalc import lifts
+from covercalc import diagrams, lifts
 from covercalc.cli import main
 from covercalc.knots import figure_eight, trefoil, unknot, wheel_knot
 
@@ -152,6 +152,19 @@ def test_cwl_invalid_diagram_exits_1(capsys, tmp_path, trefoil_file):
     code, out, err = run(capsys, ["cwl", trefoil_file, diagram_file, "--p", "2"])
     assert code == 1
     assert "incidence" in err and "[a]" in err
+
+
+def test_cwl_refuses_p_below_one_before_it_validates_the_diagram(capsys, tmp_path, trefoil_file):
+    diagram_file = write_diagram(tmp_path, chord_fixture())
+    code, out, err = run(capsys, ["cwl", trefoil_file, diagram_file, "--p", "0"])
+    assert (code, out, err) == (1, "", "error: p must be >= 1\n")
+
+
+def test_cwl_validates_the_diagram_once(capsys, monkeypatch, tmp_path, trefoil_file):
+    validate, calls = diagrams._validate, []
+    monkeypatch.setattr(diagrams, "_validate", lambda d: calls.append(d) or validate(d))
+    code, out, _ = run(capsys, ["cwl", trefoil_file, write_diagram(tmp_path, theta()), "--p", "2"])
+    assert code == 0 and len(calls) == 1
 
 
 def test_lift_admissible(capsys, tmp_path):
@@ -417,7 +430,7 @@ def test_cwl_over_the_work_bound_exits_1(capsys, monkeypatch, tmp_path, trefoil_
 
 
 def test_lift_over_the_output_bound_exits_1(capsys, monkeypatch, tmp_path):
-    from covercalc import lifts
+    from covercalc import diagrams, lifts
 
     monkeypatch.setattr(lifts, "MAX_LIFT_ENTRIES", 3)
     path = tmp_path / "sys.json"

@@ -31,6 +31,8 @@ from helpers import (
     example_two_leg_theta,
     flip_all,
     indicator_sum,
+    integer_filter,
+    integer_product,
     kappa_diagram,
     multiplier_enumeration,
     multiplier_grouped,
@@ -184,7 +186,8 @@ def test_wrong_line_path_is_caught_by_the_per_leg_check(monkeypatch):
 def test_multiplier_is_p_times_one_count_past_the_stable_range():
     # a leg's winding entries are -1, 0 or 1, so each cycle winds within
     # |c_j| + sum_i |v_ij| = W of 0: for p > W, 0 mod p means 0, and the
-    # multiplier is p times the signed count of states with all windings 0
+    # multiplier is p times the signed count of states with all windings 0.
+    # At every p it is p times the filter of one integer product in Z[x^±1]^b
     rng = random.Random(61)
     for trial in range(40):
         d = random_diagram(rng, max_legs=10)
@@ -194,8 +197,12 @@ def test_multiplier_is_p_times_one_count_past_the_stable_range():
         big = 10**9 + 7
         for signed in (True, False):
             zero_count = multiplier_enumeration(constants, Counter(vectors), big, signed) // big
-            for p in (w + 1, w + 2, w + 5, 2 * w + 3, 10**6 + 3):
-                assert multiplier(d, p, signed=signed) == p * zero_count, (trial, signed, p)
+            product = integer_product(constants, vectors, signed)
+            for p in (*range(1, 12), w + 1, w + 2, w + 5, w + 7, 2 * w + 3, 10**6 + 3):
+                value = multiplier(d, p, signed=signed)
+                assert value == integer_filter(product, p), (trial, signed, p)
+                if p > w:
+                    assert value == p * zero_count, (trial, signed, p)
 
 
 # The two multiplier paths on bare leg products: p times the mod-p indicator

@@ -1,7 +1,10 @@
 import cmath
 import copy
+import json
+import math
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 
@@ -15,9 +18,7 @@ from covercalc.knots import (
     unknot,
     wheel_knot,
 )
-from covercalc.laurent import LaurentPoly
-
-from helpers import evaluate, lucas, poly_mul
+from helpers import evaluate, lucas, poly_mul, subresultant_product
 
 
 def test_unknot_h1_is_one_for_all_p():
@@ -38,34 +39,35 @@ def test_wheel_double_cover_closed_form():
 
 
 def _wheel_by_expansion(n):
-    """(1 - (1 - t)^n)(1 - (1 - 1/t)^n), multiplied out term by term."""
-    power = LaurentPoly({0: 1})
+    """(1 - (1 - t)^n)(1 - (1 - 1/t)^n) multiplied out, as (coeffs, low)."""
+    power = [1]
     for _ in range(n):
-        power = poly_mul(power, LaurentPoly({0: 1, 1: -1}))
-    half = LaurentPoly({e: -c for e, c in power.terms.items()} | {0: 1 - power.terms[0]})
-    return poly_mul(half, LaurentPoly({-e: c for e, c in half.terms.items()}))
+        power = poly_mul(power, [1, -1])
+    half = [1 - power[0]] + [-c for c in power[1:]]  # at t^0 .. t^n
+    full = poly_mul(half, half[::-1])  # at t^-n .. t^n
+    return tuple(full[1:-1]), 1 - n  # half[0] = 0 zeroes both ends
 
 
 @pytest.mark.parametrize("n", list(range(1, 41)) + [300])
 def test_wheel_closed_form_matches_the_expansion(n):
-    assert wheel_knot(n).alexander == _wheel_by_expansion(n)
+    knot = wheel_knot(n)
+    assert (knot.coeffs, knot.low) == _wheel_by_expansion(n)
 
 
 def test_wheel_one_is_trivial():
-    assert wheel_knot(1).alexander == LaurentPoly({0: 1})
+    assert wheel_knot(1) == KnotDescriptor("wheel-1", (1,), 0)
 
 
 def test_wheel_two_expansion():
-    w2 = wheel_knot(2).alexander
+    w2 = wheel_knot(2)
     # (2t - t^2)(2t^-1 - t^-2) expanded
-    expected = LaurentPoly({-1: -2, 0: 5, 1: -2})
-    assert w2 == expected
-    assert w2.coefficient_sum() == 1
+    assert (w2.coeffs, w2.low) == ((-2, 5, -2), -1)
+    assert sum(w2.coeffs) == 1
 
 
 def test_wheel_at_one_is_always_one():
     for n in range(1, 12):
-        assert wheel_knot(n).alexander.coefficient_sum() == 1
+        assert sum(wheel_knot(n).coeffs) == 1
 
 
 def test_wheel_rejects_nonpositive():
@@ -119,7 +121,7 @@ def test_f_table_refusal_boundary(monkeypatch, p, n_max):
 @pytest.mark.parametrize("p, n_max", LARGEST_TABLES)
 def test_every_row_of_an_accepted_table_passes_the_per_call_work_bound(p, n_max):
     # the last row is the dearest; the per-call estimate reads its true size bound, not 2pn
-    coeffs = laurent._shifted_dense(wheel_knot(n_max).alexander.terms)
+    coeffs = wheel_knot(n_max).coeffs
     folded = laurent._folded(coeffs, p) if len(coeffs) > p else coeffs
     bits = laurent._h1_bits_bound(folded, p)
     assert laurent._h1_work(n_max - 1, p, bits) <= laurent.MAX_H1_WORK
@@ -128,7 +130,7 @@ def test_every_row_of_an_accepted_table_passes_the_per_call_work_bound(p, n_max)
 def test_table_work_reads_the_output_bound_of_the_wheel():
     # f_table takes 2pn bits: on the unit circle wheel-n's A is |1 - (1 - z)^n|^2 <= (1 + 2^n)^2
     for n in range(1, 41):
-        coeffs = laurent._shifted_dense(wheel_knot(n).alexander.terms)
+        coeffs = wheel_knot(n).coeffs
         for p in (1, 2, 3, 7, 16, 17, 101, 1000):
             folded = laurent._folded(coeffs, p) if len(coeffs) > p else coeffs
             assert laurent._h1_bits_bound(folded, p) <= 2 * p * n + p, (n, p)
@@ -137,11 +139,25 @@ def test_table_work_reads_the_output_bound_of_the_wheel():
 def test_wheel_table_is_symmetric_and_vanishes_exactly_at_multiples_of_six():
     # f(p, n) = |prod over z^p = 1, w^n = 1 of (1 - z - w)|^2 = f(n, p), and
     # 1 - z - w = 0 only for z, w = exp(+-i pi / 3), sixth roots of unity
-    f = {p: dict(f_table(p, 24)) for p in range(1, 25)}
-    for p in range(1, 25):
-        for n in range(1, 25):
+    f = {p: dict(f_table(p, 40)) for p in range(1, 41)}
+    for p in range(1, 41):
+        for n in range(1, 41):
             assert f[p][n] == f[n][p], (p, n)
             assert (f[p][n] == 0) == (p % 6 == 0 and n % 6 == 0), (p, n)
+
+
+def _g(n):
+    """G_n = (1 - (1 - t)^n) / t, of degree n - 1 and not palindromic; wheel-n's A is G_n(t) G_n(1/t)."""
+    return [(-1) ** j * math.comb(n, j + 1) for j in range(n)]
+
+
+def test_wheel_table_is_the_square_of_one_resultant_of_g():
+    # roots of unity z and 1/z pair up, so f(p, n) = Res(t^p - 1, G_n)^2: the
+    # t-world oracle on G_n shares no step with the trace path on A
+    for p in range(1, 60):
+        assert f_table(p, 12) == [(n, subresultant_product(_g(n), p) ** 2) for n in range(1, 13)], p
+    for p, n in ((200, 30), (400, 30), (1000, 10)):
+        assert h1_order(wheel_knot(n), p) == subresultant_product(_g(n), p) ** 2, (p, n)
 
 
 def test_f_table_divergent_subsequence_for_p6():
@@ -150,27 +166,36 @@ def test_f_table_divergent_subsequence_for_p6():
 
 
 def test_construction_rejects_bad_value_at_one():
-    with pytest.raises(ValueError):
-        KnotDescriptor("bad", LaurentPoly({0: 2}))
+    with pytest.raises(ValueError, match="^Alexander polynomial must evaluate to ±1 at t=1, got 2$"):
+        KnotDescriptor("bad", (2,))
 
 
 def test_construction_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        KnotDescriptor("bad", LaurentPoly({0: -1, 1: 1, 2: 1}))
+    with pytest.raises(ValueError, match="not symmetric under t -> 1/t"):
+        KnotDescriptor("bad", (-1, 1, 1))
+
+
+def test_construction_rejects_zero_ends():
+    # (0, 1, 0) is a palindrome, but not the shifted form a knot holds
+    with pytest.raises(ValueError, match="must begin with a nonzero coefficient"):
+        KnotDescriptor("bad", (0, 1, 0))
 
 
 def test_knot_descriptor_has_record_semantics():
     k = trefoil()
-    assert k == KnotDescriptor("trefoil", LaurentPoly({-1: 1, 0: -1, 1: 1}))
-    assert k != KnotDescriptor("other", k.alexander)
+    assert k == KnotDescriptor("trefoil", [1, -1, 1], -1)
+    assert k != KnotDescriptor("other", k.coeffs, k.low)
+    assert k != KnotDescriptor("trefoil", k.coeffs)  # another unit, low = 0
+    assert k != KnotDescriptor("trefoil", k.coeffs, k.low, "s")
     assert k != figure_eight()
-    assert k != ("trefoil", k.alexander)
-    assert repr(k) == "KnotDescriptor(label='trefoil', alexander=LaurentPoly(1*t^-1 + -1 + 1*t^1))"
-    for attempt in (lambda: setattr(k, "label", "x"), lambda: delattr(k, "alexander")):
+    assert k != ("trefoil", k.coeffs, k.low, k.var)
+    assert repr(k) == "KnotDescriptor(label='trefoil', coeffs=(1, -1, 1), low=-1, var='t')"
+    for attempt in (lambda: setattr(k, "label", "x"), lambda: delattr(k, "coeffs")):
         with pytest.raises(AttributeError):
             attempt()
-    with pytest.raises(TypeError):  # its polynomial is unhashable, as before
-        hash(k)
+    # its fields are a string, a tuple of ints, an int and a string
+    assert hash(k) == hash(("trefoil", (1, -1, 1), -1, "t"))
+    assert len({k, trefoil(), figure_eight()}) == 2
 
 
 def test_knot_descriptor_copies_and_pickles_compare_equal():
@@ -184,14 +209,12 @@ def test_h1_multiplicative_under_connect_sum():
     rng = random.Random(3)
     a, b = trefoil(), figure_eight()
     for p in range(1, 9):
-        combined = KnotDescriptor("sum", poly_mul(a.alexander, b.alexander))
+        combined = KnotDescriptor("sum", poly_mul(a.coeffs, b.coeffs))
         assert h1_order(combined, p) == h1_order(a, p) * h1_order(b, p)
     for _ in range(20):
         p = rng.randint(1, 8)
         n, m = rng.randint(1, 6), rng.randint(1, 6)
-        combined = KnotDescriptor(
-            "sum", poly_mul(wheel_knot(n).alexander, wheel_knot(m).alexander)
-        )
+        combined = KnotDescriptor("sum", poly_mul(wheel_knot(n).coeffs, wheel_knot(m).coeffs))
         assert h1_order(combined, p) == h1_order(wheel_knot(n), p) * h1_order(
             wheel_knot(m), p
         )
@@ -206,7 +229,7 @@ def test_h1_matches_float_product():
         exact = h1_order(k, p)
         prod = 1.0
         for q in range(p):
-            prod *= abs(evaluate(k.alexander, cmath.exp(2j * cmath.pi * q / p)))
+            prod *= abs(evaluate(k.coeffs, cmath.exp(2j * cmath.pi * q / p), k.low))
         if prod > 1e-3:
             assert abs(prod - exact) <= 1e-6 * max(1.0, exact)
         else:
@@ -224,6 +247,29 @@ def test_json_round_trip():
     again = KnotDescriptor.from_json_dict(k.to_json_dict())
     assert again == k
     assert again.label == "trefoil"
+
+
+def test_json_zero_terms_and_another_variable_read_to_the_normal_form():
+    # the trefoil in s at exponents 4..6, with zero terms inside and past both ends
+    coefs = {0: "0", 4: "1", 5: -1, 6: "1", 7: 0, 9: "0"}
+    data = {"label": "trefoil", "vars": ["s"], "terms": [{"exp": [e], "coef": c} for e, c in coefs.items()]}
+    k = KnotDescriptor.from_json_dict(data)
+    assert k == KnotDescriptor("trefoil", (1, -1, 1), 4, "s")
+    normal = {"vars": ["s"], "terms": [{"exp": [e], "coef": c} for e, c in ((4, "1"), (5, "-1"), (6, "1"))],
+              "label": "trefoil"}
+    assert k.to_json_dict() == normal
+    assert KnotDescriptor.from_json_dict(normal) == k
+    assert [h1_order(k, p) for p in range(1, 41)] == [h1_order(trefoil(), p) for p in range(1, 41)]
+
+
+def test_golden_knot_fixtures_round_trip_byte_for_byte():
+    files = json.loads(Path(__file__).with_name("golden_cli.json").read_text(encoding="utf-8"))["files"]
+    knots_read = 0
+    for name, data in files.items():
+        if "vars" in data and name != "bad-knot.json":
+            assert json.dumps(KnotDescriptor.from_json_dict(data).to_json_dict()) == json.dumps(data), name
+            knots_read += 1
+    assert knots_read == 5
 
 
 @pytest.mark.parametrize("label", [["x", 1], {"a": 1}, 3, None, True])

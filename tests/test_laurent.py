@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 
 from covercalc import laurent
 from covercalc.engine import lmo_leading_multiplier
-from covercalc.knots import KnotDescriptor, wheel_knot
-from covercalc.laurent import LaurentPoly
+from covercalc.knots import KnotDescriptor, h1_order, wheel_knot
+from covercalc.laurent import resultant_with_cyclotomic
 from covercalc.records import _Record
 
 from helpers import (
@@ -22,8 +22,7 @@ from helpers import (
     subresultant_product,
 )
 
-uni = LaurentPoly
-TREFOIL = uni({-1: 1, 0: -1, 1: 1})
+TREFOIL = (1, -1, 1)
 
 
 def _random_palindrome(rng, n):
@@ -32,28 +31,45 @@ def _random_palindrome(rng, n):
 
 
 def _random_palindromic_poly(rng, max_n):
-    """A palindromic polynomial of even degree 2n <= 2 max_n, shifted by a random unit."""
+    """A palindrome of even degree 2n <= 2 max_n with nonzero ends, as a knot holds it."""
     coeffs = _random_palindrome(rng, rng.randint(0, max_n))
-    shift = rng.randint(-4, 4)
-    return uni({k + shift: c for k, c in enumerate(coeffs)})
+    while not coeffs[0]:  # the middle coefficient is nonzero
+        coeffs = coeffs[1:-1]
+    return coeffs
+
+
+def _random_alexander(rng, max_n):
+    """The same with A(1) = 1, as an Alexander polynomial has."""
+    coeffs = _random_palindromic_poly(rng, max_n)
+    coeffs[len(coeffs) // 2] += 1 - sum(coeffs)
+    return coeffs
+
+
+def _dense(terms):
+    """The coefficients of a term map from its lowest exponent up."""
+    return [terms.get(e, 0) for e in range(min(terms), max(terms) + 1)]
 
 
 def test_resultant_identity_polynomial():
-    assert abs(uni({0: 1}).resultant_with_cyclotomic(5)) == 1
+    assert abs(resultant_with_cyclotomic((1,), 5)) == 1
 
 
 def test_resultant_trefoil_p2():
-    assert abs(TREFOIL.resultant_with_cyclotomic(2)) == 3
+    assert abs(resultant_with_cyclotomic(TREFOIL, 2)) == 3
 
 
 def test_resultant_vanishes_at_root_of_unity():
     # 1 + t + t^2 vanishes at the primitive cube roots of unity
-    assert uni({0: 1, 1: 1, 2: 1}).resultant_with_cyclotomic(3) == 0
+    assert resultant_with_cyclotomic((1, 1, 1), 3) == 0
 
 
 def test_resultant_rejects_zero_polynomial():
-    with pytest.raises(ValueError):
-        LaurentPoly().resultant_with_cyclotomic(2)
+    # a knot is refused at construction, before any resultant, and so is zero read from JSON
+    message = "^Alexander polynomial must evaluate to ±1 at t=1, got 0$"
+    with pytest.raises(ValueError, match=message):
+        KnotDescriptor("zero", ())
+    with pytest.raises(ValueError, match=message):
+        KnotDescriptor.from_json_dict(knot_json(([0], "0"), ([3], 0)))
 
 
 @pytest.mark.parametrize(
@@ -66,13 +82,17 @@ def test_resultant_rejects_zero_polynomial():
         {0: 1, 1: 1},  # palindromes of odd degree
         {-2: 3, -1: 1, 0: 1, 1: 3},
         {0: 1, 5: 1},
+        {0: -1, 1: 1, 2: 1},  # A(1) = 1 but not palindromic
+        {0: 2, 1: -1},  # odd degree and A(1) = 1
+        {0: 0, 3: -3, 4: 1, 5: 1},  # odd degree and A(1) = -1 once its zero term is dropped
     ],
 )
 def test_resultant_refuses_all_but_even_palindromes_before_any_path_runs(monkeypatch, terms):
+    # the one palindrome check is at construction; an odd-degree palindrome has even A(1)
     forbid_resultant_paths(monkeypatch)
-    for p in (1, 2, 5, 17, 10**6):
-        with pytest.raises(ValueError, match="only for a nonzero palindromic polynomial of even degree"):
-            uni(terms).resultant_with_cyclotomic(p)
+    data = knot_json(*(([e], c) for e, c in terms.items()))
+    with pytest.raises(ValueError, match="^Alexander polynomial (must evaluate to ±1|is not symmetric)"):
+        KnotDescriptor.from_json_dict(data)
 
 
 def test_grouped_product_at_composite_orders():
@@ -100,16 +120,18 @@ def test_modp_indicator_specializes_on_univariate():
 
 
 def test_resultant_invariant_under_units_and_inversion():
+    # a unit -t^k or t -> 1/t changes a knot's JSON terms, not the coefficients it reads
     rng = random.Random(11)
     for _ in range(30):
-        p = _random_palindromic_poly(rng, 3)
+        coeffs = _random_alexander(rng, 3)
         order = rng.randint(1, 8)
-        base = abs(p.resultant_with_cyclotomic(order))
+        base = abs(resultant_with_cyclotomic(coeffs, order))
         k = rng.randint(-3, 3)
-        shifted = uni({e + k: c for e, c in p.terms.items()})
-        assert abs(shifted.resultant_with_cyclotomic(order)) == base
-        inverted = uni({-e: c for e, c in p.terms.items()})
-        assert abs(inverted.resultant_with_cyclotomic(order)) == base
+        for sign, step in ((1, 1), (-1, 1), (1, -1)):
+            terms = (([k + step * i], sign * c) for i, c in enumerate(coeffs))
+            knot = KnotDescriptor.from_json_dict(knot_json(*terms))
+            assert knot.coeffs == tuple(sign * c for c in coeffs)
+            assert h1_order(knot, order) == base
 
 
 def test_resultant_multiplicative():
@@ -118,8 +140,8 @@ def test_resultant_multiplicative():
     for _ in range(30):
         a, b = _random_palindromic_poly(rng, 2), _random_palindromic_poly(rng, 2)
         order = rng.randint(1, 7)
-        lhs = abs(poly_mul(a, b).resultant_with_cyclotomic(order))
-        rhs = abs(a.resultant_with_cyclotomic(order)) * abs(b.resultant_with_cyclotomic(order))
+        lhs = abs(resultant_with_cyclotomic(poly_mul(a, b), order))
+        rhs = abs(resultant_with_cyclotomic(a, order)) * abs(resultant_with_cyclotomic(b, order))
         assert lhs == rhs
 
 
@@ -133,18 +155,22 @@ def test_bareiss_det_small_cases():
 
 def test_json_round_trip_preserves_big_integers():
     big = 2**200 - 1
-    p = LaurentPoly({-3: big, 4: -1})
-    assert LaurentPoly.from_json_dict(p.to_json_dict()) == p
-    assert p.to_json_dict()["terms"][0]["coef"] == str(big)
+    k = KnotDescriptor("big", (big, 1 - 2 * big, big), -3)
+    assert KnotDescriptor.from_json_dict(k.to_json_dict()) == k
+    assert k.to_json_dict()["terms"][0] == {"exp": [-3], "coef": str(big)}
 
 
 @given(
-    st.dictionaries(st.integers(-10**6, 10**6), st.integers(-(2**80), 2**80), max_size=10),
+    st.lists(st.integers(-(2**80), 2**80), max_size=5),
+    st.integers(-10**6, 10**6),
+    st.sampled_from([1, -1]),
     st.sampled_from(["t", "s", "q"]),
 )
-def test_json_round_trip_property(coeffs, var):
-    p = LaurentPoly(coeffs, var)
-    assert LaurentPoly.from_json_dict(json.loads(json.dumps(p.to_json_dict()))) == p
+def test_json_round_trip_property(upper, low, at_one, var):
+    while upper and not upper[-1]:
+        upper.pop()
+    k = KnotDescriptor("k", upper[::-1] + [at_one - 2 * sum(upper)] + upper, low, var)
+    assert KnotDescriptor.from_json_dict(json.loads(json.dumps(k.to_json_dict()))) == k
 
 
 def knot_json(*terms):
@@ -154,41 +180,41 @@ def knot_json(*terms):
 @pytest.mark.parametrize("coef", [1.9, -1.5, 2.0, True, "1.9", None])
 def test_from_json_rejects_non_integer_coefficient(coef):
     with pytest.raises(ValueError, match="coefficient"):
-        LaurentPoly.from_json_dict(knot_json(([0], coef)))
+        KnotDescriptor.from_json_dict(knot_json(([0], coef)))
 
 
 @pytest.mark.parametrize("exp", [-1.5, 1.0, True, "x"])
 def test_from_json_rejects_non_integer_exponent(exp):
     with pytest.raises(ValueError, match="exponent"):
-        LaurentPoly.from_json_dict(knot_json(([exp], "1")))
+        KnotDescriptor.from_json_dict(knot_json(([exp], "1")))
 
 
 def test_from_json_rejects_duplicate_exponent():
     with pytest.raises(ValueError, match="duplicate exponent 1"):
-        LaurentPoly.from_json_dict(knot_json(([1], "2"), ([0], "-3"), ([1], "2")))
+        KnotDescriptor.from_json_dict(knot_json(([1], "2"), ([0], "-3"), ([1], "2")))
 
 
 @pytest.mark.parametrize("exp", [[], [1, 0], 1])
 def test_from_json_rejects_exp_without_exactly_one_entry(exp):
     with pytest.raises(ValueError, match="exactly one exponent"):
-        LaurentPoly.from_json_dict(knot_json((exp, "1")))
+        KnotDescriptor.from_json_dict(knot_json((exp, "1")))
 
 
 @pytest.mark.parametrize("terms", [5, {"exp": [0], "coef": "1"}, [5], [["exp", "coef"]]])
 def test_from_json_rejects_terms_that_are_not_a_list_of_objects(terms):
     with pytest.raises(ValueError, match="terms must be a list|each term must be an object"):
-        LaurentPoly.from_json_dict({"vars": ["t"], "terms": terms})
+        KnotDescriptor.from_json_dict({"vars": ["t"], "terms": terms})
 
 
 def test_from_json_requires_exactly_one_variable():
     data = {"vars": ["a", "b"], "terms": [{"exp": [1, 0], "coef": "1"}]}
     with pytest.raises(ValueError, match="exactly one variable"):
-        LaurentPoly.from_json_dict(data)
+        KnotDescriptor.from_json_dict(data)
 
 
 def test_from_json_accepts_integers_and_decimal_strings():
-    p = LaurentPoly.from_json_dict(knot_json(([-1], 1), (["0"], "-1"), ([1], "1")))
-    assert p == LaurentPoly({-1: 1, 0: -1, 1: 1})
+    k = KnotDescriptor.from_json_dict(knot_json(([-1], 1), (["0"], "-1"), ([1], "1")))
+    assert k == KnotDescriptor("", (1, -1, 1), -1)
 
 
 # -- |H_1|: one path and its t-world check ------------------------------------
@@ -198,17 +224,16 @@ def test_resultant_matches_sympy_oracle():
     sympy = pytest.importorskip("sympy")
     t = sympy.Symbol("t")
     rng = random.Random(29)
-    cases = [(TREFOIL, 3), (uni({0: 1, 1: 1, 2: 1}), 4), (uni({0: 5}), 1), (uni({-1: -2, 0: 1, 1: -2}), 2)]
+    cases = [(TREFOIL, 3), ((1, 1, 1), 4), ((5,), 1), ((-2, 1, -2), 2)]
     for _ in range(40):
         poly = _random_palindromic_poly(rng, 4)
-        d = max(poly.terms) - min(poly.terms)
+        d = len(poly) - 1
         for p in {1, rng.randint(2, 6), max(1, d), max(1, 3 * d - 1), max(1, 3 * d), 17}:
             cases.append((poly, p))
     for poly, p in cases:
-        shift = min(poly.terms)
-        shifted = sum(c * t ** (e - shift) for e, c in poly.terms.items())
-        want = abs(sympy.resultant(sympy.Poly(shifted, t), sympy.Poly(t**p - 1, t)))
-        assert abs(poly.resultant_with_cyclotomic(p)) == want, (poly, p)
+        dense = sum(c * t**k for k, c in enumerate(poly))
+        want = abs(sympy.resultant(sympy.Poly(dense, t), sympy.Poly(t**p - 1, t)))
+        assert abs(resultant_with_cyclotomic(poly, p)) == want, (poly, p)
 
 
 def _count_paths(monkeypatch):
@@ -246,18 +271,18 @@ def _count_paths(monkeypatch):
 )
 def test_resultant_path_selection(monkeypatch, coeffs, p, trace, t_world):
     calls = _count_paths(monkeypatch)
-    uni(coeffs).resultant_with_cyclotomic(p)
+    resultant_with_cyclotomic(_dense(coeffs), p)
     assert calls == {"trace": trace, "t_world": t_world}
 
 
 def test_wrong_trace_product_is_caught_by_the_t_world_check(monkeypatch):
     monkeypatch.setattr(laurent, "_trace_product", lambda coeffs, p: 12345)
-    poly = wheel_knot(10).alexander
+    poly = wheel_knot(10).coeffs
     for p in (5, 16):
         with pytest.raises(RuntimeError, match=r"^internal disagreement: trace path 12345 vs t-world -?\d+$"):
-            poly.resultant_with_cyclotomic(p)
+            resultant_with_cyclotomic(poly, p)
     # above the threshold nothing checks it
-    assert poly.resultant_with_cyclotomic(17) == 12345
+    assert resultant_with_cyclotomic(poly, 17) == 12345
 
 
 def _random_coeffs(rng, length):
@@ -336,7 +361,7 @@ def test_t_world_check_matches_trace_circulant_and_sympy_with_sign(monkeypatch):
         return r
 
     rng = random.Random(47)
-    cases = [laurent._shifted_dense(wheel_knot(n).alexander.terms) for n in range(1, 31)]
+    cases = [wheel_knot(n).coeffs for n in range(1, 31)]
     at_one = at_minus_one = 0
     for _ in range(60):
         n = rng.randint(1, 8)
@@ -373,7 +398,7 @@ def test_t_world_check_matches_trace_circulant_and_sympy_with_sign(monkeypatch):
 
 def test_trace_product_matches_the_t_world_path():
     for knot, p in ((wheel_knot(10), 1000), (wheel_knot(30), 200)):
-        coeffs = laurent._shifted_dense(knot.alexander.terms)
+        coeffs = knot.coeffs
         assert laurent._trace_product(coeffs, p) == subresultant_product(coeffs, p), (knot, p)
     for coeffs in ([1, -1, 1], [-1, 3, -1]):  # the trefoil and the figure-eight
         for p in range(1, 4097):
@@ -400,14 +425,14 @@ def test_a_knot_stays_on_the_half_degree_sequence(monkeypatch):
 
     monkeypatch.setattr(laurent, "_pseudo_remainder", recorded)
     monkeypatch.setattr(laurent, "_trace_product", traced)
-    knots = [TREFOIL, uni({-1: -1, 0: 3, 1: -1})]
-    knots += [wheel_knot(n).alexander for n in (2, 5, 9)]
-    knots += [uni({-2: 2, -1: -3, 0: 3, 1: -3, 2: 2})]  # non-monic, 2 - 3t + 3t^2 - 3t^3 + 2t^4
+    knots = [TREFOIL, (-1, 3, -1)]
+    knots += [wheel_knot(n).coeffs for n in (2, 5, 9)]
+    knots += [(2, -3, 3, -3, 2)]  # non-monic, 2 - 3t + 3t^2 - 3t^3 + 2t^4
     for poly in knots:
-        n = (max(poly.terms) - min(poly.terms)) // 2
+        n = len(poly) // 2
         for p in (1, 2, 3, 7, 16, 17, 40, 101, 256):
             divisors.clear()
-            poly.resultant_with_cyclotomic(p)
+            resultant_with_cyclotomic(poly, p)
             assert max(divisors, default=0) <= n, (poly, p)
             if n > 1 and p > 2 * n:
                 assert max(divisors) == n  # the ladder reduces by B itself
@@ -418,11 +443,11 @@ def test_output_bound_covers_the_product():
     for _ in range(200):
         poly = _random_palindromic_poly(rng, 3)
         p = rng.randint(1, 30)
-        folded = laurent._folded(laurent._shifted_dense(poly.terms), p)
+        folded = laurent._folded(poly, p)
         if not any(folded):
             continue
         bound = laurent._h1_bits_bound(folded, p)
-        assert abs(poly.resultant_with_cyclotomic(p)).bit_length() <= bound, (poly, p)
+        assert abs(resultant_with_cyclotomic(poly, p)).bit_length() <= bound, (poly, p)
 
 
 def test_output_bound_refuses_before_any_path_runs(monkeypatch):
@@ -430,25 +455,25 @@ def test_output_bound_refuses_before_any_path_runs(monkeypatch):
     forbid_resultant_paths(monkeypatch)
     for n in (10, 30):
         with pytest.raises(ValueError, match="over the output bound of 2097152"):
-            wheel_knot(n).alexander.resultant_with_cyclotomic(10**6)
+            resultant_with_cyclotomic(wheel_knot(n).coeffs, 10**6)
 
 
 def test_output_bound_accepts_trefoil_at_p_a_million(monkeypatch):
     monkeypatch.setattr(laurent, "_trace_product", lambda coeffs, p: 4)
-    assert TREFOIL.resultant_with_cyclotomic(10**6) == 4
+    assert resultant_with_cyclotomic(TREFOIL, 10**6) == 4
 
 
 def test_output_bound_is_read_on_the_folded_polynomial(monkeypatch):
     monkeypatch.setattr(laurent, "MAX_H1_BITS", 3)
     # 5 + t - 10t^2 + t^3 + 5t^4 at p = 2 folds to 2t: 3 bits, where the
     # unfolded sum a_i^2 = 152 would give 8
-    assert abs(uni({0: 5, 1: 1, 2: -10, 3: 1, 4: 5}).resultant_with_cyclotomic(2)) == 4
+    assert abs(resultant_with_cyclotomic((5, 1, -10, 1, 5), 2)) == 4
     monkeypatch.setattr(laurent, "MAX_H1_BITS", 8)
     # 1 - 6t + t^2 at p = 3: floor(3 log2(38) / 2) + 1 = 8 bits, and 196 has 8
-    assert abs(uni({0: 1, 1: -6, 2: 1}).resultant_with_cyclotomic(3)) == 196
+    assert abs(resultant_with_cyclotomic((1, -6, 1), 3)) == 196
     monkeypatch.setattr(laurent, "MAX_H1_BITS", 7)
     with pytest.raises(ValueError, match="may need 8 bits"):
-        uni({0: 1, 1: -6, 2: 1}).resultant_with_cyclotomic(3)
+        resultant_with_cyclotomic((1, -6, 1), 3)
 
 
 def test_work_bound_refuses_before_any_path_runs(monkeypatch):
@@ -457,16 +482,16 @@ def test_work_bound_refuses_before_any_path_runs(monkeypatch):
     for n, p, work in ((40, 4000, 4519106515), (80, 1000, 4740040387)):
         message = f"|H_1| at p = {p} needs work {work}, over the work bound of 536870912"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            wheel_knot(n).alexander.resultant_with_cyclotomic(p)
+            resultant_with_cyclotomic(wheel_knot(n).coeffs, p)
 
 
 def test_output_bound_is_checked_before_the_work_bound(monkeypatch):
     forbid_resultant_paths(monkeypatch)
     monkeypatch.setattr(laurent, "MAX_H1_WORK", 0)
     with pytest.raises(ValueError, match="over the output bound"):
-        wheel_knot(80).alexander.resultant_with_cyclotomic(10**6)
+        resultant_with_cyclotomic(wheel_knot(80).coeffs, 10**6)
     with pytest.raises(ValueError, match="over the work bound of 0$"):
-        TREFOIL.resultant_with_cyclotomic(5)
+        resultant_with_cyclotomic(TREFOIL, 5)
 
 
 def test_work_bound_accepts_every_half_degree_one_polynomial_above_p_16():
@@ -479,11 +504,14 @@ SRC = Path(laurent.__file__).parent
 
 
 def test_laurent_holds_polynomials_and_records_live_in_records():
-    tree = ast.parse((SRC / "laurent.py").read_text(encoding="utf-8"))
-    defined = {node.name for node in tree.body if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
-    defined |= {t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets}
-    assert not {"_Record", "_set"} & defined
-    assert not [name for name in defined if name.startswith("_json_")]
+    # laurent is a leaf of functions on a knot's coefficient list: records <- laurent <- knots
+    nodes = list(ast.walk(ast.parse((SRC / "laurent.py").read_text(encoding="utf-8"))))
+    modules = [node.module for node in nodes if isinstance(node, ast.ImportFrom)]  # None for "from ."
+    modules += [alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names]
+    assert set(modules) == {"__future__", "math", "collections.abc"}
+    assert not [node for node in nodes if isinstance(node, ast.ClassDef)]
+    defined = {node.name for node in nodes if isinstance(node, ast.FunctionDef)}
+    assert not {"_shifted_dense", "_palindromic"} & defined  # the knot shifts and checks once
     for module in ("diagrams", "lifts", "signs", "engine"):
         tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
         sources = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
@@ -493,7 +521,6 @@ def test_laurent_holds_polynomials_and_records_live_in_records():
         alias.name for node in ast.walk(knots_tree)
         if isinstance(node, ast.ImportFrom) and node.module == "laurent" for alias in node.names
     }
-    assert not from_laurent & {"CROSS_CHECK_MAX_P", "_Record", "_set"}
-    assert not [name for name in from_laurent if name.startswith("_json_")]
+    assert from_laurent == {"MAX_H1_WORK", "_h1_work", "resultant_with_cyclotomic"}
     assert issubclass(KnotDescriptor, _Record)
     assert not {"__eq__", "__repr__", "__hash__"} & set(vars(KnotDescriptor))
