@@ -12,40 +12,39 @@ Submodules:
     engine    -- roots-of-unity filters in Z[Z_p^b]: leg-state and LMO
                  multipliers, Casson-Walker-Lescop deltas
     cli       -- command-line frontend
+
+``import covercalc`` loads none of them. Each name in ``__all__`` resolves
+on first access, ``covercalc.h1_order`` or ``from covercalc import *``,
+by importing its home module, so a ``covercalc`` process compiles only the
+modules it uses.
 """
 
-from .knots import KnotDescriptor, h1_order, wheel_knot, f_table
-from .diagrams import DecoratedDiagram, Edge, Leg, validate_complete, surplus, degree
-from .lifts import LiftSystem, LiftEdge, solve, admissible
-from .signs import GraphIso, chain_twist, comparison_sign
-from .engine import (
-    LeadingTerm, multiplier, cwl_delta, lmo_leading_multiplier, lmo_window, window_nonzero,
-)
+_HOMES = {
+    "knots": ("KnotDescriptor", "h1_order", "wheel_knot", "f_table"),
+    "diagrams": ("DecoratedDiagram", "Edge", "Leg", "validate_complete", "surplus", "degree"),
+    "lifts": ("LiftSystem", "LiftEdge", "solve", "admissible"),
+    "signs": ("GraphIso", "chain_twist", "comparison_sign"),
+    "engine": (
+        "LeadingTerm", "multiplier", "cwl_delta", "lmo_leading_multiplier", "lmo_window",
+        "window_nonzero",
+    ),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
 
-__all__ = [
-    "KnotDescriptor",
-    "h1_order",
-    "wheel_knot",
-    "f_table",
-    "DecoratedDiagram",
-    "Edge",
-    "Leg",
-    "validate_complete",
-    "surplus",
-    "degree",
-    "LiftSystem",
-    "LiftEdge",
-    "solve",
-    "admissible",
-    "GraphIso",
-    "chain_twist",
-    "comparison_sign",
-    "LeadingTerm",
-    "multiplier",
-    "cwl_delta",
-    "lmo_leading_multiplier",
-    "lmo_window",
-    "window_nonzero",
-]
+__all__ = list(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _HOME.keys())

@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 validation failure, 2 I/O or parse failure,
 3 internal error (two computation paths disagreed or an impossible case
 was reached).
+
+Each subcommand imports the library modules it runs, and ``--help`` none,
+so a process compiles only what it uses.
 """
 from __future__ import annotations
 
@@ -10,8 +13,6 @@ import argparse
 import json
 import sys
 from collections.abc import Sequence
-
-from . import diagrams, engine, knots, lifts
 
 
 def _parse_p_values(args) -> list[int]:
@@ -82,25 +83,34 @@ def _table(rows, header, fmt: str) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _load_knot(path: str) -> knots.KnotDescriptor:
-    return knots.KnotDescriptor.from_json_dict(_load_json(path))
+def _load_knot(path: str):
+    from .knots import KnotDescriptor
+
+    return KnotDescriptor.from_json_dict(_load_json(path))
 
 
 def cmd_h1(args) -> str:
+    from .knots import h1_order
+
     knot = _load_knot(args.knot)
-    rows = [(p, knots.h1_order(knot, p)) for p in _parse_p_values(args)]
+    rows = [(p, h1_order(knot, p)) for p in _parse_p_values(args)]
     return _table(rows, ("p", "h1"), args.format)
 
 
 def cmd_wheel_table(args) -> str:
-    rows = knots.f_table(args.p, args.n_max)
+    from .knots import f_table
+
+    rows = f_table(args.p, args.n_max)
     return _table(rows, ("n", "f"), args.format)
 
 
 def cmd_cwl(args) -> str:
+    from .diagrams import DecoratedDiagram
+    from .engine import cwl_delta
+
     knot = _load_knot(args.knot)
-    diagram = diagrams.DecoratedDiagram.from_json_dict(_load_json(args.diagram))
-    term = engine.cwl_delta(knot, diagram, args.p, signed=not args.unsigned)  # the one validation
+    diagram = DecoratedDiagram.from_json_dict(_load_json(args.diagram))
+    term = cwl_delta(knot, diagram, args.p, signed=not args.unsigned)  # the one validation
     return _term_json(term)
 
 
@@ -110,8 +120,9 @@ def _term_json(term) -> str:
 
 
 def cmd_lift(args) -> str:
-    system = lifts.LiftSystem.from_json_dict(_load_json(args.system))
-    solutions = lifts.solve(system)
+    from .lifts import LiftSystem, solve
+
+    solutions = solve(LiftSystem.from_json_dict(_load_json(args.system)))
     if solutions is None:
         return "INADMISSIBLE\n"
     if not solutions:
@@ -126,7 +137,9 @@ def cmd_lift(args) -> str:
 
 
 def cmd_window(args) -> str:
-    values = engine.lmo_window(args.l_start, args.count, args.p)
+    from .engine import lmo_window
+
+    values = lmo_window(args.l_start, args.count, args.p)
     rows = [(l, value, 1 if value != 0 else 0) for l, value in enumerate(values, args.l_start)]
     return _table(rows, ("l", "multiplier", "nonzero"), args.format)
 
@@ -191,12 +204,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except KeyError as exc:
         print(f"error: malformed input, missing field {exc}", file=sys.stderr)
         return 2
-    except diagrams.DiagramError as exc:
-        v = exc.violation
-        print(f"invalid diagram: {v.code}[{v.element}]: {v.message}", file=sys.stderr)
-        return 1
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a DiagramError can only come from a command that imported diagrams
+        diagrams = sys.modules.get("covercalc.diagrams")
+        if diagrams and isinstance(exc, diagrams.DiagramError):
+            v = exc.violation
+            print(f"invalid diagram: {v.code}[{v.element}]: {v.message}", file=sys.stderr)
+        else:
+            print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -18,32 +18,37 @@ from __future__ import annotations
 from .laurent import MAX_H1_WORK, _h1_work, resultant_with_cyclotomic
 from .records import _json_int, _json_object, _json_objects, _json_str, _Record, _set
 
+_ASYMMETRIC = "Alexander polynomial is not symmetric under t -> 1/t up to a unit"
+
+
+def _check_at_one(at_one: int) -> None:
+    if at_one not in (1, -1):
+        raise ValueError(f"Alexander polynomial must evaluate to ±1 at t=1, got {at_one}")
+
 
 class KnotDescriptor(_Record):
     """A knot presented by its Alexander polynomial A, up to units ±t^k.
 
     ``coeffs`` is the tuple a_0..a_2n of A(t) = sum_k a_k t^(low + k), both
     ends nonzero; ``low`` and the variable name ``var`` are kept only for the
-    JSON round trip.
+    JSON round trip. Each coefficient must be an int and not a bool: any other
+    number raises ValueError rather than being truncated.
     """
 
     __slots__ = ("label", "coeffs", "low", "var")
 
     def __init__(self, label: str, coeffs, low: int = 0, var: str = "t"):
         coeffs = tuple(coeffs)
-        at_one = sum(coeffs)
-        if at_one not in (1, -1):
-            raise ValueError(
-                f"Alexander polynomial must evaluate to ±1 at t=1, got {at_one}"
-            )
+        for coef in coeffs:
+            if not isinstance(coef, int) or isinstance(coef, bool):
+                raise ValueError(f"Alexander polynomial coefficients must be integers, got {coef!r}")
+        _check_at_one(sum(coeffs))
         if not coeffs[0]:
             raise ValueError("Alexander polynomial coeffs must begin with a nonzero coefficient")
         # symmetric up to ±t^k; -t^k needs no test, as an anti-palindrome
         # vanishes at t = 1, nor an odd degree, as its palindromes have even A(1)
         if coeffs != coeffs[::-1]:
-            raise ValueError(
-                "Alexander polynomial is not symmetric under t -> 1/t up to a unit"
-            )
+            raise ValueError(_ASYMMETRIC)
         _set(self, "label", label)
         _set(self, "coeffs", coeffs)
         _set(self, "low", low)
@@ -65,7 +70,9 @@ class KnotDescriptor(_Record):
         objects and each ``exp`` must hold exactly one exponent. Exponents
         and coefficients must be JSON integers or decimal strings; floats
         and booleans raise ValueError rather than being truncated, and so
-        does an exponent given twice.
+        does an exponent given twice. A(1) = ±1 and the palindrome are checked
+        on the sparse terms, before the dense list over their exponent span
+        is built.
         """
         _json_object(data, "knot")
         label = _json_str(data.get("label", ""), "knot label")
@@ -81,9 +88,12 @@ class KnotDescriptor(_Record):
             if e in terms:
                 raise ValueError(f"duplicate exponent {e}")
             terms[e] = _json_int(term["coef"], "coefficient")
-        exps = [e for e, c in terms.items() if c]
-        low = min(exps, default=0)
-        coeffs = [terms.get(e, 0) for e in range(low, max(exps, default=-1) + 1)]
+        nonzero = {e: c for e, c in terms.items() if c}
+        _check_at_one(sum(nonzero.values()))
+        low, high = min(nonzero), max(nonzero)  # A(1) = ±1, so some term is nonzero
+        if any(nonzero.get(low + high - e) != c for e, c in nonzero.items()):
+            raise ValueError(_ASYMMETRIC)
+        coeffs = [nonzero.get(e, 0) for e in range(low, high + 1)]
         return cls(label, coeffs, low, names[0])
 
 

@@ -4,6 +4,8 @@ import json
 import math
 import pickle
 import random
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -179,6 +181,38 @@ def test_construction_rejects_zero_ends():
     # (0, 1, 0) is a palindrome, but not the shifted form a knot holds
     with pytest.raises(ValueError, match="must begin with a nonzero coefficient"):
         KnotDescriptor("bad", (0, 1, 0))
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [(0.5, 0, 0.5), (1.0,), (True,), (-1, True, 1), (Fraction(1, 2), 0, Fraction(1, 2)), (Fraction(1),)],
+)
+def test_construction_rejects_non_integer_coefficients(coeffs):
+    # each passes the A(1) and palindrome checks; a float or Fraction knot used to
+    # fail later, inside the resultant, with ZeroDivisionError
+    with pytest.raises(ValueError, match="^Alexander polynomial coefficients must be integers, got "):
+        KnotDescriptor("bad", coeffs)
+
+
+@pytest.mark.parametrize(
+    "terms, message",
+    [
+        ({0: 1, 10**7: 1}, "must evaluate to ±1 at t=1, got 2"),
+        ({0: 1, 5: -1, 10**7: 1}, "is not symmetric under t -> 1/t up to a unit"),
+    ],
+    ids=["A(1)=2", "asymmetric"],
+)
+def test_from_json_refuses_a_wide_knot_before_building_its_dense_list(terms, message):
+    # the dense list over exponents 0..10^7 would take some 80 MB
+    data = {"vars": ["t"], "terms": [{"exp": [e], "coef": c} for e, c in terms.items()]}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^Alexander polynomial {message}$"):
+            KnotDescriptor.from_json_dict(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_knot_descriptor_has_record_semantics():
