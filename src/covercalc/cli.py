@@ -15,7 +15,7 @@ import sys
 from collections.abc import Sequence
 
 
-def _parse_p_values(args) -> list[int]:
+def _parse_p_values(args) -> range:
     if args.p_range:
         try:
             lo, hi = args.p_range.split("..")
@@ -24,14 +24,13 @@ def _parse_p_values(args) -> list[int]:
             raise ValueError(f"bad --p-range {args.p_range!r}, expected A..B")
         if lo > hi:
             raise ValueError("empty --p-range")
-        values = list(range(lo, hi + 1))
     elif args.p is not None:
-        values = [args.p]
+        lo = hi = args.p
     else:
         raise ValueError("one of --p or --p-range is required")
-    if any(p < 1 for p in values):
+    if lo < 1:
         raise ValueError("p values must be >= 1")
-    return values
+    return range(lo, hi + 1)
 
 
 def _load_json(path: str):
@@ -158,8 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("h1", help="homology orders of p-fold branched covers")
     sp.add_argument("knot", help="knot JSON file")
-    sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--p-range", default=None, metavar="A..B")
+    p_values = sp.add_mutually_exclusive_group()
+    p_values.add_argument("--p", type=int, default=None)
+    p_values.add_argument("--p-range", default=None, metavar="A..B")
     add_common(sp)
     sp.set_defaults(func=cmd_h1)
 
@@ -207,11 +207,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         # a DiagramError can only come from a command that imported diagrams
         diagrams = sys.modules.get("covercalc.diagrams")
-        if diagrams and isinstance(exc, diagrams.DiagramError):
-            v = exc.violation
-            print(f"invalid diagram: {v.code}[{v.element}]: {v.message}", file=sys.stderr)
-        else:
-            print(f"error: {exc}", file=sys.stderr)
+        kind = "invalid diagram" if diagrams and isinstance(exc, diagrams.DiagramError) else "error"
+        print(f"{kind}: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

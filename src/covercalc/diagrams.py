@@ -236,6 +236,9 @@ def _validate(d: DecoratedDiagram) -> Violation | tuple:
             return Violation("reference", l.id, "leg wrap sign must be ±1")
         if l.edge not in ends:
             return Violation("reference", l.id, "leg targets unknown edge")
+    for k in d.twists:
+        if k not in ends:
+            return Violation("reference", k, "twist on unknown edge")
 
     incidence = {v: 0 for v in d.vertices}
     for e in d.edges:

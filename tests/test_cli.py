@@ -44,10 +44,18 @@ def test_h1_single_p(capsys, trefoil_file):
     assert out == "p,h1\n2,3\n"
 
 
-def test_h1_range_rows(capsys, trefoil_file):
+def test_h1_range_rows(capsys, tmp_path, trefoil_file):
     code, out, _ = run(capsys, ["h1", trefoil_file, "--p-range", "2..4"])
     assert code == 0
     assert out.splitlines() == ["p,h1", "2,3", "3,4", "4,3"]
+    # the trefoil in s at exponents 4..6, with zero terms at 0 and 9, prints the trefoil's bytes
+    coefs = ((0, "0"), (4, "1"), (5, "-1"), (6, "1"), (9, "0"))
+    shifted = tmp_path / "trefoil-s.json"
+    shifted.write_text(json.dumps({"label": "trefoil", "vars": ["s"],
+                                   "terms": [{"exp": [e], "coef": c} for e, c in coefs]}))
+    for fmt in ("csv", "json"):
+        argv = ["--p-range", "1..40", "--format", fmt]
+        assert run(capsys, ["h1", str(shifted), *argv]) == run(capsys, ["h1", trefoil_file, *argv])
 
 
 def test_h1_unknot_all_ones(capsys, unknot_file):
@@ -148,10 +156,14 @@ def test_cwl_unsigned_flag(capsys, tmp_path, unknot_file):
 
 
 def test_cwl_invalid_diagram_exits_1(capsys, tmp_path, trefoil_file):
-    diagram_file = write_diagram(tmp_path, chord_fixture())
-    code, out, err = run(capsys, ["cwl", trefoil_file, diagram_file, "--p", "2"])
-    assert code == 1
-    assert "incidence" in err and "[a]" in err
+    path = tmp_path / "diagram.json"
+    for data, message in (
+        (chord_fixture().to_json_dict(), "incidence[a]: vertex has total incidence 2, expected 3"),
+        ({**theta().to_json_dict(), "twists": {"9": 1}}, "reference[9]: twist on unknown edge"),
+    ):
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["cwl", trefoil_file, str(path), "--p", "2"])
+        assert (code, out, err) == (1, "", f"invalid diagram: {message}\n")
 
 
 def test_cwl_refuses_p_below_one_before_it_validates_the_diagram(capsys, tmp_path, trefoil_file):
@@ -261,6 +273,18 @@ def test_malformed_json_exits_2(capsys, tmp_path):
 def test_bad_p_range_exits_1(capsys, trefoil_file):
     code, _, _ = run(capsys, ["h1", trefoil_file, "--p-range", "5..2"])
     assert code == 1
+    for argv, message in ((["--p-range", "0..3"], "p values must be >= 1"),
+                          (["--p", "0"], "p values must be >= 1"),
+                          ([], "one of --p or --p-range is required")):
+        assert run(capsys, ["h1", trefoil_file, *argv]) == (1, "", f"error: {message}\n")
+
+
+def test_h1_p_and_p_range_together_is_a_usage_error(capsys, trefoil_file):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["h1", trefoil_file, "--p", "5", "--p-range", "2..3"])
+    captured = capsys.readouterr()
+    assert (exit_info.value.code, captured.out) == (2, "")
+    assert "argument --p-range: not allowed with argument --p" in captured.err
 
 
 def test_invalid_knot_exits_1(capsys, tmp_path):

@@ -13,7 +13,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+import covercalc
+
+# the directory holding the package this suite imports: src/ in the checkout,
+# site-packages when run against an installed package
+SRC = Path(covercalc.__file__).resolve().parents[1]
 GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text(encoding="utf-8"))
 ARGVS = [
     ["lift", "lift-ok.json"],

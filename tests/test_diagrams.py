@@ -118,6 +118,14 @@ def test_leg_target_must_be_incident():
     assert v is not None and v.code == "leg-target" and v.element == "l1"
 
 
+def test_twist_on_unknown_edge_rejected():
+    # a mistyped twist key is an error, not a sign that silently turns "unknown"
+    data = theta().to_json_dict()
+    data["twists"] = {"e1": 1, "9": 1}
+    v = validate_complete(DecoratedDiagram.from_json_dict(data))
+    assert (v.code, v.element, v.message) == ("reference", "9", "twist on unknown edge")
+
+
 def test_low_surplus_rejected():
     # a triangle with one leg per vertex: trivalent everywhere, surplus 0
     d = DecoratedDiagram(

@@ -9,7 +9,9 @@ import pytest
 
 import covercalc
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+# the directory holding the package this suite imports: src/ in the checkout,
+# site-packages when run against an installed package
+SRC = Path(covercalc.__file__).resolve().parents[1]
 
 
 def test_import_loads_no_submodule():
