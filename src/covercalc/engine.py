@@ -12,7 +12,9 @@ factor per winding line: the m legs on u and the n legs on -u mod p give
 binomial sums over residue classes as coefficients, and for each
 coordinate k the first line c e_k with c prime to p is read off at the end
 instead of multiplied in. The product with one factor per leg, which
-shares none of this, checks every call.
+shares none of this, checks every call; it keys each exponent in Z_p^b by
+one packed int, b bit fields of w = (p - 1).bit_length() + 1 bits, and
+reduces all fields mod p at once with one add, shift and mask.
 For decorations that saw to the theta graph (``diagrams.is_theta_shaped``)
 this feeds the Casson-Walker-Lescop delta 2|H_1| per admissible copy. The
 LMO multiplier of l legs is the b = 1 case (1 - x)^l, whose filter is the
@@ -31,7 +33,7 @@ from .diagrams import (
 from .knots import KnotDescriptor, h1_order
 from .records import _Record, _set
 
-MAX_WORK = 2**25  # (legs + 1) * min(prod(m_i + 1), p^b) one multiplier call may spend
+MAX_WORK = 2**25  # (legs + 1) * min(prod(m_i + 1), p^b, box) one multiplier call may spend
 MAX_WINDOW_WORK = 2**35  # estimated bit operations one lmo_window call may spend
 
 
@@ -140,18 +142,31 @@ def _multiplier_lines(constants, groups, p, signed):
 def _multiplier_polynomial(constants, vectors, p, signed):
     """p times the coefficient at 0 of x^c * prod_v (1 -/+ x^v) in Z[Z_p^b].
 
-    The product is a dict keyed by exponent tuples reduced mod p, multiplied
-    by one factor per leg, so its support stays at most min(2^legs, p^b).
+    The product is a dict over exponents, multiplied by one factor per leg,
+    so its support stays at most min(2^legs, p^b). An exponent e, reduced
+    mod p, is the packed int sum_k e_k 2^(k w) with w = (p - 1).bit_length()
+    + 1, so that 2^(w - 1) >= p. Adding a packed leg, also reduced, leaves
+    each field at most 2p - 2 < 2^w, with no carry into the next field; a
+    field is then >= p exactly when adding 2^(w - 1) - p to it sets its top
+    bit, so one shift and mask find the fields to lower by p.
     """
+    w = (p - 1).bit_length() + 1
+    ones = sum(1 << (k * w) for k in range(len(constants)))
+    probe = ((1 << (w - 1)) - p) * ones
+
+    def packed(exponents):
+        return sum(e % p << (k * w) for k, e in enumerate(exponents))
+
     sign = -1 if signed else 1
-    ring = {tuple(c % p for c in constants): 1}
-    for vec in vectors:
+    ring = {packed(constants): 1}
+    for shift in map(packed, vectors):
         product = dict(ring)
-        for exp, coef in ring.items():
-            key = tuple((e + v) % p for e, v in zip(exp, vec))
+        for key, coef in ring.items():
+            key += shift
+            key -= ((key + probe) >> (w - 1) & ones) * p
             product[key] = product.get(key, 0) + sign * coef
         ring = product
-    return p * ring.get((0,) * len(constants), 0)
+    return p * ring.get(0, 0)
 
 
 def multiplier(d: DecoratedDiagram, p: int, signed: bool = True) -> int:
@@ -161,8 +176,10 @@ def multiplier(d: DecoratedDiagram, p: int, signed: bool = True) -> int:
     and checked against the product with one factor per leg; the two must
     agree, else RuntimeError. With legs grouped by equal winding vectors
     into groups of m_i, the per-leg support stays within
-    S = min(prod(m_i + 1), p^b), and a call whose work (legs + 1) * S
-    exceeds MAX_WORK raises ValueError before either path runs.
+    S = min(prod(m_i + 1), p^b, prod_j B_j): cycle j's winding c_j plus a
+    sum of leg entries v_ij takes at most the B_j = sum_i |v_ij| + 1 values
+    of an interval, before reduction mod p too. A call whose work
+    (legs + 1) * S exceeds MAX_WORK raises ValueError before either path runs.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -173,7 +190,8 @@ def _multiplier_of_rows(rows, p, signed):
     # multiplier from the cycle_windings rows of a valid diagram, which has b >= 2 rows
     constants, *vectors = zip(*rows)
     groups = Counter(vectors)
-    work = (len(vectors) + 1) * min(math.prod(m + 1 for m in groups.values()), p ** len(rows))
+    box = math.prod(sum(map(abs, row[1:])) + 1 for row in rows)
+    work = (len(vectors) + 1) * min(math.prod(m + 1 for m in groups.values()), p ** len(rows), box)
     if work > MAX_WORK:
         raise ValueError(f"multiplier work {work} exceeds the work bound of {MAX_WORK}")
     by_line = _multiplier_lines(constants, groups, p, signed)

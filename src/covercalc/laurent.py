@@ -25,8 +25,8 @@ def resultant_with_cyclotomic(coeffs: Sequence[int], p: int) -> int:
     """prod over p-th roots of unity z of A(z) = sum_k coeffs[k] z^k, as an exact integer.
 
     ``coeffs`` is a palindrome a_0..a_2n with a_0 nonzero, as a knot holds
-    it. ValueError is raised before anything runs for p < 1, and for an
-    input whose product may need more than MAX_H1_BITS bits (see
+    it. check_bounds raises ValueError before anything runs for p < 1, and
+    for an input whose product may need more than MAX_H1_BITS bits (see
     _h1_bits_bound, read on A folded mod t^p - 1) or more than MAX_H1_WORK
     estimated work (_h1_work). A then goes to _trace_product: one
     subresultant sequence of degree n, whose first remainder comes from a
@@ -36,11 +36,29 @@ def resultant_with_cyclotomic(coeffs: Sequence[int], p: int) -> int:
     and a disagreement raises RuntimeError. Only the absolute value is
     meaningful; the unit shift changes the sign.
     """
+    folded = check_bounds(coeffs, p)
+    if not any(folded):
+        return 0
+    value = _trace_product(coeffs, p)
+    if p <= CROSS_CHECK_MAX_P:
+        check = _t_world_product(folded, p)
+        if check != value:
+            raise RuntimeError(f"internal disagreement: trace path {value} vs t-world {check}")
+    return value
+
+
+def check_bounds(coeffs: Sequence[int], p: int) -> Sequence[int]:
+    """A folded mod t^p - 1, once p >= 1 and the product at p is within both bounds.
+
+    ValueError for p < 1, and for a nonzero folded A whose product may need
+    more than MAX_H1_BITS bits or more than MAX_H1_WORK estimated work.
+    Nothing of either product path runs.
+    """
     if p < 1:
         raise ValueError("p must be >= 1")
     folded = _folded(coeffs, p) if len(coeffs) > p else coeffs
     if not any(folded):
-        return 0
+        return folded
     bits = _h1_bits_bound(folded, p)
     if bits > MAX_H1_BITS:
         raise ValueError(
@@ -51,12 +69,7 @@ def resultant_with_cyclotomic(coeffs: Sequence[int], p: int) -> int:
         raise ValueError(
             f"|H_1| at p = {p} needs work {work}, over the work bound of {MAX_H1_WORK}"
         )
-    value = _trace_product(coeffs, p)
-    if p <= CROSS_CHECK_MAX_P:
-        check = _t_world_product(folded, p)
-        if check != value:
-            raise RuntimeError(f"internal disagreement: trace path {value} vs t-world {check}")
-    return value
+    return folded
 
 
 def _folded(coeffs: Sequence[int], p: int) -> list[int]:

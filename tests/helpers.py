@@ -2,9 +2,10 @@
 Hypothesis strategies for the JSON input schemas, a guard on the |H_1| paths,
 polynomial oracles for |H_1| (a product, a float evaluation, the t-world
 resultant Res(t^p - 1, A) and the circulant determinant), the leg-state
-enumeration and grouped-product oracles for the multiplier, the indicator
-sum checked on both multiplier paths and both oracles, and search oracles
-for cycle windings and for edge maps that respect adjacency."""
+enumeration, grouped-product and tuple-keyed per-leg oracles for the
+multiplier, the indicator sum checked on both multiplier paths and the
+oracles, and search oracles for cycle windings and for edge maps that
+respect adjacency."""
 from __future__ import annotations
 
 import copy
@@ -138,28 +139,47 @@ def k4_diagram() -> DecoratedDiagram:
     )
 
 
+def prism(n: int) -> DecoratedDiagram:
+    """The prism over an n-cycle (b = n + 1): two n-cycles a and b joined by n rungs."""
+    pairs = [(f"a{i}", f"a{(i + 1) % n}") for i in range(n)]
+    pairs += [(f"b{i}", f"b{(i + 1) % n}") for i in range(n)]
+    pairs += [(f"a{i}", f"b{i}") for i in range(n)]
+    return DecoratedDiagram(
+        label=f"prism-{n}",
+        vertices=tuple(f"{side}{i}" for side in "ab" for i in range(n)),
+        edges=tuple(Edge(f"e{i}", a, b, 0) for i, (a, b) in enumerate(pairs)),
+    )
+
+
+def petersen() -> DecoratedDiagram:
+    """The Petersen graph (b = 6), legless."""
+    pairs = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    pairs += [(i + 5, (i + 2) % 5 + 5) for i in range(5)]
+    return DecoratedDiagram(
+        label="petersen",
+        vertices=tuple(range(10)),
+        edges=tuple(Edge(f"e{i}", a, b, 0) for i, (a, b) in enumerate(pairs)),
+    )
+
+
 def petersen_with_legs() -> DecoratedDiagram:
     """The Petersen graph (b = 6) with two legs of opposite sign on each edge.
 
     The graph is 3-edge-connected, so no two edges lie on the same cycles:
     the 30 legs have 30 distinct winding vectors.
     """
-    pairs = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
-    pairs += [(i + 5, (i + 2) % 5 + 5) for i in range(5)]
-    d = DecoratedDiagram(
-        label="petersen",
-        vertices=tuple(range(10)),
-        edges=tuple(Edge(f"e{i}", a, b, 0) for i, (a, b) in enumerate(pairs)),
-    )
-    for i in range(len(pairs)):
+    d = petersen()
+    for i in range(len(d.edges)):
         d = attach_leg_by_subdivision(d, f"e{i}", f"p{i}", sign=1)
         d = attach_leg_by_subdivision(d, f"e{i}~p{i}b", f"n{i}", sign=-1)
     return d
 
 
-def random_diagram(rng: random.Random, max_legs: int = 12) -> DecoratedDiagram:
-    """A random valid complete diagram: random base graph, windings, legs."""
-    base = rng.choice([theta, dumbbell, k4_diagram])()
+def random_diagram(
+    rng: random.Random, max_legs: int = 12, bases=(theta, dumbbell, k4_diagram)
+) -> DecoratedDiagram:
+    """A random valid complete diagram: a base graph from ``bases``, random windings, legs."""
+    base = rng.choice(bases)()
     edges = tuple(
         Edge(e.id, e.tail, e.head, rng.randint(-3, 3)) for e in base.edges
     )
@@ -413,14 +433,34 @@ def integer_filter(product, p):
     return p * sum(coef for exp, coef in product.items() if all(e % p == 0 for e in exp))
 
 
-def indicator_sum(constants, vectors, p, signed=False):
-    """The mod-p indicator sum of x^c * prod (1 -/+ x^v), from four computations.
+def per_leg_product(constants, vectors, p, signed):
+    """p times the coefficient at 0 of x^c * prod_v (1 -/+ x^v) in Z[Z_p^b].
 
-    The line path and the per-leg path of ``engine.multiplier``, the grouped
-    oracle and multiplier_enumeration must agree on p times the sum.
+    One factor per leg on a dict keyed by exponent tuples, each entry reduced
+    mod p after every leg: the per-leg product of ``engine.multiplier``
+    without its packed exponents.
+    """
+    sign = -1 if signed else 1
+    ring = {tuple(c % p for c in constants): 1}
+    for vec in vectors:
+        product = dict(ring)
+        for exp, coef in ring.items():
+            key = tuple((e + v) % p for e, v in zip(exp, vec))
+            product[key] = product.get(key, 0) + sign * coef
+        ring = product
+    return p * ring.get((0,) * len(constants), 0)
+
+
+def indicator_sum(constants, vectors, p, signed=False):
+    """The mod-p indicator sum of x^c * prod (1 -/+ x^v), from five computations.
+
+    The line path and the packed per-leg path of ``engine.multiplier``,
+    per_leg_product, the grouped oracle and multiplier_enumeration must
+    agree on p times the sum.
     """
     groups = Counter(vectors)
-    by_poly = engine._multiplier_polynomial(constants, vectors, p, signed)
+    by_poly = per_leg_product(constants, vectors, p, signed)
+    assert by_poly == engine._multiplier_polynomial(constants, vectors, p, signed)
     assert by_poly == engine._multiplier_lines(constants, groups, p, signed)
     assert by_poly == multiplier_grouped(constants, groups, p, signed)
     assert by_poly == multiplier_enumeration(constants, groups, p, signed)

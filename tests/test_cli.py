@@ -442,6 +442,16 @@ def test_h1_over_the_work_bound_exits_1(capsys, monkeypatch, tmp_path):
     assert err == "error: |H_1| at p = 4000 needs work 4519106515, over the work bound of 536870912\n"
 
 
+def test_h1_range_over_the_output_bound_exits_1_before_any_row(capsys, monkeypatch, trefoil_file):
+    # every p up to 2,646,311 is within the bounds, and none of them is computed
+    forbid_resultant_paths(monkeypatch)
+    code, out, err = run(capsys, ["h1", trefoil_file, "--p-range", "1..100000000"])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: |H_1| at p = 100000000 may need 79248126 bits, over the output bound of 2097152\n"
+    )
+
+
 def test_cwl_over_the_work_bound_exits_1(capsys, monkeypatch, tmp_path, trefoil_file):
     from covercalc import engine
 

@@ -33,10 +33,14 @@ from helpers import (
     indicator_sum,
     integer_filter,
     integer_product,
+    k4_diagram,
     kappa_diagram,
     multiplier_enumeration,
     multiplier_grouped,
+    per_leg_product,
+    petersen,
     petersen_with_legs,
+    prism,
     random_diagram,
     relabel,
     theta_with_legs,
@@ -106,6 +110,48 @@ def test_multiplier_runs_long_chains_under_the_default_bound():
     assert engine.MAX_WORK == 2**25
     for p in (2, 3, 7):
         assert multiplier(theta_with_legs(40), p) == lmo_leading_multiplier(40, p)
+
+
+def test_multiplier_box_admits_k4_with_forty_legs_at_a_large_p():
+    # a leg's entries are -1, 0 or 1, so cycle j winds over at most
+    # B_j = sum_i |v_ij| + 1 values: the box prod_j B_j bounds the support
+    # where min(prod(m_i + 1), p^b) does not
+    rng = random.Random(4)
+    d = k4_diagram()
+    for i in range(40):
+        edge = rng.choice([e.id for e in d.edges])
+        sign, target = rng.choice((1, -1)), rng.choice(("first", "second"))
+        d = attach_leg_by_subdivision(d, edge, f"l{i}", sign=sign, target=target)
+    constants, vectors = leg_product(d)
+    p = 100_003
+    states = math.prod(m + 1 for m in Counter(vectors).values())
+    assert 41 * min(states, p**3) > engine.MAX_WORK
+    assert multiplier(d, p) == integer_filter(integer_product(constants, vectors, True), p)
+
+
+def test_packed_check_matches_the_tuple_keyed_product():
+    # the packed field width w = (p - 1).bit_length() + 1 steps up after
+    # p = 1, 2, 4, 8, 16 and 32; bases of b = 2..6 and windings of either sign
+    ps = (1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 10**6 + 3)
+    bases = (theta, k4_diagram, lambda: prism(3), lambda: prism(4), petersen)
+    rng = random.Random(20)
+    seen_b, negative = set(), False
+    for trial in range(30):
+        constants, vectors = leg_product(random_diagram(rng, max_legs=8, bases=bases))
+        seen_b.add(len(constants))
+        negative = negative or min(constants) < 0
+        for p in ps:
+            for signed in (True, False):
+                want = per_leg_product(constants, vectors, p, signed)
+                assert engine._multiplier_polynomial(constants, vectors, p, signed) == want, (
+                    trial, p, signed
+                )
+    assert seen_b == {2, 3, 4, 5, 6} and negative
+    constants, vectors = leg_product(petersen_with_legs())
+    for p in (1, 2, 3, 4):
+        for signed in (True, False):
+            want = per_leg_product(constants, vectors, p, signed)
+            assert engine._multiplier_polynomial(constants, vectors, p, signed) == want
 
 
 def test_multiplier_takes_thirty_distinct_legs_at_p3():
