@@ -8,13 +8,14 @@ v a leg's winding contributions, both read off the rows of
 ``diagrams.cycle_windings``, so the filter is p times the signed count of
 leg states whose cycle windings all vanish mod p. ``multiplier`` takes one
 factor per winding line: the m legs on u and the n legs on -u mod p give
-(1 -/+ y)^m (1 -/+ 1/y)^n in Z[y]/(y^q - 1) for y = x^u of order q, with
-binomial sums over residue classes as coefficients, and for each
-coordinate k the first line c e_k with c prime to p is read off at the end
-instead of multiplied in. The product with one factor per leg, which
-shares none of this, checks every call; it keys each exponent in Z_p^b by
-one packed int, b bit fields of w = (p - 1).bit_length() + 1 bits, and
-reduces all fields mod p at once with one add, shift and mask.
+(-/+1)^n y^-n (1 -/+ y)^(m + n) in Z[y]/(y^q - 1) for y = x^u of order q,
+one row of binomials, and for each coordinate k the first line c e_k with
+c prime to p is read off at the end instead of multiplied in. The product
+with one factor per leg, which shares none of this, checks every call: L of
+x^c and the first half of the legs and R of the rest meet in the middle,
+sum_k L[k] R[-k]. It keys each exponent in Z_p^b by one packed int, b bit
+fields of w = (p - 1).bit_length() + 1 bits, and reduces all fields mod p
+at once with one add, shift and mask.
 For decorations that saw to the theta graph (``diagrams.is_theta_shaped``)
 this feeds the Casson-Walker-Lescop delta 2|H_1| per admissible copy. The
 LMO multiplier of l legs is the b = 1 case (1 - x)^l, whose filter is the
@@ -27,10 +28,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from .diagrams import (
-    DecoratedDiagram, _edge_cycles, _theta_shaped, _winding_rows, require_valid, surplus,
-)
-from .knots import KnotDescriptor, h1_order
+# diagrams and knots load inside multiplier and cwl_delta, so the window path
+# needs neither; annotations naming their classes stay strings (PEP 563)
 from .records import _Record, _set
 
 MAX_WORK = 2**25  # (legs + 1) * min(prod(m_i + 1), p^b, box) one multiplier call may spend
@@ -88,10 +87,11 @@ def _multiplier_lines(constants, groups, p, signed):
 
     Legs on v and on -v mod p share the line of u = min(v, -v mod p). With
     m legs on u and n on -u, y = x^u of order q = p / gcd(p, u) gives the
-    factor (1 -/+ y)^m (1 -/+ 1/y)^n in Z[y]/(y^q - 1): two lists of
-    _class_sum and one cyclic convolution. Legs on v = 0 mod p give the
-    scalar (1 -/+ 1)^m. A line u = c e_k with c prime to p is not multiplied
-    in for the first such line of each coordinate k: the other lines' sparse
+    factor (1 -/+ y)^m (1 -/+ 1/y)^n = (-/+1)^n y^-n (1 -/+ y)^(m + n) in
+    Z[y]/(y^q - 1): one row of C(m + n, j), by C(N, j + 1) = C(N, j) (N - j)
+    / (j + 1), added at j - n mod q. Legs on v = 0 mod p give the scalar
+    (1 -/+ 1)^m. A line u = c e_k with c prime to p is not multiplied in for
+    the first such line of each coordinate k: the other lines' sparse
     product R, read at residue r, needs x^(j u) with r_k + j c = 0 mod p,
     that is j = -r_k / c, and r = 0 on every coordinate no line takes.
     """
@@ -109,13 +109,11 @@ def _multiplier_lines(constants, groups, p, signed):
     taken, ring = {}, {tuple(c % p for c in constants): 1}
     for u, (m, n) in lines.items():
         q = p // math.gcd(p, *u)
-        back = [_class_sum(n, j, q, sign) for j in range(min(q, n + 1))]
-        factor = {}
-        for i in range(min(q, m + 1)):
-            front = _class_sum(m, i, q, sign)
-            for j, c in enumerate(back):
-                k = (i - j) % q
-                factor[k] = factor.get(k, 0) + front * c
+        binomial, factor = sign**n, {}
+        for j in range(m + n + 1):
+            k = (j - n) % q
+            factor[k] = factor.get(k, 0) + binomial
+            binomial = sign * binomial * (m + n - j) // (j + 1)
         axes = [k for k, c in enumerate(u) if c]
         k = axes[0]
         if len(axes) == 1 and k not in taken and math.gcd(u[k], p) == 1:
@@ -142,31 +140,38 @@ def _multiplier_lines(constants, groups, p, signed):
 def _multiplier_polynomial(constants, vectors, p, signed):
     """p times the coefficient at 0 of x^c * prod_v (1 -/+ x^v) in Z[Z_p^b].
 
-    The product is a dict over exponents, multiplied by one factor per leg,
-    so its support stays at most min(2^legs, p^b). An exponent e, reduced
-    mod p, is the packed int sum_k e_k 2^(k w) with w = (p - 1).bit_length()
-    + 1, so that 2^(w - 1) >= p. Adding a packed leg, also reduced, leaves
-    each field at most 2p - 2 < 2^w, with no carry into the next field; a
-    field is then >= p exactly when adding 2^(w - 1) - p to it sets its top
-    bit, so one shift and mask find the fields to lower by p.
+    Meet in the middle (Horowitz and Sahni, J. ACM 21, 1974): L = x^c times
+    the first half of the legs' factors and R the rest's, dicts over
+    exponents multiplied by one factor per leg, give sum_k L[k] R[-k]; each
+    support stays within the whole product's bounds, min(2^legs, p^b) and
+    the box. An exponent e, reduced mod p, is the packed int
+    sum_k e_k 2^(k w) with w = (p - 1).bit_length() + 1, so 2^(w - 1) >= p.
+    Adding a packed leg, also reduced, leaves each field at most 2p - 2 <
+    2^w, with no carry into the next field; a field is then >= p exactly
+    when adding 2^(w - 1) - p to it sets its top bit, so one shift and mask
+    find the fields to lower by p, and turn the fields p - k_i into -k.
     """
     w = (p - 1).bit_length() + 1
     ones = sum(1 << (k * w) for k in range(len(constants)))
     probe = ((1 << (w - 1)) - p) * ones
+    sign = -1 if signed else 1
 
     def packed(exponents):
         return sum(e % p << (k * w) for k, e in enumerate(exponents))
 
-    sign = -1 if signed else 1
-    ring = {packed(constants): 1}
-    for shift in map(packed, vectors):
-        product = dict(ring)
-        for key, coef in ring.items():
-            key += shift
-            key -= ((key + probe) >> (w - 1) & ones) * p
-            product[key] = product.get(key, 0) + sign * coef
-        ring = product
-    return p * ring.get(0, 0)
+    half = len(vectors) // 2
+    left, right = {packed(constants): 1}, {0: 1}
+    for ring, legs in ((left, vectors[:half]), (right, vectors[half:])):
+        for shift in map(packed, legs):
+            for key, coef in ring.copy().items():
+                key += shift
+                key -= ((key + probe) >> (w - 1) & ones) * p
+                ring[key] = ring.get(key, 0) + sign * coef
+    total = 0
+    for key, coef in left.items():
+        key = p * ones - key
+        total += coef * right.get(key - ((key + probe) >> (w - 1) & ones) * p, 0)
+    return p * total
 
 
 def multiplier(d: DecoratedDiagram, p: int, signed: bool = True) -> int:
@@ -181,6 +186,8 @@ def multiplier(d: DecoratedDiagram, p: int, signed: bool = True) -> int:
     of an interval, before reduction mod p too. A call whose work
     (legs + 1) * S exceeds MAX_WORK raises ValueError before either path runs.
     """
+    from .diagrams import _edge_cycles, _winding_rows, require_valid
+
     if p < 1:
         raise ValueError("p must be >= 1")
     return _multiplier_of_rows(_winding_rows(d, _edge_cycles(d, require_valid(d))), p, signed)
@@ -231,6 +238,9 @@ def cwl_delta(
     0 with a note. One validation and one spanning tree serve the shape test
     and the winding rows.
     """
+    from .diagrams import _edge_cycles, _theta_shaped, _winding_rows, require_valid, surplus
+    from .knots import h1_order
+
     if p < 1:
         raise ValueError("p must be >= 1")
     cycles = _edge_cycles(d, require_valid(d))

@@ -70,9 +70,10 @@ class KnotDescriptor(_Record):
         objects and each ``exp`` must hold exactly one exponent. Exponents
         and coefficients must be JSON integers or decimal strings; floats
         and booleans raise ValueError rather than being truncated, and so
-        does an exponent given twice. A(1) = ±1 and the palindrome are checked
-        on the sparse terms, before the dense list over their exponent span
-        is built.
+        does an exponent given twice. A(1) = ±1, the palindrome and the
+        half-degree h are checked on the sparse terms, before the dense list
+        over their exponent span is built; |H_1| costs (h + 1)^2 or more at
+        every p (laurent._h1_work), so h > isqrt(MAX_H1_WORK) - 1 is refused.
         """
         _json_object(data, "knot")
         label = _json_str(data.get("label", ""), "knot label")
@@ -93,6 +94,9 @@ class KnotDescriptor(_Record):
         low, high = min(nonzero), max(nonzero)  # A(1) = ±1, so some term is nonzero
         if any(nonzero.get(low + high - e) != c for e, c in nonzero.items()):
             raise ValueError(_ASYMMETRIC)
+        half = (high - low) // 2
+        if (half + 1) ** 2 > MAX_H1_WORK:
+            raise ValueError(f"Alexander polynomial half-degree {half} needs |H_1| work > {MAX_H1_WORK}")
         coeffs = [nonzero.get(e, 0) for e in range(low, high + 1)]
         return cls(label, coeffs, low, names[0])
 

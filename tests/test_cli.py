@@ -442,6 +442,18 @@ def test_h1_over_the_work_bound_exits_1(capsys, monkeypatch, tmp_path):
     assert err == "error: |H_1| at p = 4000 needs work 4519106515, over the work bound of 536870912\n"
 
 
+def test_h1_on_a_knot_wider_than_any_h1_call_exits_1(capsys, monkeypatch, tmp_path):
+    forbid_resultant_paths(monkeypatch)
+    path = tmp_path / "wide.json"
+    n = 2 * 10**6
+    path.write_text(json.dumps({"vars": ["t"], "terms": [
+        {"exp": [-n], "coef": 1}, {"exp": [0], "coef": -1}, {"exp": [n], "coef": 1}
+    ]}))
+    code, out, err = run(capsys, ["h1", str(path), "--p", "2"])
+    assert (code, out) == (1, "")
+    assert err == "error: Alexander polynomial half-degree 2000000 needs |H_1| work > 536870912\n"
+
+
 def test_h1_range_over_the_output_bound_exits_1_before_any_row(capsys, monkeypatch, trefoil_file):
     # every p up to 2,646,311 is within the bounds, and none of them is computed
     forbid_resultant_paths(monkeypatch)

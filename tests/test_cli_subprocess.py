@@ -39,7 +39,8 @@ LOADS = [
     (["wheel-table", "--p", "3", "--n-max", "8", "--format", "csv"], H1),
     (["lift", "lift-ok.json"], {"covercalc", "covercalc.records", "covercalc.diagrams", "covercalc.lifts"}),
     (["cwl", "trefoil.json", "theta.json", "--p", "3"], ENGINE),
-    (["window", "--p", "7", "--l-start", "1", "--count", "60", "--format", "csv"], ENGINE),
+    (["window", "--p", "7", "--l-start", "1", "--count", "60", "--format", "csv"],
+     {"covercalc", "covercalc.records", "covercalc.engine"}),
 ]
 
 

@@ -10,6 +10,8 @@ from covercalc import engine
 from covercalc.diagrams import (
     DecoratedDiagram,
     DiagramError,
+    Edge,
+    Leg,
     attach_leg_by_subdivision,
     cycle_windings,
     surplus,
@@ -152,6 +154,85 @@ def test_packed_check_matches_the_tuple_keyed_product():
         for signed in (True, False):
             want = per_leg_product(constants, vectors, p, signed)
             assert engine._multiplier_polynomial(constants, vectors, p, signed) == want
+
+
+def test_split_check_matches_the_tuple_keyed_product_at_every_leg_count():
+    # the check grows legs[:n // 2] from x^c and legs[n // 2:] from 1: 0 and 1
+    # legs leave the first half bare, an odd count makes the halves unequal
+    ps = (1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 10**6 + 3)
+    rng = random.Random(21)
+    nonzero = 0
+    for b in range(2, 7):
+        for legs in (0, 1, 2, 3, 4, 5, 7, 8):
+            vectors = [tuple(rng.randint(-2, 2) for _ in range(b)) for _ in range(legs)]
+            # x^c cancels a random subset of the legs, so state 0 is reachable at every p
+            chosen = [vec for vec in vectors if rng.random() < 0.5]
+            constants = tuple(-sum(vec[k] for vec in chosen) + rng.choice((0, 0, 1)) for k in range(b))
+            for p in ps:
+                for signed in (True, False):
+                    want = per_leg_product(constants, vectors, p, signed)
+                    assert engine._multiplier_polynomial(constants, vectors, p, signed) == want, (
+                        b, legs, p, signed
+                    )
+                    nonzero += want != 0
+    assert nonzero > 200
+
+
+def test_line_factor_wraps_when_a_line_has_more_legs_than_its_order():
+    # m legs on u and n on -u give one row of C(m + n, j), added at j - n mod q;
+    # with m + n > q the row wraps round Z_q, on unit lines c e_k (read off when
+    # c is prime to p, multiplied in otherwise) and off the axes alike
+    rng = random.Random(22)
+    wrapped, kept_on_axis = 0, 0
+    for p in (4, 6, 8, 9, 10, 12, 15):
+        for trial in range(8):
+            b = rng.randint(1, 3)
+            groups = Counter()
+            for _ in range(rng.randint(1, 4)):
+                vec = tuple(rng.randint(-3, 3) for _ in range(b))
+                groups[vec] += rng.randint(1, 2 * p)
+                groups[tuple(-x for x in vec)] += rng.randint(0, 2 * p)
+            constants = tuple(rng.randint(-5, 5) for _ in range(b))
+            lines = Counter()
+            for vec, m in groups.items():
+                v = tuple(x % p for x in vec)
+                lines[min(v, tuple(-x % p for x in v))] += m
+            for u, legs in lines.items():
+                if any(u):
+                    wrapped += legs > p // math.gcd(p, *u)
+                    axes = [c for c in u if c]
+                    kept_on_axis += len(axes) == 1 and math.gcd(axes[0], p) > 1
+            for signed in (True, False):
+                want = multiplier_grouped(constants, groups, p, signed)
+                assert engine._multiplier_lines(constants, groups, p, signed) == want, (p, trial, signed)
+    assert wrapped > 50 and kept_on_axis > 5
+
+
+def theta_chain(n):
+    """The shape of theta_with_legs(n), built in O(n): e1 split into u - w1 - ... - wn - v.
+
+    Leg li hangs on wi and wraps the segment into wi, as the subdivision
+    move's first target does; repeated subdivision costs O(n^2).
+    """
+    path = ["u", *(f"w{i}" for i in range(1, n + 1)), "v"]
+    return DecoratedDiagram(
+        label=f"theta-chain-{n}",
+        vertices=("u", "v", *path[1:-1]),
+        edges=(
+            *(Edge(f"s{i}", path[i], path[i + 1], 0) for i in range(n + 1)),
+            Edge("e2", "u", "v", 0),
+            Edge("e3", "u", "v", 0),
+        ),
+        legs=tuple(Leg(f"l{i}", path[i], 1, f"s{i - 1}") for i in range(1, n + 1)),
+    )
+
+
+def test_multiplier_takes_a_twenty_thousand_leg_chain_at_p2():
+    # one line holds every leg: its factor is one row of 20,001 binomials, and
+    # the check's two halves each stay within p^b = 4 states
+    for p in (2, 3, 7):
+        assert multiplier(theta_chain(40), p) == lmo_leading_multiplier(40, p)
+    assert multiplier(theta_chain(20_000), 2) == 2**20_000
 
 
 def test_multiplier_takes_thirty_distinct_legs_at_p3():

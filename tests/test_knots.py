@@ -215,6 +215,33 @@ def test_from_json_refuses_a_wide_knot_before_building_its_dense_list(terms, mes
     assert peak < 2**20
 
 
+def wide_knot(n):
+    """{t^-n: 1, t^0: -1, t^n: 1}: a palindrome of half-degree n with A(1) = 1."""
+    return {"vars": ["t"], "terms": [{"exp": [e], "coef": c} for e, c in ((-n, 1), (0, -1), (n, 1))]}
+
+
+def test_from_json_refuses_a_knot_wider_than_any_h1_call_accepts():
+    # |H_1| of half-degree h costs at least (h + 1)^2 at every p (laurent._h1_work)
+    widest = math.isqrt(laurent.MAX_H1_WORK) - 1
+    assert widest == 23169
+    assert len(KnotDescriptor.from_json_dict(wide_knot(widest)).coeffs) == 2 * widest + 1
+    with pytest.raises(ValueError, match="^Alexander polynomial half-degree 23170 needs "):
+        KnotDescriptor.from_json_dict(wide_knot(widest + 1))
+    # so the parser refuses no knot that some h1 call would accept
+    coeffs = [1] + [0] * widest + [-1] + [0] * widest + [1]
+    for p in (1, 2, 3, 16, 17, 10**5):
+        with pytest.raises(ValueError, match="over the (work|output) bound"):
+            laurent.check_bounds(coeffs, p)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"half-degree 2000000 needs \|H_1\| work > 536870912$"):
+            KnotDescriptor.from_json_dict(wide_knot(2 * 10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_knot_descriptor_has_record_semantics():
     k = trefoil()
     assert k == KnotDescriptor("trefoil", [1, -1, 1], -1)
