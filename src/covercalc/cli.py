@@ -90,11 +90,11 @@ def _load_knot(path: str):
 
 def cmd_h1(args) -> str:
     from .knots import h1_order
-    from .laurent import check_bounds
+    from .laurent import check_range
 
     knot = _load_knot(args.knot)
     p_values = _parse_p_values(args)
-    check_bounds(knot.coeffs, p_values[-1])  # a range over a bound at its last p computes no row
+    check_range(knot.coeffs, p_values)  # a range over a bound computes no row
     rows = [(p, h1_order(knot, p)) for p in p_values]
     return _table(rows, ("p", "h1"), args.format)
 

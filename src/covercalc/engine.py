@@ -32,7 +32,7 @@ from collections import Counter
 # needs neither; annotations naming their classes stay strings (PEP 563)
 from .records import _Record, _set
 
-MAX_WORK = 2**25  # (legs + 1) * min(prod(m_i + 1), p^b, box) one multiplier call may spend
+MAX_WORK = 2**25  # (legs + 1) * (legs // 64 + 1) * min(prod(m_i + 1), p^b, box) of one multiplier
 MAX_WINDOW_WORK = 2**35  # estimated bit operations one lmo_window call may spend
 
 
@@ -183,8 +183,9 @@ def multiplier(d: DecoratedDiagram, p: int, signed: bool = True) -> int:
     into groups of m_i, the per-leg support stays within
     S = min(prod(m_i + 1), p^b, prod_j B_j): cycle j's winding c_j plus a
     sum of leg entries v_ij takes at most the B_j = sum_i |v_ij| + 1 values
-    of an interval, before reduction mod p too. A call whose work
-    (legs + 1) * S exceeds MAX_WORK raises ValueError before either path runs.
+    of an interval, before reduction mod p too. A coefficient has at most
+    about legs bits, so a call whose work (legs + 1) * (legs // 64 + 1) * S
+    exceeds MAX_WORK raises ValueError before either path runs.
     """
     from .diagrams import _edge_cycles, _winding_rows, require_valid
 
@@ -198,7 +199,8 @@ def _multiplier_of_rows(rows, p, signed):
     constants, *vectors = zip(*rows)
     groups = Counter(vectors)
     box = math.prod(sum(map(abs, row[1:])) + 1 for row in rows)
-    work = (len(vectors) + 1) * min(math.prod(m + 1 for m in groups.values()), p ** len(rows), box)
+    states = min(math.prod(m + 1 for m in groups.values()), p ** len(rows), box)
+    work = (len(vectors) + 1) * (len(vectors) // 64 + 1) * states
     if work > MAX_WORK:
         raise ValueError(f"multiplier work {work} exceeds the work bound of {MAX_WORK}")
     by_line = _multiplier_lines(constants, groups, p, signed)
@@ -213,8 +215,6 @@ def _multiplier_of_rows(rows, p, signed):
 def _sign_from_twists(d: DecoratedDiagram) -> int | None:
     # Full ±1 twist data pins the comparison sign against the all-positive
     # reference orientation; anything less leaves the global sign unknown.
-    if not d.edges:
-        return None
     sign = 1
     for e in d.edges:
         t = d.twists.get(e.id)

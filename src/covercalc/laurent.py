@@ -37,8 +37,6 @@ def resultant_with_cyclotomic(coeffs: Sequence[int], p: int) -> int:
     meaningful; the unit shift changes the sign.
     """
     folded = check_bounds(coeffs, p)
-    if not any(folded):
-        return 0
     value = _trace_product(coeffs, p)
     if p <= CROSS_CHECK_MAX_P:
         check = _t_world_product(folded, p)
@@ -70,6 +68,16 @@ def check_bounds(coeffs: Sequence[int], p: int) -> Sequence[int]:
             f"|H_1| at p = {p} needs work {work}, over the work bound of {MAX_H1_WORK}"
         )
     return folded
+
+
+def check_range(coeffs: Sequence[int], p_values: range) -> None:
+    """check_bounds at each p, and ValueError once the summed _h1_work passes MAX_H1_WORK."""
+    half, work = len(coeffs) // 2, 0
+    for p in p_values:  # a knot's fold is never zero, as A(1) = ±1
+        work += _h1_work(half, p, _h1_bits_bound(check_bounds(coeffs, p), p))
+        if work > MAX_H1_WORK:
+            raise ValueError(f"|H_1| at p = {p_values[0]}..{p} needs work {work}, "
+                             f"over the work bound of {MAX_H1_WORK}")
 
 
 def _folded(coeffs: Sequence[int], p: int) -> list[int]:

@@ -9,7 +9,15 @@ from covercalc import diagrams, lifts
 from covercalc.cli import main
 from covercalc.knots import figure_eight, trefoil, unknot, wheel_knot
 
-from helpers import chord_fixture, example_two_leg_theta, forbid_resultant_paths, lucas, replaced, theta
+from helpers import (
+    chord_fixture,
+    dumbbell,
+    example_two_leg_theta,
+    forbid_resultant_paths,
+    lucas,
+    replaced,
+    theta,
+)
 
 
 @pytest.fixture
@@ -146,6 +154,16 @@ def test_cwl_output(capsys, tmp_path, trefoil_file):
     assert data["grade"] == 2
 
 
+def test_cwl_on_a_non_theta_diagram_prints_the_note(capsys, tmp_path, trefoil_file):
+    diagram_file = write_diagram(tmp_path, dumbbell())
+    code, out, _ = run(capsys, ["cwl", trefoil_file, diagram_file, "--p", "2"])
+    assert code == 0
+    assert json.loads(out) == {
+        "magnitude": "0", "sign": "unknown", "grade": 2, "p": 2, "label": "dumbbell",
+        "note": "sawn diagram is not a theta graph; the invariant vanishes here",
+    }
+
+
 def test_cwl_unsigned_flag(capsys, tmp_path, unknot_file):
     diagram_file = write_diagram(tmp_path, example_two_leg_theta())
     code, out, _ = run(
@@ -275,8 +293,24 @@ def test_bad_p_range_exits_1(capsys, trefoil_file):
     assert code == 1
     for argv, message in ((["--p-range", "0..3"], "p values must be >= 1"),
                           (["--p", "0"], "p values must be >= 1"),
-                          ([], "one of --p or --p-range is required")):
+                          ([], "one of --p or --p-range is required"),
+                          (["--p-range", "3"], "bad --p-range '3', expected A..B"),
+                          (["--p-range", "a..b"], "bad --p-range 'a..b', expected A..B")):
         assert run(capsys, ["h1", trefoil_file, *argv]) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "command, data, field",
+    [
+        ("h1", {"label": "trefoil", "terms": trefoil().to_json_dict()["terms"]}, "vars"),
+        ("lift", {"vertices": [1], "edges": []}, "p"),
+    ],
+)
+def test_missing_field_exits_2(capsys, tmp_path, command, data, field):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    argv = [command, str(path), *(["--p", "2"] if command == "h1" else [])]
+    assert run(capsys, argv) == (2, "", f"error: malformed input, missing field '{field}'\n")
 
 
 def test_h1_p_and_p_range_together_is_a_usage_error(capsys, trefoil_file):
@@ -455,13 +489,23 @@ def test_h1_on_a_knot_wider_than_any_h1_call_exits_1(capsys, monkeypatch, tmp_pa
 
 
 def test_h1_range_over_the_output_bound_exits_1_before_any_row(capsys, monkeypatch, trefoil_file):
-    # every p up to 2,646,311 is within the bounds, and none of them is computed
+    # the first two p are within both bounds and their summed work, and the
+    # third is over the output bound; none of them is computed
     forbid_resultant_paths(monkeypatch)
-    code, out, err = run(capsys, ["h1", trefoil_file, "--p-range", "1..100000000"])
+    code, out, err = run(capsys, ["h1", trefoil_file, "--p-range", "2646310..100000000"])
     assert (code, out) == (1, "")
     assert err == (
-        "error: |H_1| at p = 100000000 may need 79248126 bits, over the output bound of 2097152\n"
+        "error: |H_1| at p = 2646312 may need 2097153 bits, over the output bound of 2097152\n"
     )
+
+
+def test_h1_range_is_priced_as_one_request_before_any_row(capsys, monkeypatch, trefoil_file):
+    # every p of the range is within both bounds on its own, but the rows'
+    # summed work passes the work bound at p = 43,797, and no row is computed
+    forbid_resultant_paths(monkeypatch)
+    code, out, err = run(capsys, ["h1", trefoil_file, "--p-range", "1..2646311"])
+    assert (code, out) == (1, "")
+    assert err == "error: |H_1| at p = 1..43797 needs work 536882619, over the work bound of 536870912\n"
 
 
 def test_cwl_over_the_work_bound_exits_1(capsys, monkeypatch, tmp_path, trefoil_file):

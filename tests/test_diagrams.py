@@ -118,6 +118,28 @@ def test_leg_target_must_be_incident():
     assert v is not None and v.code == "leg-target" and v.element == "l1"
 
 
+@pytest.mark.parametrize(
+    "change, element, message",
+    [
+        ({"vertices": ("u", "v", "w1", "w2", "u")}, "two-leg-theta", "duplicate vertex ids"),
+        ({"legs": (Leg("l1", "w1", 1, "m1"), Leg("l1", "w2", 1, "n1"))}, "two-leg-theta",
+         "duplicate leg ids"),
+        ({"edges": (*example_two_leg_theta().edges[:4], Edge("n2", "w2", "x", 0))}, "n2",
+         "edge endpoint is not a vertex"),
+        ({"legs": (Leg("l1", "w1", 1, "m1"), Leg("l2", "x", 1, "n1"))}, "l2",
+         "leg attached to unknown vertex"),
+        ({"legs": (Leg("l1", "w1", 2, "m1"), Leg("l2", "w2", 1, "n1"))}, "l1", "leg wrap sign must be ±1"),
+        ({"legs": (Leg("l1", "w1", 1, "m1"), Leg("l2", "w2", 1, "z"))}, "l2", "leg targets unknown edge"),
+    ],
+    ids=["vertex-ids", "leg-ids", "edge-endpoint", "leg-vertex", "leg-sign", "leg-edge"],
+)
+def test_reference_violations_are_named(change, element, message):
+    d = example_two_leg_theta()
+    fields = {"label": d.label, "vertices": d.vertices, "edges": d.edges, "legs": d.legs, **change}
+    v = validate_complete(DecoratedDiagram(**fields))
+    assert (v.code, v.element, v.message) == ("reference", element, message)
+
+
 def test_twist_on_unknown_edge_rejected():
     # a mistyped twist key is an error, not a sign that silently turns "unknown"
     data = theta().to_json_dict()

@@ -235,6 +235,17 @@ def test_multiplier_takes_a_twenty_thousand_leg_chain_at_p2():
     assert multiplier(theta_chain(20_000), 2) == 2**20_000
 
 
+def test_multiplier_work_counts_coefficient_words(monkeypatch):
+    # a chain of N legs at p = 2 works on N-bit binomials: (N + 1) * (N // 64 + 1) * 4
+    for name in ("_multiplier_lines", "_multiplier_polynomial"):
+        monkeypatch.setattr(engine, name, lambda *args: 7)
+    assert multiplier(theta_chain(23_167), 2) == 7  # work 33,547,264
+    for name in ("_multiplier_lines", "_multiplier_polynomial"):
+        monkeypatch.setattr(engine, name, lambda *args: pytest.fail("no multiplier path may run"))
+    with pytest.raises(ValueError, match="^multiplier work 33641388 exceeds the work bound of 33554432$"):
+        multiplier(theta_chain(23_168), 2)
+
+
 def test_multiplier_takes_thirty_distinct_legs_at_p3():
     # 2^30 grouped states, but the support stays within 3^6 = 729 classes
     d = petersen_with_legs()
@@ -465,6 +476,20 @@ def test_cwl_legless_theta_inadmissible():
     term = cwl_delta(trefoil(), theta(windings=(1, 0, 0)), 2)
     assert term.magnitude == 0
     assert term.sign is None
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: multiplier(example_two_leg_theta(), 0), "p must be >= 1"),
+        (lambda: lmo_leading_multiplier(-1, 3), "l must be >= 0"),
+        (lambda: window_nonzero(1, 0), "p must be >= 1"),
+    ],
+    ids=["multiplier-p", "lmo-l", "window-p"],
+)
+def test_arguments_below_their_minimum_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_cwl_non_theta_shape_vanishes_with_note():

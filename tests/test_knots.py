@@ -4,11 +4,13 @@ import json
 import math
 import pickle
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from covercalc import knots, laurent
 from covercalc.knots import (
@@ -162,6 +164,12 @@ def test_wheel_table_is_the_square_of_one_resultant_of_g():
         assert h1_order(wheel_knot(n), p) == subresultant_product(_g(n), p) ** 2, (p, n)
 
 
+@pytest.mark.parametrize("p, n_max", [(0, 3), (3, 0)])
+def test_f_table_refuses_p_or_n_max_below_one(p, n_max):
+    with pytest.raises(ValueError, match="^p and n_max must be >= 1$"):
+        f_table(p, n_max)
+
+
 def test_f_table_divergent_subsequence_for_p6():
     values = [h1_order(wheel_knot(6 * k + 3), 6) for k in range(8)]
     assert all(a < b for a, b in zip(values, values[1:]))
@@ -195,24 +203,41 @@ def test_construction_rejects_non_integer_coefficients(coeffs):
 
 
 @pytest.mark.parametrize(
-    "terms, message",
-    [
-        ({0: 1, 10**7: 1}, "must evaluate to ±1 at t=1, got 2"),
-        ({0: 1, 5: -1, 10**7: 1}, "is not symmetric under t -> 1/t up to a unit"),
-    ],
+    "terms",
+    [{0: 1, 10**7: 1}, {0: 1, 5: -1, 10**7: 1}],
     ids=["A(1)=2", "asymmetric"],
 )
-def test_from_json_refuses_a_wide_knot_before_building_its_dense_list(terms, message):
-    # the dense list over exponents 0..10^7 would take some 80 MB
+def test_from_json_refuses_a_wide_knot_before_building_its_dense_list(terms):
+    # the dense list over exponents 0..10^7 would take some 80 MB; the width
+    # is checked first, so neither A(1) nor the palindrome is ever reached
     data = {"vars": ["t"], "terms": [{"exp": [e], "coef": c} for e, c in terms.items()]}
+    message = r"^Alexander polynomial half-degree 5000000 needs \|H_1\| work > 536870912$"
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=f"^Alexander polynomial {message}$"):
+        with pytest.raises(ValueError, match=message):
             KnotDescriptor.from_json_dict(data)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "terms, message",
+    [
+        ({0: 1, 46338: 1}, "must evaluate to ±1 at t=1, got 2"),
+        ({-23169: 1, 0: 1, 23169: -1}, "is not symmetric under t -> 1/t up to a unit"),
+        ({0: 1, 4: -1, 10: 1, 11: 0}, "is not symmetric under t -> 1/t up to a unit"),
+        ({0: 1, 1: 1}, "must evaluate to ±1 at t=1, got 2"),
+        ({7: 0}, "must evaluate to ±1 at t=1, got 0"),
+    ],
+    ids=["A(1)=2-widest", "asymmetric-widest", "asymmetric", "odd-degree", "zero"],
+)
+def test_from_json_leaves_a_knot_within_the_width_bound_to_the_constructor(terms, message):
+    # the parser checks only the width; the constructor's messages reach the user unchanged
+    data = {"vars": ["t"], "terms": [{"exp": [e], "coef": c} for e, c in terms.items()]}
+    with pytest.raises(ValueError, match=f"^Alexander polynomial {re.escape(message)}$"):
+        KnotDescriptor.from_json_dict(data)
 
 
 def wide_knot(n):
@@ -379,3 +404,37 @@ def test_wheel_table_at_p_1009_matches_sympy():
     for n, value in rows:
         poly = sympy.Poly(sympy.expand((1 - (1 - t) ** n) * (t**n - (t - 1) ** n)), t)
         assert value == abs(sympy.resultant(poly, sympy.Poly(t**p - 1, t))), n
+
+
+# -- divisibility across divisors ---------------------------------------------
+# Res(t^p - 1, A) is the product over e | p of the integers Res(Phi_e, A), so
+# |H_1|(d) divides |H_1|(p) whenever d | p (Fox, Free differential calculus
+# III, Ann. of Math. 64, 1956). The oracle shares no code with any |H_1| path.
+
+
+def _divides(small, big):
+    return big == 0 if small == 0 else big % small == 0
+
+
+@given(
+    st.lists(st.integers(-6, 6), min_size=1, max_size=4).filter(lambda upper: upper[-1]),
+    st.sampled_from([1, -1]),
+)
+def test_h1_of_a_divisor_divides_h1(upper, at_one):
+    # a random palindrome of half-degree 1 to 4 with A(1) = ±1
+    knot = KnotDescriptor("k", upper[::-1] + [at_one - 2 * sum(upper)] + upper)
+    h1 = {p: h1_order(knot, p) for p in range(1, 41)}
+    for p, value in h1.items():
+        for d in range(1, p):
+            if p % d == 0:
+                assert _divides(h1[d], value), (knot.coeffs, d, p)
+
+
+def test_wheel_rows_of_divisors_divide():
+    # G_d divides G_n whenever d | n, so f(p, d) divides f(p, n)
+    for p in range(1, 17):
+        f = dict(f_table(p, 24))
+        for n, value in f.items():
+            for d in range(1, n):
+                if n % d == 0:
+                    assert _divides(f[d], value), (p, d, n)

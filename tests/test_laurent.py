@@ -58,6 +58,12 @@ def test_resultant_trefoil_p2():
     assert abs(resultant_with_cyclotomic(TREFOIL, 2)) == 3
 
 
+def test_resultant_refuses_p_below_one(monkeypatch):
+    forbid_resultant_paths(monkeypatch)
+    with pytest.raises(ValueError, match="^p must be >= 1$"):
+        resultant_with_cyclotomic(TREFOIL, 0)
+
+
 def test_resultant_vanishes_at_root_of_unity():
     # 1 + t + t^2 vanishes at the primitive cube roots of unity
     assert resultant_with_cyclotomic((1, 1, 1), 3) == 0
@@ -258,7 +264,7 @@ def _count_paths(monkeypatch):
         ({-1: 1, 0: -1, 1: 1}, 6, 1, 1),
         ({-1: 1, 0: -1, 1: 1}, 17, 1, 0),  # above the cross-check threshold
         ({0: 3, 1: 1, 19: 1, 20: 3}, 10, 1, 1),  # degree 20 at p = 10 folds to 6 + t + t^9
-        ({0: 1, 3: -2, 6: 1}, 3, 0, 0),  # (1 - t^3)^2 folds to zero: the product vanishes
+        ({0: 1, 3: -2, 6: 1}, 3, 1, 1),  # (1 - t^3)^2 folds to zero: both paths return 0 at once
         ({0: 10, 9: 1, 18: 10}, 91, 1, 0),  # one path at every degree and leading coefficient
         ({0: 10, 9: 1, 18: 10}, 92, 1, 0),
         ({0: 1, 8: 1}, 24, 1, 0),
@@ -273,6 +279,16 @@ def test_resultant_path_selection(monkeypatch, coeffs, p, trace, t_world):
     calls = _count_paths(monkeypatch)
     resultant_with_cyclotomic(_dense(coeffs), p)
     assert calls == {"trace": trace, "t_world": t_world}
+
+
+@pytest.mark.parametrize("p", [3, 16, 17, 40])
+def test_a_zero_fold_gives_zero_on_both_paths(p):
+    # (1 - t^p)^2 folds to zero mod t^p - 1; its sum, A(1), is 0, so the trace
+    # path returns at its divisor test and the t-world check at its empty fold
+    coeffs = _dense({0: 1, p: -2, 2 * p: 1})
+    assert laurent._trace_product(coeffs, p) == 0
+    assert laurent._t_world_product(laurent._folded(coeffs, p), p) == 0
+    assert resultant_with_cyclotomic(coeffs, p) == 0
 
 
 def test_wrong_trace_product_is_caught_by_the_t_world_check(monkeypatch):
@@ -492,6 +508,20 @@ def test_output_bound_is_checked_before_the_work_bound(monkeypatch):
         resultant_with_cyclotomic(wheel_knot(80).coeffs, 10**6)
     with pytest.raises(ValueError, match="over the work bound of 0$"):
         resultant_with_cyclotomic(TREFOIL, 5)
+
+
+def test_a_range_is_priced_by_its_summed_work(monkeypatch):
+    # each p alone is within both bounds; the rows' summed _h1_work is not
+    forbid_resultant_paths(monkeypatch)
+    for coeffs, start, last in ((TREFOIL, 1, 43796), (wheel_knot(30).coeffs, 2, 264)):
+        laurent.check_range(coeffs, range(start, last + 1))
+        message = f"|H_1| at p = {start}..{last + 1} needs work "
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}\\d+, over the work bound of 536870912$"):
+            laurent.check_range(coeffs, range(start, 10**8))
+    # one p over a bound gets check_bounds' own message
+    for p, message in ((4000, "needs work 4519106515, over the work"), (10**6, "over the output bound")):
+        with pytest.raises(ValueError, match=f"^\\|H_1\\| at p = {p} .*{message}"):
+            laurent.check_range(wheel_knot(40).coeffs, range(p, p + 1))
 
 
 def test_work_bound_accepts_every_half_degree_one_polynomial_above_p_16():

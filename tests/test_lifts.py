@@ -96,6 +96,12 @@ def test_disconnected_raises():
         solve(system)
 
 
+def test_edge_on_an_unknown_vertex_is_named():
+    system = LiftSystem(vertices=(1, 2), edges=(LiftEdge("a", 1, 2, 0), LiftEdge("b", 2, 7, 0)), p=3)
+    with pytest.raises(ValueError, match="^edge b references an unknown vertex$"):
+        solve(system)
+
+
 def test_rejects_bad_modulus():
     with pytest.raises(ValueError):
         LiftSystem(vertices=(1,), edges=(), p=0)
