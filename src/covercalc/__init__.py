@@ -2,10 +2,9 @@
 
 Submodules:
     records   -- the frozen record base and the JSON field readers
-    laurent   -- the |H_1| resultant of a knot's dense palindromic
-                 coefficients, with its size and work bounds
     knots     -- knots as checked palindromes, homology orders of branched
-                 covers, the wheel-knot family from its binomial closed form
+                 covers as exact resultants with their size and work bounds,
+                 the wheel-knot family from its binomial closed form
     diagrams  -- trivalent graphs with legs, completeness validation
     lifts     -- the mod-p lift equations and their solver
     signs     -- twist chains and comparison signs

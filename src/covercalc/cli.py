@@ -89,13 +89,9 @@ def _load_knot(path: str):
 
 
 def cmd_h1(args) -> str:
-    from .knots import h1_order
-    from .laurent import check_range
+    from .knots import h1_orders
 
-    knot = _load_knot(args.knot)
-    p_values = _parse_p_values(args)
-    check_range(knot.coeffs, p_values)  # a range over a bound computes no row
-    rows = [(p, h1_order(knot, p)) for p in p_values]
+    rows = h1_orders(_load_knot(args.knot), _parse_p_values(args))
     return _table(rows, ("p", "h1"), args.format)
 
 

@@ -16,7 +16,7 @@ from collections import Counter
 
 from hypothesis import strategies as st
 
-from covercalc import engine, laurent
+from covercalc import engine, knots
 from covercalc.diagrams import (
     DecoratedDiagram,
     Edge,
@@ -258,7 +258,7 @@ def forbid_resultant_paths(monkeypatch) -> None:
         raise AssertionError("no resultant path may run")
 
     for name in ("_trace_product", "_t_world_product"):
-        monkeypatch.setattr(laurent, name, refuse)
+        monkeypatch.setattr(knots, name, refuse)
 
 
 # -- polynomial oracles for |H_1| ---------------------------------------------
@@ -282,10 +282,10 @@ def subresultant_product(coeffs: list[int], p: int) -> int:
     """prod over p-th roots of unity z of sum_k coeffs[k] z^k, as Res(t^p - 1, A).
 
     The t-world path, for any A: t^p - 1 is never formed, power_remainder
-    gives the first remainder of the sequence and laurent._collins the rest.
+    gives the first remainder of the sequence and knots._collins the rest.
     Returns the same signed integer as circulant_product.
     """
-    b = laurent._trim(laurent._folded(coeffs, p) if len(coeffs) > p else list(coeffs))
+    b = knots._trim(knots._folded(coeffs, p) if len(coeffs) > p else list(coeffs))
     if len(b) < 2:
         return b[0] ** p if b else 0
     sign = 1
@@ -293,7 +293,7 @@ def subresultant_product(coeffs: list[int], p: int) -> int:
     if b[-1] < 0:
         b = [-c for c in b]
         sign = -1 if p & 1 else 1
-    return sign * laurent._collins(p, b, power_remainder(b, p))
+    return sign * knots._collins(p, b, power_remainder(b, p))
 
 
 def power_remainder(b: list[int], p: int) -> list[int]:
@@ -314,11 +314,11 @@ def power_remainder(b: list[int], p: int) -> list[int]:
                 for j, y in enumerate(r, i + shift):
                     square[j] += x * y
         e = 2 * e + (len(square) - d if len(square) > d else 0)
-        r = laurent._pseudo_remainder(square, b)
+        r = knots._pseudo_remainder(square, b)
     scale = lead ** (p - d + 1 - e)
     r = [c * scale for c in r] or [0]
     r[0] -= scale * lead**e
-    return laurent._trim(r)
+    return knots._trim(r)
 
 
 def circulant_product(coeffs: list[int], p: int) -> int:
@@ -328,7 +328,7 @@ def circulant_product(coeffs: list[int], p: int) -> int:
     unity, so its determinant is their product: an oracle that shares no
     step with the remainder sequences. O(p^3) operations.
     """
-    row = laurent._folded(coeffs, p)
+    row = knots._folded(coeffs, p)
     return bareiss_det([row[p - i:] + row[:p - i] for i in range(p)])
 
 

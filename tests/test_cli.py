@@ -448,10 +448,10 @@ def test_wrong_line_product_exits_3(capsys, monkeypatch, tmp_path, trefoil_file)
 
 
 def test_wrong_trace_product_exits_3(capsys, monkeypatch, trefoil_file):
-    from covercalc import laurent
+    from covercalc import knots
 
     # a knot takes the trace path, which the t-world check covers up to p = 16
-    monkeypatch.setattr(laurent, "_trace_product", lambda coeffs, p: 12345)
+    monkeypatch.setattr(knots, "_trace_product", lambda coeffs, p: 12345)
     code, out, err = run(capsys, ["h1", trefoil_file, "--p-range", "2..5"])
     assert (code, out) == (3, "")
     assert err == "internal error: internal disagreement: trace path 12345 vs t-world 3\n"
@@ -473,7 +473,7 @@ def test_h1_over_the_work_bound_exits_1(capsys, monkeypatch, tmp_path):
     path.write_text(json.dumps(wheel_knot(40).to_json_dict()))
     code, out, err = run(capsys, ["h1", str(path), "--p", "4000"])
     assert (code, out) == (1, "")
-    assert err == "error: |H_1| at p = 4000 needs work 4519106515, over the work bound of 536870912\n"
+    assert err == "error: |H_1| at p = 4000 needs work 4519110611, over the work bound of 536870912\n"
 
 
 def test_h1_on_a_knot_wider_than_any_h1_call_exits_1(capsys, monkeypatch, tmp_path):
@@ -501,11 +501,44 @@ def test_h1_range_over_the_output_bound_exits_1_before_any_row(capsys, monkeypat
 
 def test_h1_range_is_priced_as_one_request_before_any_row(capsys, monkeypatch, trefoil_file):
     # every p of the range is within both bounds on its own, but the rows'
-    # summed work passes the work bound at p = 43,797, and no row is computed
+    # summed work passes the work bound at p = 38,941, and no row is computed
     forbid_resultant_paths(monkeypatch)
     code, out, err = run(capsys, ["h1", trefoil_file, "--p-range", "1..2646311"])
     assert (code, out) == (1, "")
-    assert err == "error: |H_1| at p = 1..43797 needs work 536882619, over the work bound of 536870912\n"
+    assert err == "error: |H_1| at p = 1..38941 needs work 536902753, over the work bound of 536870912\n"
+
+
+def priced_p(monkeypatch, limit):
+    """The p values knots.check_bounds prices, failing the test past ``limit`` of them."""
+    from covercalc import knots
+
+    calls, check_bounds = [], knots.check_bounds
+
+    def counted(coeffs, p):
+        calls.append(p)
+        assert len(calls) <= limit, f"p = {p} priced past the first p over a bound"
+        return check_bounds(coeffs, p)
+
+    monkeypatch.setattr(knots, "check_bounds", counted)
+    return calls
+
+
+def test_h1_unknot_range_is_charged_per_row(capsys, monkeypatch, unknot_file):
+    # the unknot's rows cost nothing but the per-call 2^12, so 1..131,040 is
+    # the longest accepted range and 1..2^29 is refused before any row
+    forbid_resultant_paths(monkeypatch)
+    priced = priced_p(monkeypatch, 131041)
+    code, out, err = run(capsys, ["h1", unknot_file, "--p-range", "1..536870912"])
+    assert (code, out) == (1, "")
+    assert err == "error: |H_1| at p = 1..131041 needs work 536874977, over the work bound of 536870912\n"
+    assert len(priced) == 131041
+
+
+def test_h1_range_prices_each_row_once(capsys, monkeypatch, trefoil_file):
+    priced = priced_p(monkeypatch, 40)
+    code, out, _ = run(capsys, ["h1", trefoil_file, "--p-range", "1..40"])
+    assert (code, len(out.splitlines())) == (0, 41)
+    assert priced == list(range(1, 41))
 
 
 def test_cwl_over_the_work_bound_exits_1(capsys, monkeypatch, tmp_path, trefoil_file):

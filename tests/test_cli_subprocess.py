@@ -30,7 +30,7 @@ ARGVS = [
 # in contextlib; every covercalc call would pay for them at start-up. Annotations
 # are strings (PEP 563), so none of them is needed. -S keeps site's own imports out.
 HEAVY = ("dataclasses", "fractions", "decimal", "inspect", "ast", "typing", "contextlib")
-H1 = {"covercalc", "covercalc.records", "covercalc.laurent", "covercalc.knots"}
+H1 = {"covercalc", "covercalc.records", "covercalc.knots"}
 ENGINE = H1 | {"covercalc.diagrams", "covercalc.engine"}
 # each subcommand on a golden input, with the covercalc modules it may load
 LOADS = [

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from covercalc import knots, laurent
+from covercalc import knots
 from covercalc.knots import (
     KnotDescriptor,
     f_table,
@@ -90,7 +90,7 @@ def test_f_table_trivial_cover():
 
 @pytest.mark.parametrize("p, n_max", [(2, 2000), (7, 2000), (101, 150), (1, 10**9), (10**18, 2)])
 def test_f_table_over_the_work_bound_refuses_before_any_row(monkeypatch, p, n_max):
-    assert laurent.MAX_H1_WORK == 2**29
+    assert knots.MAX_H1_WORK == 2**29
 
     def refuse(n):
         raise AssertionError("no row may be built")
@@ -109,8 +109,8 @@ def test_f_table_work_counts_the_t_world_check_up_to_p_16(monkeypatch):
         f_table(16, 400)
 
 
-# the largest n_max each p accepts; a row costs laurent._h1_work(n - 1, p, 2pn)
-LARGEST_TABLES = [(1, 1171), (2, 1170), (7, 943), (16, 372), (17, 790), (101, 82), (10**5, 4)]
+# the largest n_max each p accepts; a row costs knots._h1_work(n - 1, p, 2pn)
+LARGEST_TABLES = [(1, 1168), (2, 1167), (7, 941), (16, 371), (17, 788), (101, 82), (10**5, 4)]
 
 
 @pytest.mark.parametrize("p, n_max", LARGEST_TABLES)
@@ -126,9 +126,9 @@ def test_f_table_refusal_boundary(monkeypatch, p, n_max):
 def test_every_row_of_an_accepted_table_passes_the_per_call_work_bound(p, n_max):
     # the last row is the dearest; the per-call estimate reads its true size bound, not 2pn
     coeffs = wheel_knot(n_max).coeffs
-    folded = laurent._folded(coeffs, p) if len(coeffs) > p else coeffs
-    bits = laurent._h1_bits_bound(folded, p)
-    assert laurent._h1_work(n_max - 1, p, bits) <= laurent.MAX_H1_WORK
+    folded = knots._folded(coeffs, p) if len(coeffs) > p else coeffs
+    bits = knots._h1_bits_bound(folded, p)
+    assert knots._h1_work(n_max - 1, p, bits) <= knots.MAX_H1_WORK
 
 
 def test_table_work_reads_the_output_bound_of_the_wheel():
@@ -136,8 +136,8 @@ def test_table_work_reads_the_output_bound_of_the_wheel():
     for n in range(1, 41):
         coeffs = wheel_knot(n).coeffs
         for p in (1, 2, 3, 7, 16, 17, 101, 1000):
-            folded = laurent._folded(coeffs, p) if len(coeffs) > p else coeffs
-            assert laurent._h1_bits_bound(folded, p) <= 2 * p * n + p, (n, p)
+            folded = knots._folded(coeffs, p) if len(coeffs) > p else coeffs
+            assert knots._h1_bits_bound(folded, p) <= 2 * p * n + p, (n, p)
 
 
 def test_wheel_table_is_symmetric_and_vanishes_exactly_at_multiples_of_six():
@@ -246,8 +246,8 @@ def wide_knot(n):
 
 
 def test_from_json_refuses_a_knot_wider_than_any_h1_call_accepts():
-    # |H_1| of half-degree h costs at least (h + 1)^2 at every p (laurent._h1_work)
-    widest = math.isqrt(laurent.MAX_H1_WORK) - 1
+    # |H_1| of half-degree h costs at least _h1_work(h, 1, 0) = 2^12 + (h + 1)^2 at every p
+    widest = math.isqrt(knots.MAX_H1_WORK - 2**12) - 1
     assert widest == 23169
     assert len(KnotDescriptor.from_json_dict(wide_knot(widest)).coeffs) == 2 * widest + 1
     with pytest.raises(ValueError, match="^Alexander polynomial half-degree 23170 needs "):
@@ -256,7 +256,7 @@ def test_from_json_refuses_a_knot_wider_than_any_h1_call_accepts():
     coeffs = [1] + [0] * widest + [-1] + [0] * widest + [1]
     for p in (1, 2, 3, 16, 17, 10**5):
         with pytest.raises(ValueError, match="over the (work|output) bound"):
-            laurent.check_bounds(coeffs, p)
+            knots.check_bounds(coeffs, p)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=r"half-degree 2000000 needs \|H_1\| work > 536870912$"):
@@ -388,7 +388,7 @@ def test_trefoil_period_six_past_ten_to_the_eighteen():
     # h1_order would refuse these p by the output bound, so the path is called directly
     for k in range(6):
         p = 10**18 + k
-        assert laurent._trace_product([1, -1, 1], p) == TREFOIL_PERIOD[p % 6], p
+        assert knots._trace_product([1, -1, 1], p) == TREFOIL_PERIOD[p % 6], p
 
 
 @pytest.mark.parametrize("p", [500, 2000, 11_000])

@@ -7,10 +7,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from covercalc import laurent
+from covercalc import knots
 from covercalc.engine import lmo_leading_multiplier
-from covercalc.knots import KnotDescriptor, h1_order, wheel_knot
-from covercalc.laurent import resultant_with_cyclotomic
+from covercalc.knots import KnotDescriptor, h1_order, resultant_with_cyclotomic, wheel_knot
 from covercalc.records import _Record
 
 from helpers import (
@@ -253,7 +252,7 @@ def _count_paths(monkeypatch):
 
     for name in calls:
         attr = f"_{name}_product"
-        monkeypatch.setattr(laurent, attr, counted(name, getattr(laurent, attr)))
+        monkeypatch.setattr(knots, attr, counted(name, getattr(knots, attr)))
     return calls
 
 
@@ -286,13 +285,13 @@ def test_a_zero_fold_gives_zero_on_both_paths(p):
     # (1 - t^p)^2 folds to zero mod t^p - 1; its sum, A(1), is 0, so the trace
     # path returns at its divisor test and the t-world check at its empty fold
     coeffs = _dense({0: 1, p: -2, 2 * p: 1})
-    assert laurent._trace_product(coeffs, p) == 0
-    assert laurent._t_world_product(laurent._folded(coeffs, p), p) == 0
+    assert knots._trace_product(coeffs, p) == 0
+    assert knots._t_world_product(knots._folded(coeffs, p), p) == 0
     assert resultant_with_cyclotomic(coeffs, p) == 0
 
 
 def test_wrong_trace_product_is_caught_by_the_t_world_check(monkeypatch):
-    monkeypatch.setattr(laurent, "_trace_product", lambda coeffs, p: 12345)
+    monkeypatch.setattr(knots, "_trace_product", lambda coeffs, p: 12345)
     poly = wheel_knot(10).coeffs
     for p in (5, 16):
         with pytest.raises(RuntimeError, match=r"^internal disagreement: trace path 12345 vs t-world -?\d+$"):
@@ -308,14 +307,14 @@ def _random_coeffs(rng, length):
 
 def test_subresultant_matches_circulant_with_sign(monkeypatch):
     drops = []
-    prem = laurent._pseudo_remainder
+    prem = knots._pseudo_remainder
 
     def recorded(a, b):
         r = prem(a, b)
         drops.append(len(b) - len(r))
         return r
 
-    monkeypatch.setattr(laurent, "_pseudo_remainder", recorded)
+    monkeypatch.setattr(knots, "_pseudo_remainder", recorded)
     rng = random.Random(37)
     cases = [([5], p) for p in (1, 2, 7)]  # d = 0
     cases += [([-1, 0, 0, 1], 6), ([1, 0, 1], 4), ([0, 1, 0, 0, 1], 12)]  # cyclotomic factors
@@ -358,7 +357,7 @@ def test_trace_product_matches_circulant_with_sign():
     zeros = 0
     for coeffs, p in cases:
         want = circulant_product(coeffs, p)
-        assert laurent._trace_product(coeffs, p) == want, (coeffs, p)
+        assert knots._trace_product(coeffs, p) == want, (coeffs, p)
         zeros += want == 0
     assert at_one >= 200 and at_minus_one >= 100 and zeros >= at_one + at_minus_one
     assert {len(c) // 2 for c, _ in cases} == set(range(9))
@@ -369,7 +368,7 @@ def test_t_world_check_matches_trace_circulant_and_sympy_with_sign(monkeypatch):
     sympy = pytest.importorskip("sympy")
     t = sympy.Symbol("t")
     drops = []
-    prem = laurent._pseudo_remainder
+    prem = knots._pseudo_remainder
 
     def recorded(a, b):
         r = prem(a, b)
@@ -390,16 +389,16 @@ def test_t_world_check_matches_trace_circulant_and_sympy_with_sign(monkeypatch):
             coeffs[n] -= (-1) ** n * sum(c * (-1) ** k for k, c in enumerate(coeffs))  # A(-1) = 0
             at_minus_one += 1
         cases.append(coeffs)
-    monkeypatch.setattr(laurent, "_pseudo_remainder", recorded)
+    monkeypatch.setattr(knots, "_pseudo_remainder", recorded)
     zeros = most = 0
     for coeffs in cases:
         poly = sympy.Poly.from_list(coeffs[::-1], t)
         for p in range(1, 17):
-            folded = laurent._folded(coeffs, p) if len(coeffs) > p else coeffs
+            folded = knots._folded(coeffs, p) if len(coeffs) > p else coeffs
             drops.clear()
-            want = laurent._t_world_product(folded, p)
+            want = knots._t_world_product(folded, p)
             most = max([most, *drops])
-            assert want == laurent._trace_product(coeffs, p) == circulant_product(coeffs, p), (coeffs, p)
+            assert want == knots._trace_product(coeffs, p) == circulant_product(coeffs, p), (coeffs, p)
             # sympy.resultant(f, g) has the sign of Res(g, f) when deg f < deg g
             if poly.degree() > p:
                 oracle = (-1) ** (p * poly.degree()) * sympy.resultant(poly, sympy.Poly(t**p - 1, t))
@@ -415,17 +414,17 @@ def test_t_world_check_matches_trace_circulant_and_sympy_with_sign(monkeypatch):
 def test_trace_product_matches_the_t_world_path():
     for knot, p in ((wheel_knot(10), 1000), (wheel_knot(30), 200)):
         coeffs = knot.coeffs
-        assert laurent._trace_product(coeffs, p) == subresultant_product(coeffs, p), (knot, p)
+        assert knots._trace_product(coeffs, p) == subresultant_product(coeffs, p), (knot, p)
     for coeffs in ([1, -1, 1], [-1, 3, -1]):  # the trefoil and the figure-eight
         for p in range(1, 4097):
-            assert laurent._trace_product(coeffs, p) == subresultant_product(coeffs, p), (coeffs, p)
+            assert knots._trace_product(coeffs, p) == subresultant_product(coeffs, p), (coeffs, p)
 
 
 def test_a_knot_stays_on_the_half_degree_sequence(monkeypatch):
     # only the trace path's divisors: the t-world check divides by A folded,
     # of degree up to min(2n, p - 1)
     divisors, tracing = [], []
-    prem, trace = laurent._pseudo_remainder, laurent._trace_product
+    prem, trace = knots._pseudo_remainder, knots._trace_product
 
     def recorded(a, b):
         if tracing:
@@ -439,12 +438,12 @@ def test_a_knot_stays_on_the_half_degree_sequence(monkeypatch):
         finally:
             tracing.pop()
 
-    monkeypatch.setattr(laurent, "_pseudo_remainder", recorded)
-    monkeypatch.setattr(laurent, "_trace_product", traced)
-    knots = [TREFOIL, (-1, 3, -1)]
-    knots += [wheel_knot(n).coeffs for n in (2, 5, 9)]
-    knots += [(2, -3, 3, -3, 2)]  # non-monic, 2 - 3t + 3t^2 - 3t^3 + 2t^4
-    for poly in knots:
+    monkeypatch.setattr(knots, "_pseudo_remainder", recorded)
+    monkeypatch.setattr(knots, "_trace_product", traced)
+    polys = [TREFOIL, (-1, 3, -1)]
+    polys += [wheel_knot(n).coeffs for n in (2, 5, 9)]
+    polys += [(2, -3, 3, -3, 2)]  # non-monic, 2 - 3t + 3t^2 - 3t^3 + 2t^4
+    for poly in polys:
         n = len(poly) // 2
         for p in (1, 2, 3, 7, 16, 17, 40, 101, 256):
             divisors.clear()
@@ -459,15 +458,15 @@ def test_output_bound_covers_the_product():
     for _ in range(200):
         poly = _random_palindromic_poly(rng, 3)
         p = rng.randint(1, 30)
-        folded = laurent._folded(poly, p)
+        folded = knots._folded(poly, p)
         if not any(folded):
             continue
-        bound = laurent._h1_bits_bound(folded, p)
+        bound = knots._h1_bits_bound(folded, p)
         assert abs(resultant_with_cyclotomic(poly, p)).bit_length() <= bound, (poly, p)
 
 
 def test_output_bound_refuses_before_any_path_runs(monkeypatch):
-    assert laurent.MAX_H1_BITS == 2**21
+    assert knots.MAX_H1_BITS == 2**21
     forbid_resultant_paths(monkeypatch)
     for n in (10, 30):
         with pytest.raises(ValueError, match="over the output bound of 2097152"):
@@ -475,27 +474,27 @@ def test_output_bound_refuses_before_any_path_runs(monkeypatch):
 
 
 def test_output_bound_accepts_trefoil_at_p_a_million(monkeypatch):
-    monkeypatch.setattr(laurent, "_trace_product", lambda coeffs, p: 4)
+    monkeypatch.setattr(knots, "_trace_product", lambda coeffs, p: 4)
     assert resultant_with_cyclotomic(TREFOIL, 10**6) == 4
 
 
 def test_output_bound_is_read_on_the_folded_polynomial(monkeypatch):
-    monkeypatch.setattr(laurent, "MAX_H1_BITS", 3)
+    monkeypatch.setattr(knots, "MAX_H1_BITS", 3)
     # 5 + t - 10t^2 + t^3 + 5t^4 at p = 2 folds to 2t: 3 bits, where the
     # unfolded sum a_i^2 = 152 would give 8
     assert abs(resultant_with_cyclotomic((5, 1, -10, 1, 5), 2)) == 4
-    monkeypatch.setattr(laurent, "MAX_H1_BITS", 8)
+    monkeypatch.setattr(knots, "MAX_H1_BITS", 8)
     # 1 - 6t + t^2 at p = 3: floor(3 log2(38) / 2) + 1 = 8 bits, and 196 has 8
     assert abs(resultant_with_cyclotomic((1, -6, 1), 3)) == 196
-    monkeypatch.setattr(laurent, "MAX_H1_BITS", 7)
+    monkeypatch.setattr(knots, "MAX_H1_BITS", 7)
     with pytest.raises(ValueError, match="may need 8 bits"):
         resultant_with_cyclotomic((1, -6, 1), 3)
 
 
 def test_work_bound_refuses_before_any_path_runs(monkeypatch):
-    assert laurent.MAX_H1_WORK == 2**29
+    assert knots.MAX_H1_WORK == 2**29
     forbid_resultant_paths(monkeypatch)
-    for n, p, work in ((40, 4000, 4519106515), (80, 1000, 4740040387)):
+    for n, p, work in ((40, 4000, 4519110611), (80, 1000, 4740044483)):
         message = f"|H_1| at p = {p} needs work {work}, over the work bound of 536870912"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             resultant_with_cyclotomic(wheel_knot(n).coeffs, p)
@@ -503,7 +502,7 @@ def test_work_bound_refuses_before_any_path_runs(monkeypatch):
 
 def test_output_bound_is_checked_before_the_work_bound(monkeypatch):
     forbid_resultant_paths(monkeypatch)
-    monkeypatch.setattr(laurent, "MAX_H1_WORK", 0)
+    monkeypatch.setattr(knots, "MAX_H1_WORK", 0)
     with pytest.raises(ValueError, match="over the output bound"):
         resultant_with_cyclotomic(wheel_knot(80).coeffs, 10**6)
     with pytest.raises(ValueError, match="over the work bound of 0$"):
@@ -513,44 +512,45 @@ def test_output_bound_is_checked_before_the_work_bound(monkeypatch):
 def test_a_range_is_priced_by_its_summed_work(monkeypatch):
     # each p alone is within both bounds; the rows' summed _h1_work is not
     forbid_resultant_paths(monkeypatch)
-    for coeffs, start, last in ((TREFOIL, 1, 43796), (wheel_knot(30).coeffs, 2, 264)):
-        laurent.check_range(coeffs, range(start, last + 1))
+    ranges = ((knots.trefoil(), 1, 38940), (wheel_knot(30), 2, 264))
+    for knot, start, last in ranges:
         message = f"|H_1| at p = {start}..{last + 1} needs work "
         with pytest.raises(ValueError, match=f"^{re.escape(message)}\\d+, over the work bound of 536870912$"):
-            laurent.check_range(coeffs, range(start, 10**8))
+            knots.h1_orders(knot, range(start, 10**8))
     # one p over a bound gets check_bounds' own message
-    for p, message in ((4000, "needs work 4519106515, over the work"), (10**6, "over the output bound")):
+    for p, message in ((4000, "needs work 4519110611, over the work"), (10**6, "over the output bound")):
         with pytest.raises(ValueError, match=f"^\\|H_1\\| at p = {p} .*{message}"):
-            laurent.check_range(wheel_knot(40).coeffs, range(p, p + 1))
+            knots.h1_orders(wheel_knot(40), range(p, p + 1))
+    # an accepted range computes every row, here from stubs that agree
+    for name in ("_trace_product", "_t_world_product"):
+        monkeypatch.setattr(knots, name, lambda coeffs, p: -p)
+    for knot, start, last in ranges:
+        assert knots.h1_orders(knot, range(start, last + 1)) == [(p, p) for p in range(start, last + 1)]
 
 
 def test_work_bound_accepts_every_half_degree_one_polynomial_above_p_16():
     # even at the largest output the bits bound admits, the trace path's estimate stays under
     for p in (17, 11000, 10**6, 10**18):
-        assert laurent._h1_work(1, p, laurent.MAX_H1_BITS) < laurent.MAX_H1_WORK
+        assert knots._h1_work(1, p, knots.MAX_H1_BITS) < knots.MAX_H1_WORK
 
 
-SRC = Path(laurent.__file__).parent
+SRC = Path(knots.__file__).parent
 
 
 def test_laurent_holds_polynomials_and_records_live_in_records():
-    # laurent is a leaf of functions on a knot's coefficient list: records <- laurent <- knots
-    nodes = list(ast.walk(ast.parse((SRC / "laurent.py").read_text(encoding="utf-8"))))
-    modules = [node.module for node in nodes if isinstance(node, ast.ImportFrom)]  # None for "from ."
+    # the |H_1| functions live in knots, which imports only the stdlib and records;
+    # no module imports the former laurent
+    nodes = list(ast.walk(ast.parse((SRC / "knots.py").read_text(encoding="utf-8"))))
+    modules = [node.module for node in nodes if isinstance(node, ast.ImportFrom)]
     modules += [alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names]
-    assert set(modules) == {"__future__", "math", "collections.abc"}
-    assert not [node for node in nodes if isinstance(node, ast.ClassDef)]
+    assert set(modules) == {"__future__", "math", "collections.abc", "records"}
+    assert [node.name for node in nodes if isinstance(node, ast.ClassDef)] == ["KnotDescriptor"]
     defined = {node.name for node in nodes if isinstance(node, ast.FunctionDef)}
-    assert not {"_shifted_dense", "_palindromic"} & defined  # the knot shifts and checks once
-    for module in ("diagrams", "lifts", "signs", "engine"):
-        tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    assert not {"_shifted_dense", "_palindromic", "check_range"} & defined  # the knot shifts and checks once
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
         sources = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-        assert "laurent" not in sources, module
-    knots_tree = ast.parse((SRC / "knots.py").read_text(encoding="utf-8"))
-    from_laurent = {
-        alias.name for node in ast.walk(knots_tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "laurent" for alias in node.names
-    }
-    assert from_laurent == {"MAX_H1_WORK", "_h1_work", "resultant_with_cyclotomic"}
+        sources |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+        assert not {source for source in sources if source and "laurent" in source}, path.name
     assert issubclass(KnotDescriptor, _Record)
     assert not {"__eq__", "__repr__", "__hash__"} & set(vars(KnotDescriptor))

@@ -1,5 +1,6 @@
 """The package namespace: ``import covercalc`` loads nothing, and each name in
 ``__all__`` resolves on first access to the object its home module defines."""
+import importlib
 import os
 import subprocess
 import sys
@@ -56,3 +57,13 @@ def test_submodules_import_through_the_package():
 
     assert engine is sys.modules["covercalc.engine"]
     assert engine.cwl_delta is covercalc.cwl_delta
+
+
+def test_the_package_ships_exactly_its_modules():
+    # an installed tree keeps no stale module: |H_1| lives in knots, and laurent is gone
+    assert {path.name for path in (SRC / "covercalc").glob("*.py")} == {
+        "__init__.py", "cli.py", "diagrams.py", "engine.py", "knots.py", "lifts.py", "records.py",
+        "signs.py",
+    }
+    with pytest.raises(ModuleNotFoundError, match="^No module named 'covercalc.laurent'$"):
+        importlib.import_module("covercalc.laurent")
