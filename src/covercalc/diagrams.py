@@ -13,13 +13,13 @@ semantics of frozen dataclasses without importing ``dataclasses``.
 unhashable.
 
 One graph search serves every traversal: ``spanning_tree`` grows a tree
-from the lowest-id vertex. Validation checks that it reaches every vertex,
-and ``require_valid`` returns it, so a caller grows one tree per diagram.
-One pass up the tree gives every edge its cycle vector, its coefficient in
-each fundamental cycle, in O(E b) for b cycles: ``cycle_windings`` sums
-windings and leg wraps against these vectors, and ``is_theta_shaped``
-looks for a bridge, an edge on no cycle. The mod-p lift solver in
-``lifts`` uses the same tree for vertex potentials in Z_p.
+from the lowest-id vertex, and validation checks that it reaches every
+vertex. ``_windings`` validates once and reuses that tree: one pass up it
+gives every edge its coefficients in the fundamental cycles, in O(E b) for
+b cycles, from which it sums windings and leg wraps and finds bridges.
+``engine``, ``cycle_windings`` and ``is_theta_shaped`` read only its
+result, so each raises DiagramError for an invalid diagram. The mod-p lift
+solver in ``lifts`` uses the same search for vertex potentials in Z_p.
 """
 from __future__ import annotations
 
@@ -217,8 +217,8 @@ def validate_complete(d: DecoratedDiagram) -> Violation | None:
 
 def _validate(d: DecoratedDiagram) -> Violation | tuple:
     # validate_complete's violation or, for a valid d, the spanning_tree it grew
-    vset = set(d.vertices)
-    if len(vset) != len(d.vertices):
+    incidence = dict.fromkeys(d.vertices, 0)
+    if len(incidence) != len(d.vertices):
         return Violation("reference", d.label, "duplicate vertex ids")
     ends = {e.id: (e.tail, e.head) for e in d.edges}
     if len(ends) != len(d.edges):
@@ -226,35 +226,33 @@ def _validate(d: DecoratedDiagram) -> Violation | tuple:
     leg_ids = [l.id for l in d.legs]
     if len(set(leg_ids)) != len(leg_ids):
         return Violation("reference", d.label, "duplicate leg ids")
+    # incidence is counted with the reference checks and read once they all hold
     for e in d.edges:
-        if e.tail not in vset or e.head not in vset:
+        if e.tail not in incidence or e.head not in incidence:
             return Violation("reference", e.id, "edge endpoint is not a vertex")
+        incidence[e.tail] += 1
+        incidence[e.head] += 1
+    legs_at = dict.fromkeys(d.vertices, 0)
     for l in d.legs:
-        if l.vertex not in vset:
+        if l.vertex not in incidence:
             return Violation("reference", l.id, "leg attached to unknown vertex")
         if l.sign not in (1, -1):
             return Violation("reference", l.id, "leg wrap sign must be ±1")
         if l.edge not in ends:
             return Violation("reference", l.id, "leg targets unknown edge")
+        incidence[l.vertex] += 1
+        legs_at[l.vertex] += 1
     for k in d.twists:
         if k not in ends:
             return Violation("reference", k, "twist on unknown edge")
 
-    incidence = {v: 0 for v in d.vertices}
-    for e in d.edges:
-        incidence[e.tail] += 1
-        incidence[e.head] += 1
-    legs_at = {v: [] for v in d.vertices}
-    for l in d.legs:
-        incidence[l.vertex] += 1
-        legs_at[l.vertex].append(l)
     for v in d.vertices:
         if incidence[v] != 3:
             return Violation(
                 "incidence", v, f"vertex has total incidence {incidence[v]}, expected 3"
             )
     for v in d.vertices:
-        if len(legs_at[v]) > 1:
+        if legs_at[v] > 1:
             return Violation("fork", v, "more than one leg attached to a vertex")
 
     tree = None
@@ -275,26 +273,22 @@ def _validate(d: DecoratedDiagram) -> Violation | tuple:
     return tree
 
 
-def require_valid(d: DecoratedDiagram) -> tuple:
-    """Raise DiagramError on d's first violation; return d's spanning_tree."""
+def _windings(d: DecoratedDiagram) -> tuple:
+    """Validate d once and return its ``(constants, vectors, bridgeless)``.
+
+    Raises DiagramError on d's first violation, else reuses the spanning_tree
+    validation grew. Cycle k runs the k-th chord (in edge order) tail -> head
+    and closes through the tree; a tree edge from parent to child runs along
+    it once per end of chord k below the child, +1 for a tail and -1 for a
+    head, times the step sign, summed in one pass up the tree. ``constants``
+    are the cycles' windings, ``vectors`` each leg's sign times the cycle
+    vector of its target edge, and ``bridgeless`` says no edge has the zero
+    vector, a bridge's. O((E + L) b) for b cycles.
+    """
     tree = _validate(d)
     if isinstance(tree, Violation):
         raise DiagramError(tree)
-    return tree
-
-
-def _edge_cycles(d: DecoratedDiagram, tree: tuple | None = None) -> dict:
-    """Each edge's coefficients in the fundamental cycles, keyed by edge id.
-
-    Cycle k runs the k-th chord (in edge order) tail -> head and closes
-    through the spanning tree, so the chord has the k-th unit vector. A tree
-    edge from parent to child runs along cycle k once for each end of chord
-    k in the subtree below the child, +1 for its tail and -1 for its head,
-    times the edge's step sign. One pass up the tree sums these per subtree.
-    An edge whose vector is zero lies on no cycle: it is a bridge. ``tree``
-    is d's spanning_tree, when the caller has it already.
-    """
-    _, steps, chords = tree or spanning_tree(d.vertices, d.edges)
+    _, steps, chords = tree
     below = {v: [0] * len(chords) for v in d.vertices}
     cycles = {}
     for k, e in enumerate(chords):
@@ -304,7 +298,12 @@ def _edge_cycles(d: DecoratedDiagram, tree: tuple | None = None) -> dict:
     for e, parent, child, sign in reversed(steps):
         cycles[e.id] = [sign * c for c in below[child]]
         below[parent] = [a + c for a, c in zip(below[parent], below[child])]
-    return cycles
+    constants = [0] * len(chords)
+    for e in d.edges:
+        if e.winding:
+            constants = [a + e.winding * c for a, c in zip(constants, cycles[e.id])]
+    vectors = [tuple(l.sign * c for c in cycles[l.edge]) for l in d.legs]
+    return tuple(constants), vectors, all(map(any, cycles.values()))
 
 
 def cycle_windings(d: DecoratedDiagram) -> list[list[int]]:
@@ -315,35 +314,23 @@ def cycle_windings(d: DecoratedDiagram) -> list[list[int]]:
     plus the sum of sign(l) * eps_l times the coefficient of the edge leg l
     targets (slot i is the i-th leg of ``d.legs``). One row per chord, in
     edge order; the rows are a basis of the cycle windings. O((E + L) b)
-    for b cycles. Needs a valid d.
+    for b cycles. Raises DiagramError for an invalid d.
     """
-    return _winding_rows(d, _edge_cycles(d))
-
-
-def _winding_rows(d: DecoratedDiagram, cycles: dict) -> list[list[int]]:
-    # cycle_windings from the _edge_cycles of d
-    constant = [0] * (len(d.edges) - len(d.vertices) + 1)
-    for e in d.edges:
-        if e.winding:
-            constant = [a + e.winding * c for a, c in zip(constant, cycles[e.id])]
-    columns = [constant] + [[l.sign * c for c in cycles[l.edge]] for l in d.legs]
-    return [list(row) for row in zip(*columns)]
+    constants, vectors, _ = _windings(d)
+    return [list(row) for row in zip(constants, *vectors)]
 
 
 def is_theta_shaped(d: DecoratedDiagram) -> bool:
-    """True when sawing the legs off the valid diagram d leaves the theta graph.
+    """True when sawing the legs off d leaves the theta graph.
 
     Sawing frees each leg vertex and merges its two edges, so the sawn graph
     has the two leg-free vertices of a surplus-2 diagram joined by three
     edges: the theta graph or the dumbbell (two loops and a bridge). Sawing
     keeps bridges, so d is theta-shaped iff it has surplus 2 and no bridge.
+    Raises DiagramError for an invalid d.
     """
-    return _theta_shaped(d, _edge_cycles(d))
-
-
-def _theta_shaped(d: DecoratedDiagram, cycles: dict) -> bool:
-    # is_theta_shaped from the _edge_cycles of d
-    return surplus(d) == 2 and all(any(c) for c in cycles.values())
+    _, _, bridgeless = _windings(d)
+    return surplus(d) == 2 and bridgeless
 
 
 # -- construction helpers ------------------------------------------------

@@ -4,8 +4,8 @@ Each leading-order number here is a roots-of-unity filter: p times the
 coefficient at 0 of an element of the group ring Z[Z_p^b]. For a complete
 graph Y-link decoration with b basis cycles that element is
 x^c * prod over legs of (1 -/+ x^v), with c the constant cycle windings and
-v a leg's winding contributions, both read off the rows of
-``diagrams.cycle_windings``, so the filter is p times the signed count of
+v a leg's winding contributions, both from the one validated pass of
+``diagrams._windings``, so the filter is p times the signed count of
 leg states whose cycle windings all vanish mod p. ``multiplier`` takes one
 factor per winding line: the m legs on u and the n legs on -u mod p give
 (-/+1)^n y^-n (1 -/+ y)^(m + n) in Z[y]/(y^q - 1) for y = x^u of order q,
@@ -13,9 +13,9 @@ one row of binomials, and for each coordinate k the first line c e_k with
 c prime to p is read off at the end instead of multiplied in. The product
 with one factor per leg, which shares none of this, checks every call: L of
 x^c and the first half of the legs and R of the rest meet in the middle,
-sum_k L[k] R[-k]. It keys each exponent in Z_p^b by one packed int, b bit
-fields of w = (p - 1).bit_length() + 1 bits, and reduces all fields mod p
-at once with one add, shift and mask.
+sum_k L[k] R[-k]. Each path, with its own code, keys an exponent in Z_p^b by
+one packed int, b bit fields of w = (p - 1).bit_length() + 1 bits, and
+reduces all fields mod p at once with one add, shift and mask.
 For decorations that saw to the theta graph (``diagrams.is_theta_shaped``)
 this feeds the Casson-Walker-Lescop delta 2|H_1| per admissible copy. The
 LMO multiplier of l legs is the b = 1 case (1 - x)^l, whose filter is the
@@ -94,6 +94,9 @@ def _multiplier_lines(constants, groups, p, signed):
     the first such line of each coordinate k: the other lines' sparse
     product R, read at residue r, needs x^(j u) with r_k + j c = 0 mod p,
     that is j = -r_k / c, and r = 0 on every coordinate no line takes.
+    R's keys are packed as the check's are, with no shared helper: a taken
+    coordinate reads its field as key >> (k w) & mask, and key & free is 0
+    iff every free coordinate is.
     """
     sign = -1 if signed else 1
     scalar, lines = 1, {}
@@ -106,7 +109,11 @@ def _multiplier_lines(constants, groups, p, signed):
             lines.setdefault(u, [0, 0])[v != u] += m
     if not scalar:
         return 0
-    taken, ring = {}, {tuple(c % p for c in constants): 1}
+    w = (p - 1).bit_length() + 1
+    mask = (1 << w) - 1
+    ones = sum(1 << (k * w) for k in range(len(constants)))
+    probe = ((1 << (w - 1)) - p) * ones
+    taken, ring = {}, {sum(c % p << (k * w) for k, c in enumerate(constants)): 1}
     for u, (m, n) in lines.items():
         q = p // math.gcd(p, *u)
         binomial, factor = sign**n, {}
@@ -122,17 +129,18 @@ def _multiplier_lines(constants, groups, p, signed):
         product = {}
         for j, c in factor.items():
             if c:
-                shift = tuple(j * x for x in u)
-                for exp, coef in ring.items():
-                    key = tuple((e + s) % p for e, s in zip(exp, shift))
+                shift = sum(j * x % p << (k * w) for k, x in enumerate(u))
+                for key, coef in ring.items():
+                    key += shift
+                    key -= ((key + probe) >> (w - 1) & ones) * p
                     product[key] = product.get(key, 0) + c * coef
         ring = product
-    free = [k for k in range(len(constants)) if k not in taken]
+    free = sum(mask << (k * w) for k in range(len(constants)) if k not in taken)
     total = 0
-    for exp, coef in ring.items():
-        if not any(exp[k] for k in free):
+    for key, coef in ring.items():
+        if not key & free:
             for k, (inverse, factor) in taken.items():
-                coef *= factor.get(-exp[k] * inverse % p, 0)
+                coef *= factor.get(-(key >> (k * w) & mask) * inverse % p, 0)
             total += coef
     return p * scalar * total
 
@@ -187,19 +195,19 @@ def multiplier(d: DecoratedDiagram, p: int, signed: bool = True) -> int:
     about legs bits, so a call whose work (legs + 1) * (legs // 64 + 1) * S
     exceeds MAX_WORK raises ValueError before either path runs.
     """
-    from .diagrams import _edge_cycles, _winding_rows, require_valid
+    from .diagrams import _windings
 
     if p < 1:
         raise ValueError("p must be >= 1")
-    return _multiplier_of_rows(_winding_rows(d, _edge_cycles(d, require_valid(d))), p, signed)
+    constants, vectors, _ = _windings(d)
+    return _multiplier_of_windings(constants, vectors, p, signed)
 
 
-def _multiplier_of_rows(rows, p, signed):
-    # multiplier from the cycle_windings rows of a valid diagram, which has b >= 2 rows
-    constants, *vectors = zip(*rows)
+def _multiplier_of_windings(constants, vectors, p, signed):
+    # multiplier from the _windings of a valid diagram, which has b >= 2 cycles
     groups = Counter(vectors)
-    box = math.prod(sum(map(abs, row[1:])) + 1 for row in rows)
-    states = min(math.prod(m + 1 for m in groups.values()), p ** len(rows), box)
+    box = math.prod(sum(map(abs, column)) + 1 for column in zip(*vectors))
+    states = min(math.prod(m + 1 for m in groups.values()), p ** len(constants), box)
     work = (len(vectors) + 1) * (len(vectors) // 64 + 1) * states
     if work > MAX_WORK:
         raise ValueError(f"multiplier work {work} exceeds the work bound of {MAX_WORK}")
@@ -235,17 +243,17 @@ def cwl_delta(
     Magnitude is 2 * |H_1| of the cover times the absolute multiplier, and
     |H_1| is not computed when the multiplier is 0; the invariant vanishes
     on higher-surplus shapes, so a non-theta sawn diagram reports magnitude
-    0 with a note. One validation and one spanning tree serve the shape test
-    and the winding rows.
+    0 with a note. One validated pass serves the shape test (surplus 2 and
+    no bridge, as ``diagrams.is_theta_shaped``) and the multiplier.
     """
-    from .diagrams import _edge_cycles, _theta_shaped, _winding_rows, require_valid, surplus
+    from .diagrams import _windings, surplus
     from .knots import h1_order
 
     if p < 1:
         raise ValueError("p must be >= 1")
-    cycles = _edge_cycles(d, require_valid(d))
+    constants, vectors, bridgeless = _windings(d)
     grade = surplus(d)
-    if not _theta_shaped(d, cycles):
+    if not (grade == 2 and bridgeless):
         return LeadingTerm(
             magnitude=0,
             sign=None,
@@ -254,7 +262,7 @@ def cwl_delta(
             p=p,
             note="sawn diagram is not a theta graph; the invariant vanishes here",
         )
-    m = _multiplier_of_rows(_winding_rows(d, cycles), p, signed)
+    m = _multiplier_of_windings(constants, vectors, p, signed)
     magnitude = 2 * h1_order(knot, p) * abs(m) if m else 0
     sign = _sign_from_twists(d) if magnitude else None
     return LeadingTerm(magnitude=magnitude, sign=sign, grade=grade, label=d.label, p=p)
@@ -292,8 +300,9 @@ def lmo_window(l_start: int, count: int, p: int) -> list[int]:
     The work, count * m sums of up to l_end bits (which bound the output)
     plus about l_end / p binomials of l_end bits for the start and the
     check, is estimated before anything runs; over MAX_WINDOW_WORK raises
-    ValueError. The last row is checked against lmo_leading_multiplier, and
-    a disagreement raises RuntimeError.
+    ValueError. The first and the last row (one row when count = 1) are
+    checked against lmo_leading_multiplier, and a disagreement raises
+    RuntimeError; the first row's check costs no more than the last's.
     """
     if l_start < 1 or count < 1 or p < 1:
         raise ValueError("l_start, count and p must all be >= 1")
@@ -311,11 +320,12 @@ def lmo_window(l_start: int, count: int, p: int) -> list[int]:
     for _ in range(count - 1):
         v = [a - b for a, b in zip(v, [v[-1]] + v[:-1])]
         values.append(p * v[0])
-    check = lmo_leading_multiplier(l_end, p)
-    if values[-1] != check:
-        raise RuntimeError(
-            f"internal disagreement at l = {l_end}: stepped {values[-1]} vs binomial sum {check}"
-        )
+    for l, value in {l_start: values[0], l_end: values[-1]}.items():
+        check = lmo_leading_multiplier(l, p)
+        if value != check:
+            raise RuntimeError(
+                f"internal disagreement at l = {l}: stepped {value} vs binomial sum {check}"
+            )
     return values
 
 

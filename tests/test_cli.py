@@ -269,7 +269,8 @@ def test_wheel_table_over_the_work_bound_exits_1(capsys):
 def test_window_disagreement_exits_3(capsys, monkeypatch):
     from covercalc import engine
 
-    monkeypatch.setattr(engine, "lmo_leading_multiplier", lambda l, p: 0)
+    real = engine.lmo_leading_multiplier
+    monkeypatch.setattr(engine, "lmo_leading_multiplier", lambda l, p: 0 if l == 3 else real(l, p))
     code, out, err = run(capsys, ["window", "--p", "2", "--l-start", "1", "--count", "3"])
     assert (code, out) == (3, "")
     assert err.startswith("internal error: internal disagreement at l = 3")

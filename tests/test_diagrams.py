@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from covercalc import diagrams
 from covercalc.diagrams import (
     DecoratedDiagram,
+    DiagramError,
     Edge,
     Leg,
     attach_leg_by_subdivision,
@@ -19,7 +21,7 @@ from covercalc.diagrams import (
     theta,
     validate_complete,
 )
-from covercalc.engine import cwl_delta
+from covercalc.engine import cwl_delta, multiplier
 from covercalc.knots import unknot
 
 from helpers import (
@@ -177,13 +179,15 @@ def test_cycle_basis_single_loop():
     assert cycle_windings(wound) == [[2], [3]]
 
 
-def test_cycle_basis_tree_is_empty():
+def test_cycle_basis_tree_is_refused():
     d = DecoratedDiagram(
         label="tree",
         vertices=("a", "b"),
         edges=(Edge("e", "a", "b"),),
     )
-    assert cycle_windings(d) == []
+    with pytest.raises(DiagramError, match=r"^incidence\[a\]") as raised:
+        cycle_windings(d)
+    assert raised.value.violation == validate_complete(d)
 
 
 def test_cycle_winding_affine_example_values():
@@ -221,14 +225,17 @@ def test_spanning_tree_root_is_lowest_id_and_misses_other_components():
     assert chords == [edges[0]]
 
 
-def test_disconnected_names_lowest_unreached_vertex():
-    d = DecoratedDiagram(
+def _two_thetas():
+    return DecoratedDiagram(
         "split",
         ("x", "y", "a", "b"),
         (Edge("f1", "x", "y"), Edge("f2", "x", "y"), Edge("f3", "x", "y"),
          Edge("g1", "a", "b"), Edge("g2", "a", "b"), Edge("g3", "a", "b")),
     )
-    assert validate_complete(d).element == "x"
+
+
+def test_disconnected_names_lowest_unreached_vertex():
+    assert validate_complete(_two_thetas()).element == "x"
 
 
 def test_surplus_degree_invariant_under_relabeling():
@@ -346,6 +353,42 @@ def test_cycle_windings_match_the_potential_oracle():
         for x in (d, _renamed_and_reordered(d, rng), relabel(d, "z")):
             assert validate_complete(x) is None
             assert cycle_windings(x) == cycle_windings_by_potentials(x)
+
+
+def _theta_with_a_second_leg_at_u():
+    d = theta_with_legs(1)
+    return DecoratedDiagram(d.label, d.vertices, d.edges, d.legs + (Leg("l2", "u", 1, "e2"),))
+
+
+@pytest.mark.parametrize("reader", [cycle_windings, is_theta_shaped])
+@pytest.mark.parametrize(
+    "fixture, code, element",
+    [(_two_thetas, "disconnected", "x"), (_theta_with_a_second_leg_at_u, "incidence", "u")],
+)
+def test_cycle_readers_refuse_invalid_diagrams(reader, fixture, code, element):
+    d = fixture()
+    with pytest.raises(DiagramError) as raised:
+        reader(d)
+    assert (raised.value.violation.code, raised.value.violation.element) == (code, element)
+    assert raised.value.violation == validate_complete(d)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda d: multiplier(d, 5),
+        lambda d: cwl_delta(unknot(), d, 5),
+        cycle_windings,
+        is_theta_shaped,
+    ],
+    ids=["multiplier", "cwl_delta", "cycle_windings", "is_theta_shaped"],
+)
+def test_each_diagram_reader_validates_once(monkeypatch, read):
+    validate, calls = diagrams._validate, []
+    monkeypatch.setattr(diagrams, "_validate", lambda d: calls.append(d) or validate(d))
+    d = theta_with_legs(3)
+    read(d)
+    assert calls == [d]
 
 
 def test_theta_shape_of_random_diagrams_follows_the_base_graph():

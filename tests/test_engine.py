@@ -664,9 +664,28 @@ def test_lmo_window_refuses_over_the_work_bound_before_computing(monkeypatch):
 
 
 def test_lmo_window_checks_its_last_row(monkeypatch):
-    monkeypatch.setattr(engine, "lmo_leading_multiplier", lambda l, p: 1)
+    monkeypatch.setattr(
+        engine, "lmo_leading_multiplier", lambda l, p: 1 if l == 4 else lmo_leading_multiplier(l, p)
+    )
     with pytest.raises(RuntimeError, match="internal disagreement at l = 4: stepped 7 vs binomial sum 1"):
         lmo_window(1, 4, 7)
+
+
+def test_lmo_window_checks_its_first_row(monkeypatch):
+    monkeypatch.setattr(
+        engine, "lmo_leading_multiplier", lambda l, p: 1 if l == 3 else lmo_leading_multiplier(l, p)
+    )
+    with pytest.raises(RuntimeError, match="internal disagreement at l = 3: stepped 7 vs binomial sum 1"):
+        lmo_window(3, 5, 7)
+
+
+def test_lmo_window_checks_a_single_row_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        engine, "lmo_leading_multiplier", lambda l, p: calls.append(l) or lmo_leading_multiplier(l, p)
+    )
+    assert lmo_window(6, 1, 5) == [lmo_leading_multiplier(6, 5)]
+    assert calls == [6]
 
 
 def test_leading_term_json_shape():
