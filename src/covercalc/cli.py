@@ -150,8 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, default_format="csv"):
-        sp.add_argument("--format", choices=("json", "csv"), default=default_format)
+    def add_common(sp):
+        sp.add_argument("--format", choices=("json", "csv"), default="csv")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
 
     sp = sub.add_parser("h1", help="homology orders of p-fold branched covers")

@@ -203,6 +203,17 @@ def degree(d: DecoratedDiagram) -> Fraction:
     return Fraction(len(d.vertices) + len(d.legs), 2)
 
 
+def _twist_sign(d: DecoratedDiagram) -> int | None:
+    """d's sign against the all-positive orientation: its twists' product, or None unless all are ±1."""
+    sign = 1
+    for e in d.edges:
+        t = d.twists.get(e.id)
+        if t not in (1, -1):
+            return None
+        sign *= t
+    return sign
+
+
 def validate_complete(d: DecoratedDiagram) -> Violation | None:
     """Check the completeness invariants; return the first violation, or None.
 

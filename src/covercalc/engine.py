@@ -220,18 +220,6 @@ def _multiplier_of_windings(constants, vectors, p, signed):
     return by_line
 
 
-def _sign_from_twists(d: DecoratedDiagram) -> int | None:
-    # Full ±1 twist data pins the comparison sign against the all-positive
-    # reference orientation; anything less leaves the global sign unknown.
-    sign = 1
-    for e in d.edges:
-        t = d.twists.get(e.id)
-        if t not in (1, -1):
-            return None
-        sign *= t
-    return sign
-
-
 def cwl_delta(
     knot: KnotDescriptor,
     d: DecoratedDiagram,
@@ -246,7 +234,7 @@ def cwl_delta(
     0 with a note. One validated pass serves the shape test (surplus 2 and
     no bridge, as ``diagrams.is_theta_shaped``) and the multiplier.
     """
-    from .diagrams import _windings, surplus
+    from .diagrams import _twist_sign, _windings, surplus
     from .knots import h1_order
 
     if p < 1:
@@ -264,7 +252,7 @@ def cwl_delta(
         )
     m = _multiplier_of_windings(constants, vectors, p, signed)
     magnitude = 2 * h1_order(knot, p) * abs(m) if m else 0
-    sign = _sign_from_twists(d) if magnitude else None
+    sign = _twist_sign(d) if magnitude else None
     return LeadingTerm(magnitude=magnitude, sign=sign, grade=grade, label=d.label, p=p)
 
 

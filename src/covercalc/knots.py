@@ -9,11 +9,11 @@ and checked once at construction, so the functions here only compute. As
 A(t) = t^n B(t + 1/t), roots of unity z and 1/z give the same value: the
 product is the square of one Collins subresultant sequence of B, of degree
 n, up to A(1) and A(-1), and for p <= 16 the t-world Res(t^p - 1, A)
-checks it. check_bounds prices each p before either path runs: it refuses
-a product whose size bound exceeds MAX_H1_BITS or whose estimated work
-(_h1_work) exceeds MAX_H1_WORK, and a range of p (h1_orders) or a wheel
-table (f_table) is refused when its rows' summed work does. Wheel-knot
-polynomials come from a closed form in binomial coefficients.
+checks it. Both read only n and the fold of A mod t^p - 1 that check_bounds
+priced: it refuses a product whose size bound exceeds MAX_H1_BITS or whose
+estimated work (_h1_work) exceeds MAX_H1_WORK. A range of p (h1_orders) and
+a wheel table (f_table) are each one request to _priced_rows, refused when
+its rows' summed work does. Wheel knots come from binomial coefficients.
 """
 from __future__ import annotations
 
@@ -106,21 +106,26 @@ def h1_order(knot: KnotDescriptor, p: int) -> int:
 
 
 def h1_orders(knot: KnotDescriptor, p_values: range) -> list[tuple[int, int]]:
-    """Rows (p, h1_order(knot, p)) for p in p_values, priced as one request.
+    """Rows (p, h1_order(knot, p)) for p in p_values, priced as one request by _priced_rows."""
+    requests = ((p, knot.coeffs, p) for p in p_values)
+    return _priced_rows(requests, lambda p: f"|H_1| at p = {p_values[0]}..{p}")
 
-    check_bounds prices each p once, and ValueError is raised at the first p
-    over a bound or where the summed _h1_work passes MAX_H1_WORK, before any
-    row is computed; each row then comes from the fold priced for it.
+
+def _priced_rows(requests, span) -> list[tuple[int, int]]:
+    """Rows (key, |product|) for requests (key, coeffs, p), all priced before any row is computed.
+
+    check_bounds prices each request once, keeping only its fold and half-degree, and
+    ValueError is raised at the first one over a bound, or as "{span(key)} needs work
+    ..." where the summed _h1_work passes MAX_H1_WORK. Each row comes from its fold.
     """
-    coeffs, work, folds = knot.coeffs, 0, []
-    for p in p_values:
+    work, priced = 0, []
+    for key, coeffs, p in requests:
         folded, cost = check_bounds(coeffs, p)
         work += cost
         if work > MAX_H1_WORK:
-            raise ValueError(f"|H_1| at p = {p_values[0]}..{p} needs work {work}, "
-                             f"over the work bound of {MAX_H1_WORK}")
-        folds.append(folded)
-    return [(p, abs(_checked_product(coeffs, folded, p))) for p, folded in zip(p_values, folds)]
+            raise ValueError(f"{span(key)} needs work {work}, over the work bound of {MAX_H1_WORK}")
+        priced.append((key, folded, len(coeffs) // 2, p))
+    return [(key, abs(_checked_product(folded, n, p))) for key, folded, n, p in priced]
 
 
 def wheel_knot(n: int) -> KnotDescriptor:
@@ -145,19 +150,14 @@ def wheel_knot(n: int) -> KnotDescriptor:
 def f_table(p: int, n_max: int) -> list[tuple[int, int]]:
     """Rows (n, |H_1| of the p-fold cover of the n-spoke wheel) for n=1..n_max.
 
-    Over MAX_H1_WORK estimated word operations raises ValueError before any
-    row. Row n costs _h1_work(n - 1, p, 2pn): wheel-n has half-degree n - 1,
-    as C(2n, 2n) - C(n, n) = 0, and |A| <= (1 + 2^n)^2 on the unit circle
-    bounds its |H_1| by 2pn bits.
+    One request to _priced_rows, like h1_orders: each wheel knot is built and
+    priced in turn, and a refusal comes before any row is computed. Row n
+    costs at least n^2, so pricing stops within 1,200 knots.
     """
     if p < 1 or n_max < 1:
         raise ValueError("p and n_max must be >= 1")
-    work = 0
-    for n in range(1, n_max + 1):  # at least n^2 a row: stops within 1,200 rows
-        work += _h1_work(n - 1, p, 2 * p * n)
-        if work > MAX_H1_WORK:
-            raise ValueError(f"wheel-table work exceeds the work bound of {MAX_H1_WORK}")
-    return [(n, h1_order(wheel_knot(n), p)) for n in range(1, n_max + 1)]
+    rows = ((n, wheel_knot(n).coeffs, p) for n in range(1, n_max + 1))
+    return _priced_rows(rows, lambda n: f"wheel-table at p = {p}, n = 1..{n}")
 
 
 def unknot() -> KnotDescriptor:
@@ -184,7 +184,7 @@ def resultant_with_cyclotomic(coeffs: Sequence[int], p: int) -> int:
     raises RuntimeError. Only the absolute value is meaningful; the unit
     shift changes the sign.
     """
-    return _checked_product(coeffs, check_bounds(coeffs, p)[0], p)
+    return _checked_product(check_bounds(coeffs, p)[0], len(coeffs) // 2, p)
 
 
 def check_bounds(coeffs: Sequence[int], p: int) -> tuple[Sequence[int], int]:
@@ -210,9 +210,9 @@ def check_bounds(coeffs: Sequence[int], p: int) -> tuple[Sequence[int], int]:
     return folded, work
 
 
-def _checked_product(coeffs: Sequence[int], folded: Sequence[int], p: int) -> int:
-    """_trace_product at p, checked against _t_world_product on the fold up to CROSS_CHECK_MAX_P."""
-    value = _trace_product(coeffs, p)
+def _checked_product(folded: Sequence[int], n: int, p: int) -> int:
+    """_trace_product on a fold, checked against _t_world_product on it up to CROSS_CHECK_MAX_P."""
+    value = _trace_product(folded, n, p)
     if p <= CROSS_CHECK_MAX_P:
         check = _t_world_product(folded, p)
         if check != value:
@@ -222,10 +222,7 @@ def _checked_product(coeffs: Sequence[int], folded: Sequence[int], p: int) -> in
 
 def _folded(coeffs: Sequence[int], p: int) -> list[int]:
     """The p coefficients of sum_k coeffs[k] t^k in Z[t]/(t^p - 1)."""
-    row = [0] * p
-    for k, c in enumerate(coeffs):
-        row[k % p] += c
-    return row
+    return [sum(coeffs[i::p]) for i in range(p)]
 
 
 def _h1_bits_bound(folded: Sequence[int], p: int) -> int:
@@ -264,8 +261,8 @@ def _t_world_product(folded: Sequence[int], p: int) -> int:
     return _collins(p, b, _pseudo_remainder([-1] + [0] * (p - 1) + [1], b))
 
 
-def _trace_product(coeffs: Sequence[int], p: int) -> int:
-    """prod over p-th roots of unity z of A(z) = sum_k coeffs[k] z^k, A palindromic of degree 2n.
+def _trace_product(folded: Sequence[int], n: int, p: int) -> int:
+    """prod over p-th roots of unity z of A(z), A palindromic of degree 2n, from A mod t^p - 1.
 
     Such an A is t^n B(t + 1/t) with B = a_n + sum_k a_(n+k) V_k, where the
     Lucas polynomials V_k (V_0 = 2, V_1 = x, V_(k+1) = x V_k - V_(k-1)) have
@@ -275,20 +272,20 @@ def _trace_product(coeffs: Sequence[int], p: int) -> int:
     unity z and 1/z give the same root, so the product is R^2 / (A(1) A(-1))
     for even p and R^2 / A(1) for odd p, with R = Res(G_p, B), and 0 when that
     divisor is 0. On the roots V_k equals V_j for j = min(k mod p, -k mod p)
-    <= p // 2, so folding k to j gives B mod G_p at once. R comes from
-    _collins, whose first remainder _lucas_remainder builds.
+    <= p // 2, and B mod G_p is read off the fold, of min(2n + 1, p) entries:
+    folded[(n + j) % p], the sum of a_(n+k) over |k| <= n with k = j mod p,
+    is the coefficient of V_j (of 1 at j = 0) but twice it at j = p / 2,
+    where k = j and k = -j meet. R comes from _collins, whose first remainder
+    _lucas_remainder builds.
     """
-    n = len(coeffs) // 2
-    divisor = sum(coeffs)
+    divisor = sum(folded)
     if not p & 1:
-        divisor *= sum(coeffs[::2]) - sum(coeffs[1::2])
+        divisor *= sum(folded[::2]) - sum(folded[1::2])  # p even keeps parity
     if not divisor:
         return 0
-    trace = [0] * (min(n, p // 2) + 1)  # trace[j]: the coefficient of V_j, and of 1 at j = 0
-    trace[0] = coeffs[n]
-    for k in range(1, n + 1):
-        j = min(k % p, -k % p)
-        trace[j] += coeffs[n + k] if j else 2 * coeffs[n + k]
+    trace = [folded[(n + j) % p] for j in range(min(n, p // 2) + 1)]  # of V_j, and of 1 at j = 0
+    if 2 * n >= p and not p & 1:
+        trace[-1] //= 2
     b = [trace[0]] + [0] * (len(trace) - 1)
     low, high = [2], [0, 1]  # V_(j-1), V_j
     for j in range(1, len(trace)):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Mapping, Sequence
 
-from .diagrams import DecoratedDiagram
+from .diagrams import DecoratedDiagram, _twist_sign
 from .records import _Record, _set
 
 
@@ -63,17 +63,17 @@ def comparison_sign(d1: DecoratedDiagram, d2: DecoratedDiagram, iso: GraphIso) -
     ids1 = {e.id for e in d1.edges}
     ids2 = {e.id for e in d2.edges}
     images = set(iso.edge_map.values())
-    if set(iso.edge_map) != ids1 or images != ids2 or len(images) != len(ids1):
+    sizes = {len(d1.edges), len(ids1), len(images), len(d2.edges)}  # one size: no id repeats
+    if set(iso.edge_map) != ids1 or images != ids2 or len(sizes) != 1:
         raise ValueError("edge map is not a bijection between the two edge sets")
-    for d, ids in ((d1, ids1), (d2, ids2)):
-        for eid in ids:
-            if d.twists.get(eid) not in (1, -1):
-                raise ValueError(f"missing or non-unit twist on edge {eid}")
+    sign1, sign2 = _twist_sign(d1), _twist_sign(d2)
+    if sign1 is None or sign2 is None:
+        d = d1 if sign1 is None else d2
+        eid = next(e.id for e in d.edges if d.twists.get(e.id) not in (1, -1))
+        raise ValueError(f"missing or non-unit twist on edge {eid}")
     index = {e.id: i for i, e in enumerate(d2.edges)}
     renamed = {e1: index[e2] for e1, e2 in iso.edge_map.items()}
     if _vertex_ends(d1, renamed) != _vertex_ends(d2, index):
         raise ValueError("edge map does not respect vertex adjacency")
-    sign = 1
-    for e1, e2 in iso.edge_map.items():
-        sign *= d1.twists[e1] * d2.twists[e2]
-    return sign
+    # over a bijection, the product of t1(e) t2(iso e) is the product of d1's twists times d2's
+    return sign1 * sign2

@@ -1,11 +1,11 @@
 """Shared fixture builders: reference diagrams, random generators, relabeling,
 Hypothesis strategies for the JSON input schemas, a guard on the |H_1| paths,
-polynomial oracles for |H_1| (a product, a float evaluation, the t-world
-resultant Res(t^p - 1, A) and the circulant determinant), the leg-state
-enumeration, grouped-product and tuple-keyed per-leg oracles for the
-multiplier, the indicator sum checked on both multiplier paths and the
-oracles, and search oracles for cycle windings and for edge maps that
-respect adjacency."""
+the trace path called on unfolded coefficients, polynomial oracles for |H_1|
+(a product, a float evaluation, the t-world resultant Res(t^p - 1, A) and
+the circulant determinant), the leg-state enumeration, grouped-product and
+tuple-keyed per-leg oracles for the multiplier, the indicator sum checked on
+both multiplier paths and the oracles, and search oracles for cycle windings
+and for edge maps that respect adjacency."""
 from __future__ import annotations
 
 import copy
@@ -254,7 +254,7 @@ def replaced(data, path: tuple, value):
 
 def forbid_resultant_paths(monkeypatch) -> None:
     """Make every |H_1| path fail the test if it is called."""
-    def refuse(coeffs, p):
+    def refuse(*args):
         raise AssertionError("no resultant path may run")
 
     for name in ("_trace_product", "_t_world_product"):
@@ -276,6 +276,12 @@ def poly_mul(a, b) -> list[int]:
 def evaluate(coeffs, z: complex, low: int = 0) -> complex:
     """The value of sum_k coeffs[k] z^(low + k), in floating point."""
     return sum(c * z ** (low + k) for k, c in enumerate(coeffs))
+
+
+def trace_product(coeffs, p: int) -> int:
+    """knots._trace_product on the palindrome coeffs, folded mod t^p - 1 as check_bounds folds it."""
+    folded = knots._folded(coeffs, p) if len(coeffs) > p else coeffs
+    return knots._trace_product(folded, len(coeffs) // 2, p)
 
 
 def subresultant_product(coeffs: list[int], p: int) -> int:

@@ -260,10 +260,20 @@ def test_window_over_the_work_bound_exits_1(capsys):
     assert err.endswith(" exceeds the work bound of 34359738368\n")
 
 
-def test_wheel_table_over_the_work_bound_exits_1(capsys):
-    code, out, err = run(capsys, ["wheel-table", "--p", "2", "--n-max", "2000"])
+def test_wheel_table_over_the_work_bound_exits_1(capsys, monkeypatch):
+    # priced as one request, like h1 --p-range: the rows' summed work passes the bound at n = 84
+    forbid_resultant_paths(monkeypatch)
+    code, out, err = run(capsys, ["wheel-table", "--p", "101", "--n-max", "150"])
     assert (code, out) == (1, "")
-    assert err == "error: wheel-table work exceeds the work bound of 536870912\n"
+    assert err == "error: wheel-table at p = 101, n = 1..84 needs work 551543473, over the work bound of 536870912\n"
+
+
+def test_wheel_table_row_over_the_output_bound_exits_1(capsys, monkeypatch):
+    # row 2, wheel-2, is over the output bound at p = 900,000 and gets check_bounds' own message
+    forbid_resultant_paths(monkeypatch)
+    code, out, err = run(capsys, ["wheel-table", "--p", "900000", "--n-max", "2"])
+    assert (code, out) == (1, "")
+    assert err == "error: |H_1| at p = 900000 may need 2269978 bits, over the output bound of 2097152\n"
 
 
 def test_window_disagreement_exits_3(capsys, monkeypatch):
@@ -452,7 +462,7 @@ def test_wrong_trace_product_exits_3(capsys, monkeypatch, trefoil_file):
     from covercalc import knots
 
     # a knot takes the trace path, which the t-world check covers up to p = 16
-    monkeypatch.setattr(knots, "_trace_product", lambda coeffs, p: 12345)
+    monkeypatch.setattr(knots, "_trace_product", lambda folded, n, p: 12345)
     code, out, err = run(capsys, ["h1", trefoil_file, "--p-range", "2..5"])
     assert (code, out) == (3, "")
     assert err == "internal error: internal disagreement: trace path 12345 vs t-world 3\n"

@@ -22,7 +22,7 @@ from covercalc.knots import (
     unknot,
     wheel_knot,
 )
-from helpers import evaluate, lucas, poly_mul, subresultant_product
+from helpers import evaluate, forbid_resultant_paths, lucas, poly_mul, subresultant_product, trace_product
 
 
 def test_unknot_h1_is_one_for_all_p():
@@ -88,56 +88,100 @@ def test_f_table_trivial_cover():
     assert all(f == 1 for _, f in f_table(1, 10))
 
 
-@pytest.mark.parametrize("p, n_max", [(2, 2000), (7, 2000), (101, 150), (1, 10**9), (10**18, 2)])
+def priced(monkeypatch):
+    """The p of each knots.check_bounds call."""
+    calls, check_bounds = [], knots.check_bounds
+
+    def counted(coeffs, p):
+        calls.append(p)
+        return check_bounds(coeffs, p)
+
+    monkeypatch.setattr(knots, "check_bounds", counted)
+    return calls
+
+
+def priced_rows(monkeypatch):
+    """priced, with every product path stubbed to 7."""
+    calls = priced(monkeypatch)
+    for name in ("_trace_product", "_t_world_product"):
+        monkeypatch.setattr(knots, name, lambda *args: 7)
+    return calls
+
+
+REFUSALS = {
+    (2, 2000): "wheel-table at p = 2, n = 1..1168 needs work 537902120, over the work bound",
+    (7, 2000): "wheel-table at p = 7, n = 1..953 needs work 537958077, over the work bound",
+    (101, 150): "wheel-table at p = 101, n = 1..84 needs work 551543473, over the work bound",
+    (1, 10**9): "wheel-table at p = 1, n = 1..1169 needs work 537974969, over the work bound",
+    (10**18, 2): f"|H_1| at p = {10**18} may need ",  # wheel-2 is over the output bound
+}
+
+
+@pytest.mark.parametrize("p, n_max", REFUSALS)
 def test_f_table_over_the_work_bound_refuses_before_any_row(monkeypatch, p, n_max):
+    # priced as one request, like h1 --p-range: a single row over a bound gets check_bounds' message
     assert knots.MAX_H1_WORK == 2**29
-
-    def refuse(n):
-        raise AssertionError("no row may be built")
-
-    monkeypatch.setattr(knots, "wheel_knot", refuse)
-    with pytest.raises(ValueError, match="^wheel-table work exceeds the work bound of 536870912$"):
+    forbid_resultant_paths(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{re.escape(REFUSALS[p, n_max])}"):
         f_table(p, n_max)
+
+
+def test_f_table_refuses_a_row_over_the_output_bound_before_any_row(monkeypatch):
+    # wheel-2 at p = 900,000 may need 2,269,978 bits; its table was accepted by a 2pn model
+    forbid_resultant_paths(monkeypatch)
+    with pytest.raises(ValueError, match="^\\|H_1\\| at p = 900000 may need 2269978 bits, over the output bound"):
+        f_table(900_000, 2)
+
+
+def test_f_table_accepts_what_its_rows_are_priced_at(monkeypatch):
+    # five rows at p = 10^5 are within the per-call bounds and their summed work
+    calls = priced_rows(monkeypatch)
+    assert f_table(10**5, 5) == [(n, 7) for n in range(1, 6)]
+    assert calls == [10**5] * 5
+
+
+@pytest.mark.parametrize("p, n_max", [(2, 40), (7, 30), (17, 12)])
+def test_f_table_prices_each_row_once(monkeypatch, p, n_max):
+    # each row comes from the fold it was priced on, with no second pricing
+    rows = [(n, h1_order(wheel_knot(n), p)) for n in range(1, n_max + 1)]
+    calls = priced(monkeypatch)
+    assert f_table(p, n_max) == rows
+    assert calls == [p] * n_max
 
 
 def test_f_table_work_counts_the_t_world_check_up_to_p_16(monkeypatch):
     # its sequence, of degree min(2n - 2, p - 1) over |H_1|'s bits, makes p = 16 dearer than p = 17
-    monkeypatch.setattr(knots, "wheel_knot", lambda n: None)
-    monkeypatch.setattr(knots, "h1_order", lambda knot, p: 0)
+    priced_rows(monkeypatch)
     assert len(f_table(17, 700)) == 700
-    with pytest.raises(ValueError, match="exceeds the work bound"):
+    with pytest.raises(ValueError, match="^wheel-table at p = 16, n = 1..373 needs work"):
         f_table(16, 400)
 
 
-# the largest n_max each p accepts; a row costs knots._h1_work(n - 1, p, 2pn)
-LARGEST_TABLES = [(1, 1168), (2, 1167), (7, 941), (16, 371), (17, 788), (101, 82), (10**5, 4)]
+# the largest n_max each p accepts, each row priced by check_bounds on its wheel knot
+LARGEST_TABLES = [(1, 1168), (2, 1167), (7, 952), (16, 372), (17, 791), (101, 83), (10**5, 5)]
 
 
 @pytest.mark.parametrize("p, n_max", LARGEST_TABLES)
 def test_f_table_refusal_boundary(monkeypatch, p, n_max):
-    monkeypatch.setattr(knots, "wheel_knot", lambda n: None)
-    monkeypatch.setattr(knots, "h1_order", lambda knot, p: 0)
-    assert len(f_table(p, n_max)) == n_max
-    with pytest.raises(ValueError, match="^wheel-table work exceeds the work bound of 536870912$"):
+    # rows are priced in turn and the first over a bound or the summed bound refuses,
+    # so a refusal at the price of row n_max + 1 means rows 1..n_max are accepted
+    calls = priced_rows(monkeypatch)
+    message = f"^(wheel-table at p = {p}, n = 1\\.\\.{n_max + 1}|\\|H_1\\| at p = {p}) needs work \\d+, "
+    with pytest.raises(ValueError, match=message + "over the work bound of 536870912$"):
         f_table(p, n_max + 1)
+    assert len(calls) == n_max + 1
 
 
-@pytest.mark.parametrize("p, n_max", LARGEST_TABLES)
-def test_every_row_of_an_accepted_table_passes_the_per_call_work_bound(p, n_max):
-    # the last row is the dearest; the per-call estimate reads its true size bound, not 2pn
-    coeffs = wheel_knot(n_max).coeffs
-    folded = knots._folded(coeffs, p) if len(coeffs) > p else coeffs
-    bits = knots._h1_bits_bound(folded, p)
-    assert knots._h1_work(n_max - 1, p, bits) <= knots.MAX_H1_WORK
+# the largest n_max each p accepted when a row was estimated at 2pn bits, not priced on its fold
+TWO_PN_TABLES = [(1, 1168), (2, 1167), (7, 941), (16, 371), (17, 788), (101, 82), (10**5, 4)]
 
 
-def test_table_work_reads_the_output_bound_of_the_wheel():
-    # f_table takes 2pn bits: on the unit circle wheel-n's A is |1 - (1 - z)^n|^2 <= (1 + 2^n)^2
-    for n in range(1, 41):
-        coeffs = wheel_knot(n).coeffs
-        for p in (1, 2, 3, 7, 16, 17, 101, 1000):
-            folded = knots._folded(coeffs, p) if len(coeffs) > p else coeffs
-            assert knots._h1_bits_bound(folded, p) <= 2 * p * n + p, (n, p)
+@pytest.mark.parametrize("p, n_max", TWO_PN_TABLES)
+def test_every_row_of_an_accepted_table_passes_the_per_call_work_bound(monkeypatch, p, n_max):
+    # each is still accepted: every row within check_bounds' bounds, and their summed work too
+    calls = priced_rows(monkeypatch)
+    assert f_table(p, n_max) == [(n, 7) for n in range(1, n_max + 1)]
+    assert calls == [p] * n_max
 
 
 def test_wheel_table_is_symmetric_and_vanishes_exactly_at_multiples_of_six():
@@ -388,7 +432,7 @@ def test_trefoil_period_six_past_ten_to_the_eighteen():
     # h1_order would refuse these p by the output bound, so the path is called directly
     for k in range(6):
         p = 10**18 + k
-        assert knots._trace_product([1, -1, 1], p) == TREFOIL_PERIOD[p % 6], p
+        assert trace_product([1, -1, 1], p) == TREFOIL_PERIOD[p % 6], p
 
 
 @pytest.mark.parametrize("p", [500, 2000, 11_000])

@@ -5,7 +5,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from covercalc import knots
 from covercalc.engine import lmo_leading_multiplier
@@ -19,6 +19,7 @@ from helpers import (
     indicator_sum,
     poly_mul,
     subresultant_product,
+    trace_product,
 )
 
 TREFOIL = (1, -1, 1)
@@ -285,13 +286,13 @@ def test_a_zero_fold_gives_zero_on_both_paths(p):
     # (1 - t^p)^2 folds to zero mod t^p - 1; its sum, A(1), is 0, so the trace
     # path returns at its divisor test and the t-world check at its empty fold
     coeffs = _dense({0: 1, p: -2, 2 * p: 1})
-    assert knots._trace_product(coeffs, p) == 0
+    assert trace_product(coeffs, p) == 0
     assert knots._t_world_product(knots._folded(coeffs, p), p) == 0
     assert resultant_with_cyclotomic(coeffs, p) == 0
 
 
 def test_wrong_trace_product_is_caught_by_the_t_world_check(monkeypatch):
-    monkeypatch.setattr(knots, "_trace_product", lambda coeffs, p: 12345)
+    monkeypatch.setattr(knots, "_trace_product", lambda folded, n, p: 12345)
     poly = wheel_knot(10).coeffs
     for p in (5, 16):
         with pytest.raises(RuntimeError, match=r"^internal disagreement: trace path 12345 vs t-world -?\d+$"):
@@ -357,11 +358,23 @@ def test_trace_product_matches_circulant_with_sign():
     zeros = 0
     for coeffs, p in cases:
         want = circulant_product(coeffs, p)
-        assert knots._trace_product(coeffs, p) == want, (coeffs, p)
+        assert trace_product(coeffs, p) == want, (coeffs, p)
         zeros += want == 0
     assert at_one >= 200 and at_minus_one >= 100 and zeros >= at_one + at_minus_one
     assert {len(c) // 2 for c, _ in cases} == set(range(9))
     assert {p for _, p in cases} == set(range(1, 41))
+
+
+@given(st.lists(st.integers(-6, 6), max_size=12), st.integers(-6, 6).filter(bool), st.integers(1, 30))
+@example(lower=[1, -2], top=3, p=4)  # even p with 2n >= p: the entry at j = p / 2 is halved
+@example(lower=[2, 0, 1], top=-1, p=7)  # 2n + 1 = p: A is not folded
+def test_trace_read_from_the_fold_matches_circulant(lower, top, p):
+    # the trace path reads B mod G_p off the fold that check_bounds priced
+    half = [top] + lower  # a_0 .. a_n
+    coeffs = half + half[-2::-1]
+    folded = knots.check_bounds(coeffs, p)[0]
+    assert len(folded) == min(len(coeffs), p)
+    assert knots._trace_product(folded, len(lower), p) == circulant_product(coeffs, p)
 
 
 def test_t_world_check_matches_trace_circulant_and_sympy_with_sign(monkeypatch):
@@ -398,7 +411,7 @@ def test_t_world_check_matches_trace_circulant_and_sympy_with_sign(monkeypatch):
             drops.clear()
             want = knots._t_world_product(folded, p)
             most = max([most, *drops])
-            assert want == knots._trace_product(coeffs, p) == circulant_product(coeffs, p), (coeffs, p)
+            assert want == knots._trace_product(folded, len(coeffs) // 2, p) == circulant_product(coeffs, p), (coeffs, p)
             # sympy.resultant(f, g) has the sign of Res(g, f) when deg f < deg g
             if poly.degree() > p:
                 oracle = (-1) ** (p * poly.degree()) * sympy.resultant(poly, sympy.Poly(t**p - 1, t))
@@ -414,10 +427,10 @@ def test_t_world_check_matches_trace_circulant_and_sympy_with_sign(monkeypatch):
 def test_trace_product_matches_the_t_world_path():
     for knot, p in ((wheel_knot(10), 1000), (wheel_knot(30), 200)):
         coeffs = knot.coeffs
-        assert knots._trace_product(coeffs, p) == subresultant_product(coeffs, p), (knot, p)
+        assert trace_product(coeffs, p) == subresultant_product(coeffs, p), (knot, p)
     for coeffs in ([1, -1, 1], [-1, 3, -1]):  # the trefoil and the figure-eight
         for p in range(1, 4097):
-            assert knots._trace_product(coeffs, p) == subresultant_product(coeffs, p), (coeffs, p)
+            assert trace_product(coeffs, p) == subresultant_product(coeffs, p), (coeffs, p)
 
 
 def test_a_knot_stays_on_the_half_degree_sequence(monkeypatch):
@@ -431,10 +444,10 @@ def test_a_knot_stays_on_the_half_degree_sequence(monkeypatch):
             divisors.append(len(b) - 1)
         return prem(a, b)
 
-    def traced(coeffs, p):
+    def traced(folded, n, p):
         tracing.append(p)
         try:
-            return trace(coeffs, p)
+            return trace(folded, n, p)
         finally:
             tracing.pop()
 
@@ -474,7 +487,7 @@ def test_output_bound_refuses_before_any_path_runs(monkeypatch):
 
 
 def test_output_bound_accepts_trefoil_at_p_a_million(monkeypatch):
-    monkeypatch.setattr(knots, "_trace_product", lambda coeffs, p: 4)
+    monkeypatch.setattr(knots, "_trace_product", lambda folded, n, p: 4)
     assert resultant_with_cyclotomic(TREFOIL, 10**6) == 4
 
 
@@ -523,7 +536,7 @@ def test_a_range_is_priced_by_its_summed_work(monkeypatch):
             knots.h1_orders(wheel_knot(40), range(p, p + 1))
     # an accepted range computes every row, here from stubs that agree
     for name in ("_trace_product", "_t_world_product"):
-        monkeypatch.setattr(knots, name, lambda coeffs, p: -p)
+        monkeypatch.setattr(knots, name, lambda *args: -args[-1])
     for knot, start, last in ranges:
         assert knots.h1_orders(knot, range(start, last + 1)) == [(p, p) for p in range(start, last + 1)]
 
@@ -537,7 +550,7 @@ def test_work_bound_accepts_every_half_degree_one_polynomial_above_p_16():
 SRC = Path(knots.__file__).parent
 
 
-def test_laurent_holds_polynomials_and_records_live_in_records():
+def test_knots_imports_and_definitions():
     # the |H_1| functions live in knots, which imports only the stdlib and records;
     # no module imports the former laurent
     nodes = list(ast.walk(ast.parse((SRC / "knots.py").read_text(encoding="utf-8"))))
@@ -545,8 +558,19 @@ def test_laurent_holds_polynomials_and_records_live_in_records():
     modules += [alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names]
     assert set(modules) == {"__future__", "math", "collections.abc", "records"}
     assert [node.name for node in nodes if isinstance(node, ast.ClassDef)] == ["KnotDescriptor"]
-    defined = {node.name for node in nodes if isinstance(node, ast.FunctionDef)}
+    functions = [node for node in nodes if isinstance(node, ast.FunctionDef)]
+    defined = {node.name for node in functions}
     assert not {"_shifted_dense", "_palindromic", "check_range"} & defined  # the knot shifts and checks once
+    # one single-p path and one pricing of many requests, which h1_orders and f_table share
+    callers = {
+        node.name: {call.func.id for call in ast.walk(node)
+                    if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
+        for node in functions
+    }
+    assert {name for name, called in callers.items() if "check_bounds" in called} == {
+        "resultant_with_cyclotomic", "_priced_rows"
+    }
+    assert "_priced_rows" in callers["h1_orders"] & callers["f_table"]
     for path in SRC.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         sources = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from covercalc.diagrams import DecoratedDiagram, Edge
+from covercalc.diagrams import DecoratedDiagram, Edge, _twist_sign
 from covercalc.signs import GraphIso, chain_twist, comparison_sign
 
 from helpers import (
@@ -136,6 +136,27 @@ def test_comparison_sign_rejects_many_to_one_map():
                           twists={"a": 1, "b": -1})
     with pytest.raises(ValueError, match="not a bijection"):
         comparison_sign(d1, d2, GraphIso({"e1": "a", "e2": "a", "e3": "b"}))
+
+
+def test_comparison_sign_rejects_repeated_edge_ids():
+    # an edge id listed twice names no bijection of the edges, though the id sets and
+    # the vertex ends of the last pair match: a sign would count e1's twist once or twice
+    d = with_twists(theta(), {"e1": -1, "e2": 1, "e3": 1})
+    doubled = DecoratedDiagram("doubled", d.vertices, d.edges + d.edges[:1], twists=d.twists)
+    positive = with_twists(doubled, {"e1": 1, "e2": 1, "e3": 1})
+    for pair in ((d, doubled), (doubled, d), (doubled, positive)):
+        with pytest.raises(ValueError, match="not a bijection"):
+            comparison_sign(*pair, identity_iso(d))
+
+
+def test_twist_sign_is_the_product_of_full_unit_twist_data():
+    # cwl_delta's sign; a comparison sign is the product of the two diagrams' twist signs
+    d = with_twists(theta(), {"e1": -1, "e2": 1, "e3": 1})
+    assert _twist_sign(d) == -1
+    assert _twist_sign(with_twists(d, {"e1": -1, "e2": 1})) is None
+    assert _twist_sign(with_twists(d, {"e1": 2, "e2": 1, "e3": 1})) is None
+    flipped = with_twists(d, {"e1": 1, "e2": 1, "e3": -1})
+    assert comparison_sign(d, flipped, identity_iso(d)) == _twist_sign(d) * _twist_sign(flipped) == 1
 
 
 def _shuffled(d, rng):
