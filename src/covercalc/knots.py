@@ -1,19 +1,19 @@
 """Knots and the |H_1| of their branched cyclic covers, in exact integers.
 
-The order of the first homology of the p-fold branched cyclic cover of a
-knot is the absolute value of the product of its Alexander polynomial A
-over all p-th roots of unity, never a complex float; a vanishing product
-encodes positive first Betti number. A knot holds A as the dense
-palindrome a_0..a_2n, shifted by a unit t^k so that both ends are nonzero
-and checked once at construction, so the functions here only compute. As
-A(t) = t^n B(t + 1/t), roots of unity z and 1/z give the same value: the
-product is the square of one Collins subresultant sequence of B, of degree
-n, up to A(1) and A(-1), and for p <= 16 the t-world Res(t^p - 1, A)
-checks it. Both read only n and the fold of A mod t^p - 1 that check_bounds
-priced: it refuses a product whose size bound exceeds MAX_H1_BITS or whose
-estimated work (_h1_work) exceeds MAX_H1_WORK. A range of p (h1_orders) and
-a wheel table (f_table) are each one request to _priced_rows, refused when
-its rows' summed work does. Wheel knots come from binomial coefficients.
+The order of the first homology of the p-fold branched cyclic cover of a knot
+is the absolute value of the product of its Alexander polynomial A over all
+p-th roots of unity, never a complex float; a vanishing product encodes
+positive first Betti number. A knot holds A as the dense palindrome a_0..a_2n,
+shifted by a unit t^k so that both ends are nonzero and checked once at
+construction, so the functions here only compute. As A(t) = t^n B(t + 1/t),
+roots of unity z and 1/z give the same value: the product is the square of one
+Collins subresultant sequence of B, of degree n, up to A(1) and A(-1), and for
+p <= 16 A's values at the p-th roots of unity in F_q check it mod q. Both read
+the fold of A mod t^p - 1 that check_bounds priced: it refuses a product whose
+size bound exceeds MAX_H1_BITS or whose estimated work (_h1_work) exceeds
+MAX_H1_WORK. A range of p (h1_orders) and a wheel table (f_table) are each one
+request to _priced_rows, refused when its rows' summed work does. Wheel knots
+come from binomial coefficients.
 """
 from __future__ import annotations
 
@@ -22,7 +22,8 @@ from collections.abc import Sequence
 
 from .records import _json_int, _json_object, _json_objects, _json_str, _Record, _set
 
-CROSS_CHECK_MAX_P = 16  # every |H_1| is also computed as Res(t^p - 1, A) up to this p
+CROSS_CHECK_MAX_P = 16  # every |H_1| is also computed mod _Q up to this p
+_Q, _Q_GENERATOR = 1_068_827_761, 19  # the prime 1483 lcm(1..16) + 1 and a generator of its units
 MAX_H1_BITS = 2**21  # refuse a resultant whose a-priori size bound exceeds this many bits
 MAX_H1_WORK = 2**29  # estimated word operations (_h1_work) of one |H_1| request or wheel table
 
@@ -175,14 +176,11 @@ def figure_eight() -> KnotDescriptor:
 def resultant_with_cyclotomic(coeffs: Sequence[int], p: int) -> int:
     """prod over p-th roots of unity z of A(z) = sum_k coeffs[k] z^k, as an exact integer.
 
-    ``coeffs`` is a palindrome a_0..a_2n with a_0 nonzero, as a knot holds
-    it. check_bounds refuses first; then _trace_product runs one
-    subresultant sequence of degree n, whose first remainder comes from a
-    Lucas ladder in O(n^2 log p) operations, and whose square gives the
-    product. For p <= CROSS_CHECK_MAX_P, _t_world_product, Res(t^p - 1, A) on
-    A folded mod t^p - 1 in O(p^2) operations, checks it, and a disagreement
-    raises RuntimeError. Only the absolute value is meaningful; the unit
-    shift changes the sign.
+    ``coeffs`` is a palindrome a_0..a_2n with a_0 nonzero, as a knot holds it.
+    check_bounds refuses first; then _checked_product runs _trace_product, one
+    subresultant sequence of degree n, whose first remainder comes from a Lucas
+    ladder in O(n^2 log p) operations and whose square gives the product. The
+    unit shift changes the sign, so only the absolute value is meaningful.
     """
     return _checked_product(check_bounds(coeffs, p)[0], len(coeffs) // 2, p)
 
@@ -211,13 +209,27 @@ def check_bounds(coeffs: Sequence[int], p: int) -> tuple[Sequence[int], int]:
 
 
 def _checked_product(folded: Sequence[int], n: int, p: int) -> int:
-    """_trace_product on a fold, checked against _t_world_product on it up to CROSS_CHECK_MAX_P."""
+    """_trace_product on a fold; up to CROSS_CHECK_MAX_P, RuntimeError if _product_mod_q disagrees."""
     value = _trace_product(folded, n, p)
-    if p <= CROSS_CHECK_MAX_P:
-        check = _t_world_product(folded, p)
-        if check != value:
-            raise RuntimeError(f"internal disagreement: trace path {value} vs t-world {check}")
+    if p <= CROSS_CHECK_MAX_P and (check := _product_mod_q(folded, p)) != value % _Q:
+        raise RuntimeError(f"internal disagreement: trace path {value} vs {check} mod {_Q}")
     return value
+
+
+def _product_mod_q(folded: Sequence[int], p: int) -> int:
+    """prod over p-th roots of unity z of sum_k folded[k] z^k mod _Q, for p | _Q - 1.
+
+    The definition in F_Q: A by Horner's rule at each power of 19^((_Q - 1) / p), of
+    order p. A wrong value passes this check only if it is off by a multiple of _Q.
+    """
+    w, z, product = pow(_Q_GENERATOR, (_Q - 1) // p, _Q), 1, 1
+    for _ in range(p):
+        value = 0
+        for c in reversed(folded):
+            value = (value * z + c) % _Q
+        product = product * value % _Q
+        z = z * w % _Q
+    return product
 
 
 def _folded(coeffs: Sequence[int], p: int) -> list[int]:
@@ -238,27 +250,14 @@ def _h1_bits_bound(folded: Sequence[int], p: int) -> int:
 def _h1_work(h: int, p: int, bits: int) -> int:
     """Estimated word operations of |H_1| at p for half-degree h and a bits-bit result.
 
-    A call costs 2^12 whatever its size (about 4 us on the unknot, row
-    included), forming B (h + 1)^2, and a remainder sequence of degree k on
-    s-bit integers (k s)^2 / 2^13, fitted to CPython 3.11 on a 2-CPU x86-64
-    machine: k = min(h, p // 2) and s = bits / 2 on the trace path, whose
-    result is squared, and k = min(2h, p - 1) and s = bits on the t-world check.
+    A call costs 2^12 whatever its size (about 4 us on the unknot, row and
+    check mod _Q included), forming B (h + 1)^2, and the trace path's
+    remainder sequence of degree k = min(h, p // 2) on s-bit integers, s =
+    bits / 2 as its result is squared, (k s)^2 / 2^13: fitted to CPython 3.11
+    on a 2-CPU x86-64 machine. The check is at most 16 * 16 small products.
     """
     trace = min(h, p // 2) * bits // 2
-    check = min(2 * h, p - 1) * bits if p <= CROSS_CHECK_MAX_P else 0
-    return 2**12 + (h + 1) ** 2 + (trace * trace + check * check >> 13)
-
-
-def _t_world_product(folded: Sequence[int], p: int) -> int:
-    """prod over p-th roots of unity z of A(z) = sum_k folded[k] z^k, as Res(t^p - 1, A).
-
-    deg A < p, so one pseudo-remainder of t^p - 1 by A, O(p^2) operations,
-    starts the Collins sequence; no step of the trace identity is shared.
-    """
-    b = _trim(list(folded))  # folded may be the knot's tuple
-    if len(b) < 2:
-        return b[0] ** p if b else 0
-    return _collins(p, b, _pseudo_remainder([-1] + [0] * (p - 1) + [1], b))
+    return 2**12 + (h + 1) ** 2 + (trace * trace >> 13)
 
 
 def _trace_product(folded: Sequence[int], n: int, p: int) -> int:

@@ -1,6 +1,7 @@
 """Shared fixture builders: reference diagrams, random generators, relabeling,
 Hypothesis strategies for the JSON input schemas, a guard on the |H_1| paths,
-the trace path called on unfolded coefficients, polynomial oracles for |H_1|
+one-token variants of knots functions, the trace path called on unfolded
+coefficients, polynomial oracles for |H_1|
 (a product, a float evaluation, the t-world resultant Res(t^p - 1, A) and
 the circulant determinant), the leg-state enumeration, grouped-product and
 tuple-keyed per-leg oracles for the multiplier, the indicator sum checked on
@@ -9,6 +10,7 @@ and for edge maps that respect adjacency."""
 from __future__ import annotations
 
 import copy
+import inspect
 import itertools
 import math
 import random
@@ -257,8 +259,17 @@ def forbid_resultant_paths(monkeypatch) -> None:
     def refuse(*args):
         raise AssertionError("no resultant path may run")
 
-    for name in ("_trace_product", "_t_world_product"):
+    for name in ("_trace_product", "_product_mod_q"):
         monkeypatch.setattr(knots, name, refuse)
+
+
+def one_token_variant(name: str, old: str, new: str):
+    """knots.<name> with its one ``old`` replaced by ``new``, run in the knots namespace."""
+    source = inspect.getsource(getattr(knots, name))
+    assert source.count(old) == 1, (name, old)
+    defined: dict = {}
+    exec(compile(source.replace(old, new), f"<variant of {name}>", "exec"), vars(knots), defined)
+    return defined[name]
 
 
 # -- polynomial oracles for |H_1| ---------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from covercalc import diagrams, lifts
 from covercalc.cli import main
-from covercalc.knots import figure_eight, trefoil, unknot, wheel_knot
+from covercalc.knots import KnotDescriptor, figure_eight, trefoil, unknot, wheel_knot
 
 from helpers import (
     chord_fixture,
@@ -15,6 +15,7 @@ from helpers import (
     example_two_leg_theta,
     forbid_resultant_paths,
     lucas,
+    one_token_variant,
     replaced,
     theta,
 )
@@ -461,11 +462,23 @@ def test_wrong_line_product_exits_3(capsys, monkeypatch, tmp_path, trefoil_file)
 def test_wrong_trace_product_exits_3(capsys, monkeypatch, trefoil_file):
     from covercalc import knots
 
-    # a knot takes the trace path, which the t-world check covers up to p = 16
+    # a knot takes the trace path, which the check mod q covers up to p = 16
     monkeypatch.setattr(knots, "_trace_product", lambda folded, n, p: 12345)
     code, out, err = run(capsys, ["h1", trefoil_file, "--p-range", "2..5"])
     assert (code, out) == (3, "")
-    assert err == "internal error: internal disagreement: trace path 12345 vs t-world 3\n"
+    assert err == "internal error: internal disagreement: trace path 12345 vs 3 mod 1068827761\n"
+
+
+def test_a_one_token_bug_in_collins_exits_3(capsys, monkeypatch, tmp_path):
+    from covercalc import knots
+
+    # starting Collins' sequence at g = h = sign = 2 gives |H_1| = 2 for this knot at p = 2, not 7
+    monkeypatch.setattr(knots, "_collins", one_token_variant("_collins", "g = h = sign = 1", "g = h = sign = 2"))
+    path = tmp_path / "knot.json"
+    path.write_text(json.dumps(KnotDescriptor("k", (-2, 3, -2), -1).to_json_dict()))
+    code, out, err = run(capsys, ["h1", str(path), "--p", "2"])
+    assert (code, out) == (3, "")
+    assert err == "internal error: internal disagreement: trace path 2 vs 7 mod 1068827761\n"
 
 
 def test_h1_over_the_output_bound_exits_1(capsys, monkeypatch, tmp_path):

@@ -314,6 +314,11 @@ def test_theta_shaped_with_legs_on_all_three_edges():
         assert is_theta_shaped(d)
 
 
+def test_attach_leg_by_subdivision_refuses_an_edge_it_does_not_have():
+    with pytest.raises(KeyError, match="^'missing'$"):
+        attach_leg_by_subdivision(theta(), "missing", "l1")
+
+
 def test_dumbbell_with_legs_on_both_loops_is_not_theta():
     # each loop becomes a chain of leg vertices that returns to its start
     d = attach_leg_by_subdivision(dumbbell(), "lx", "l1")

@@ -626,6 +626,13 @@ def test_window_rejects_bad_start():
         window_nonzero(0, 3)
 
 
+def test_window_nonzero_raises_if_every_multiplier_in_its_range_vanishes(monkeypatch):
+    # impossible for p >= 2 by the Vandermonde argument, so a vanishing range is an internal error
+    monkeypatch.setattr(engine, "lmo_leading_multiplier", lambda l, p: 0)
+    with pytest.raises(RuntimeError, match=r"^no nonzero multiplier in \[5, 8\) for p=3; this should be impossible$"):
+        window_nonzero(5, 3)
+
+
 def test_window_always_succeeds_in_range():
     for p in range(2, 13):
         for l in range(1, 201):

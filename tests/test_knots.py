@@ -101,16 +101,16 @@ def priced(monkeypatch):
 
 
 def priced_rows(monkeypatch):
-    """priced, with every product path stubbed to 7."""
+    """priced, with the trace path and its check mod q stubbed to 7."""
     calls = priced(monkeypatch)
-    for name in ("_trace_product", "_t_world_product"):
+    for name in ("_trace_product", "_product_mod_q"):
         monkeypatch.setattr(knots, name, lambda *args: 7)
     return calls
 
 
 REFUSALS = {
-    (2, 2000): "wheel-table at p = 2, n = 1..1168 needs work 537902120, over the work bound",
-    (7, 2000): "wheel-table at p = 7, n = 1..953 needs work 537958077, over the work bound",
+    (2, 2000): "wheel-table at p = 2, n = 1..1169 needs work 538234771, over the work bound",
+    (7, 2000): "wheel-table at p = 7, n = 1..1150 needs work 537661502, over the work bound",
     (101, 150): "wheel-table at p = 101, n = 1..84 needs work 551543473, over the work bound",
     (1, 10**9): "wheel-table at p = 1, n = 1..1169 needs work 537974969, over the work bound",
     (10**18, 2): f"|H_1| at p = {10**18} may need ",  # wheel-2 is over the output bound
@@ -149,16 +149,8 @@ def test_f_table_prices_each_row_once(monkeypatch, p, n_max):
     assert calls == [p] * n_max
 
 
-def test_f_table_work_counts_the_t_world_check_up_to_p_16(monkeypatch):
-    # its sequence, of degree min(2n - 2, p - 1) over |H_1|'s bits, makes p = 16 dearer than p = 17
-    priced_rows(monkeypatch)
-    assert len(f_table(17, 700)) == 700
-    with pytest.raises(ValueError, match="^wheel-table at p = 16, n = 1..373 needs work"):
-        f_table(16, 400)
-
-
 # the largest n_max each p accepts, each row priced by check_bounds on its wheel knot
-LARGEST_TABLES = [(1, 1168), (2, 1167), (7, 952), (16, 372), (17, 791), (101, 83), (10**5, 5)]
+LARGEST_TABLES = [(1, 1168), (2, 1168), (7, 1149), (16, 811), (17, 791), (101, 83), (10**5, 5)]
 
 
 @pytest.mark.parametrize("p, n_max", LARGEST_TABLES)

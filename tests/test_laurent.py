@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import random
 import re
 from pathlib import Path
@@ -17,6 +18,7 @@ from helpers import (
     circulant_product,
     forbid_resultant_paths,
     indicator_sum,
+    one_token_variant,
     poly_mul,
     subresultant_product,
     trace_product,
@@ -223,7 +225,7 @@ def test_from_json_accepts_integers_and_decimal_strings():
     assert k == KnotDescriptor("", (1, -1, 1), -1)
 
 
-# -- |H_1|: one path and its t-world check ------------------------------------
+# -- |H_1|: one path and its check mod q ---------------------------------------
 
 
 def test_resultant_matches_sympy_oracle():
@@ -243,7 +245,7 @@ def test_resultant_matches_sympy_oracle():
 
 
 def _count_paths(monkeypatch):
-    calls = {"trace": 0, "t_world": 0}
+    calls = {"_trace_product": 0, "_product_mod_q": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -252,19 +254,18 @@ def _count_paths(monkeypatch):
         return wrapper
 
     for name in calls:
-        attr = f"_{name}_product"
-        monkeypatch.setattr(knots, attr, counted(name, getattr(knots, attr)))
+        monkeypatch.setattr(knots, name, counted(name, getattr(knots, name)))
     return calls
 
 
 @pytest.mark.parametrize(
-    "coeffs, p, trace, t_world",
+    "coeffs, p, trace, check",
     [
         ({-1: 1, 0: -1, 1: 1}, 5, 1, 1),  # trefoil, cross-checked up to p = 16
         ({-1: 1, 0: -1, 1: 1}, 6, 1, 1),
         ({-1: 1, 0: -1, 1: 1}, 17, 1, 0),  # above the cross-check threshold
         ({0: 3, 1: 1, 19: 1, 20: 3}, 10, 1, 1),  # degree 20 at p = 10 folds to 6 + t + t^9
-        ({0: 1, 3: -2, 6: 1}, 3, 1, 1),  # (1 - t^3)^2 folds to zero: both paths return 0 at once
+        ({0: 1, 3: -2, 6: 1}, 3, 1, 1),  # (1 - t^3)^2 folds to zero: both paths return 0
         ({0: 10, 9: 1, 18: 10}, 91, 1, 0),  # one path at every degree and leading coefficient
         ({0: 10, 9: 1, 18: 10}, 92, 1, 0),
         ({0: 1, 8: 1}, 24, 1, 0),
@@ -275,30 +276,81 @@ def _count_paths(monkeypatch):
         ({0: -(2**12) - 1, 1: 1, 2: -(2**12) - 1}, 40, 1, 0),
     ],
 )
-def test_resultant_path_selection(monkeypatch, coeffs, p, trace, t_world):
+def test_resultant_path_selection(monkeypatch, coeffs, p, trace, check):
     calls = _count_paths(monkeypatch)
     resultant_with_cyclotomic(_dense(coeffs), p)
-    assert calls == {"trace": trace, "t_world": t_world}
+    assert calls == {"_trace_product": trace, "_product_mod_q": check}
 
 
 @pytest.mark.parametrize("p", [3, 16, 17, 40])
 def test_a_zero_fold_gives_zero_on_both_paths(p):
     # (1 - t^p)^2 folds to zero mod t^p - 1; its sum, A(1), is 0, so the trace
-    # path returns at its divisor test and the t-world check at its empty fold
+    # path returns at its divisor test, and up to p = 16 the check multiplies zeros
     coeffs = _dense({0: 1, p: -2, 2 * p: 1})
-    assert trace_product(coeffs, p) == 0
-    assert knots._t_world_product(knots._folded(coeffs, p), p) == 0
+    assert trace_product(coeffs, p) == 0 == subresultant_product(coeffs, p)
+    if p <= knots.CROSS_CHECK_MAX_P:
+        assert knots._product_mod_q(knots._folded(coeffs, p), p) == 0
     assert resultant_with_cyclotomic(coeffs, p) == 0
 
 
-def test_wrong_trace_product_is_caught_by_the_t_world_check(monkeypatch):
+def test_wrong_trace_product_is_caught_by_the_check_mod_q(monkeypatch):
     monkeypatch.setattr(knots, "_trace_product", lambda folded, n, p: 12345)
     poly = wheel_knot(10).coeffs
     for p in (5, 16):
-        with pytest.raises(RuntimeError, match=r"^internal disagreement: trace path 12345 vs t-world -?\d+$"):
+        with pytest.raises(RuntimeError, match=r"^internal disagreement: trace path 12345 vs \d+ mod 1068827761$"):
             resultant_with_cyclotomic(poly, p)
     # above the threshold nothing checks it
     assert resultant_with_cyclotomic(poly, 17) == 12345
+
+
+# one-token bugs in functions the trace path and the t-world resultant shared:
+# through that second resultant, each returned its wrong value with no error
+ONE_TOKEN_BUGS = {
+    "collins-initial-g-h-sign": ("_collins", "g = h = sign = 1", "g = h = sign = 2", (-2, 3, -2), 2, 7, 2),
+    "collins-delta": ("_collins", "delta = da - db", "delta = da + db", (1, 4, -4, -3, -4, 4, 1), 7, -528529, -1),
+    "prem-degree": ("_pseudo_remainder", "d = len(b) - 1", "d = len(b) - 2", (-4, -2, 13, -2, -4), 4, 3969, 0),
+    "prem-lead-test": ("_pseudo_remainder", "if lead != 1", "if lead == 1", (2, 0, -3, 0, 2), 7, 169, 0),
+}
+
+
+@pytest.mark.parametrize("bug", ONE_TOKEN_BUGS)
+def test_a_one_token_bug_in_the_trace_path_is_caught_by_the_check_mod_q(monkeypatch, bug):
+    name, old, new, coeffs, p, right, wrong = ONE_TOKEN_BUGS[bug]
+    assert resultant_with_cyclotomic(coeffs, p) == right == circulant_product(list(coeffs), p)
+    monkeypatch.setattr(knots, name, one_token_variant(name, old, new))
+    message = f"^internal disagreement: trace path {wrong} vs {right % knots._Q} mod 1068827761$"
+    with pytest.raises(RuntimeError, match=message):
+        resultant_with_cyclotomic(coeffs, p)
+    monkeypatch.setattr(knots, "CROSS_CHECK_MAX_P", 0)  # unchecked, the bug is silent
+    assert resultant_with_cyclotomic(coeffs, p) == wrong
+
+
+def _refuse(*args):
+    raise AssertionError("the check mod q must not run the trace path")
+
+
+@given(
+    st.lists(st.one_of(st.integers(-6, 6), st.integers(-(2**70), 2**70)), max_size=10),
+    st.integers(-6, 6).filter(bool),
+    st.integers(1, 16),
+)
+def test_check_mod_q_matches_circulant_with_the_trace_path_gone(lower, top, p):
+    half = [top] + lower  # a_0 .. a_n
+    coeffs = half + half[-2::-1]
+    want = circulant_product(coeffs, p) % knots._Q
+    folded = knots.check_bounds(coeffs, p)[0]
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_collins", "_pseudo_remainder", "_lucas_remainder", "_trim", "_trace_product"):
+            patch.setattr(knots, name, _refuse)
+        assert knots._product_mod_q(folded, p) == want
+
+
+def test_q_is_a_prime_with_the_p_th_roots_of_unity_and_19_generates_its_units():
+    q = knots._Q
+    assert q - 1 == 1483 * math.lcm(*range(1, knots.CROSS_CHECK_MAX_P + 1)) == 2**4 * 3**2 * 5 * 7 * 11 * 13 * 1483
+    for n in (q, 1483):
+        assert all(n % d for d in range(2, math.isqrt(n) + 1))  # prime, by trial division
+    assert all(pow(knots._Q_GENERATOR, (q - 1) // r, q) != 1 for r in (2, 3, 5, 7, 11, 13, 1483))  # of order q - 1
 
 
 def _random_coeffs(rng, length):
@@ -377,17 +429,9 @@ def test_trace_read_from_the_fold_matches_circulant(lower, top, p):
     assert knots._trace_product(folded, len(lower), p) == circulant_product(coeffs, p)
 
 
-def test_t_world_check_matches_trace_circulant_and_sympy_with_sign(monkeypatch):
+def test_check_mod_q_matches_trace_circulant_and_sympy_with_sign():
     sympy = pytest.importorskip("sympy")
     t = sympy.Symbol("t")
-    drops = []
-    prem = knots._pseudo_remainder
-
-    def recorded(a, b):
-        r = prem(a, b)
-        drops.append(len(b) - len(r))
-        return r
-
     rng = random.Random(47)
     cases = [wheel_knot(n).coeffs for n in range(1, 31)]
     at_one = at_minus_one = 0
@@ -402,16 +446,14 @@ def test_t_world_check_matches_trace_circulant_and_sympy_with_sign(monkeypatch):
             coeffs[n] -= (-1) ** n * sum(c * (-1) ** k for k, c in enumerate(coeffs))  # A(-1) = 0
             at_minus_one += 1
         cases.append(coeffs)
-    monkeypatch.setattr(knots, "_pseudo_remainder", recorded)
-    zeros = most = 0
+    zeros = 0
     for coeffs in cases:
         poly = sympy.Poly.from_list(coeffs[::-1], t)
         for p in range(1, 17):
             folded = knots._folded(coeffs, p) if len(coeffs) > p else coeffs
-            drops.clear()
-            want = knots._t_world_product(folded, p)
-            most = max([most, *drops])
-            assert want == knots._trace_product(folded, len(coeffs) // 2, p) == circulant_product(coeffs, p), (coeffs, p)
+            want = knots._trace_product(folded, len(coeffs) // 2, p)
+            assert want == circulant_product(coeffs, p), (coeffs, p)
+            assert knots._product_mod_q(folded, p) == want % knots._Q, (coeffs, p)
             # sympy.resultant(f, g) has the sign of Res(g, f) when deg f < deg g
             if poly.degree() > p:
                 oracle = (-1) ** (p * poly.degree()) * sympy.resultant(poly, sympy.Poly(t**p - 1, t))
@@ -421,7 +463,6 @@ def test_t_world_check_matches_trace_circulant_and_sympy_with_sign(monkeypatch):
             zeros += want == 0
     assert at_one >= 20 and at_minus_one >= 20 and zeros >= at_one * 16
     assert all(c[-1] not in (1, -1) for c in cases[1:])  # wheel-n leads with ±n
-    assert most > 1
 
 
 def test_trace_product_matches_the_t_world_path():
@@ -434,25 +475,15 @@ def test_trace_product_matches_the_t_world_path():
 
 
 def test_a_knot_stays_on_the_half_degree_sequence(monkeypatch):
-    # only the trace path's divisors: the t-world check divides by A folded,
-    # of degree up to min(2n, p - 1)
-    divisors, tracing = [], []
-    prem, trace = knots._pseudo_remainder, knots._trace_product
+    # every pseudo-remainder is the trace path's: the check mod q divides by nothing
+    divisors = []
+    prem = knots._pseudo_remainder
 
     def recorded(a, b):
-        if tracing:
-            divisors.append(len(b) - 1)
+        divisors.append(len(b) - 1)
         return prem(a, b)
 
-    def traced(folded, n, p):
-        tracing.append(p)
-        try:
-            return trace(folded, n, p)
-        finally:
-            tracing.pop()
-
     monkeypatch.setattr(knots, "_pseudo_remainder", recorded)
-    monkeypatch.setattr(knots, "_trace_product", traced)
     polys = [TREFOIL, (-1, 3, -1)]
     polys += [wheel_knot(n).coeffs for n in (2, 5, 9)]
     polys += [(2, -3, 3, -3, 2)]  # non-monic, 2 - 3t + 3t^2 - 3t^3 + 2t^4
@@ -534,9 +565,9 @@ def test_a_range_is_priced_by_its_summed_work(monkeypatch):
     for p, message in ((4000, "needs work 4519110611, over the work"), (10**6, "over the output bound")):
         with pytest.raises(ValueError, match=f"^\\|H_1\\| at p = {p} .*{message}"):
             knots.h1_orders(wheel_knot(40), range(p, p + 1))
-    # an accepted range computes every row, here from stubs that agree
-    for name in ("_trace_product", "_t_world_product"):
-        monkeypatch.setattr(knots, name, lambda *args: -args[-1])
+    # an accepted range computes every row, here from stubs that agree mod q
+    monkeypatch.setattr(knots, "_trace_product", lambda folded, n, p: -p)
+    monkeypatch.setattr(knots, "_product_mod_q", lambda folded, p: -p % knots._Q)
     for knot, start, last in ranges:
         assert knots.h1_orders(knot, range(start, last + 1)) == [(p, p) for p in range(start, last + 1)]
 
@@ -571,6 +602,12 @@ def test_knots_imports_and_definitions():
         "resultant_with_cyclotomic", "_priced_rows"
     }
     assert "_priced_rows" in callers["h1_orders"] & callers["f_table"]
+    # the check mod q shares no function with the trace path, and only _checked_product runs it
+    assert "_t_world_product" not in defined
+    assert not {"_trace_product", "_collins", "_pseudo_remainder", "_lucas_remainder", "_trim"} & callers[
+        "_product_mod_q"
+    ]
+    assert {name for name, called in callers.items() if "_product_mod_q" in called} == {"_checked_product"}
     for path in SRC.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         sources = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
