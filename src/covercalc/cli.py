@@ -53,8 +53,6 @@ def _own_output(format_fn):
     results already bounded by the library, such as |H_1| under MAX_H1_BITS.
     Input is parsed outside these functions and keeps the limit.
     """
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return format_fn
 
     def wrapper(*args):
         old = sys.get_int_max_str_digits()
@@ -197,7 +195,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         text = args.func(args)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyError as exc:

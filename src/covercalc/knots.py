@@ -8,9 +8,9 @@ shifted by a unit t^k so that both ends are nonzero and checked once at
 construction, so the functions here only compute. As A(t) = t^n B(t + 1/t),
 roots of unity z and 1/z give the same value: the product is the square of one
 Collins subresultant sequence of B, of degree n, up to A(1) and A(-1), and for
-p <= 16 A's values at the p-th roots of unity in F_q check it mod q. Both read
-the fold of A mod t^p - 1 that check_bounds priced: it refuses a product whose
-size bound exceeds MAX_H1_BITS or whose estimated work (_h1_work) exceeds
+p <= 16 A's values at the p-th roots of unity in F_q check it mod q. Each reads
+a knot's fold of A mod t^p - 1 that check_bounds priced: it refuses a product
+whose size bound exceeds MAX_H1_BITS or whose estimated work (_h1_work) exceeds
 MAX_H1_WORK. A range of p (h1_orders) and a wheel table (f_table) are each one
 request to _priced_rows, refused when its rows' summed work does. Wheel knots
 come from binomial coefficients.
@@ -73,10 +73,8 @@ class KnotDescriptor(_Record):
         objects and each ``exp`` must hold exactly one exponent. Exponents
         and coefficients must be JSON integers or decimal strings; floats
         and booleans raise ValueError rather than being truncated, and so
-        does an exponent given twice. Only the half-degree h is checked here:
-        |H_1| costs _h1_work(h, 1, 0) or more at every p, so a wider knot is
-        refused before the dense list, of at most 2 isqrt(MAX_H1_WORK) entries,
-        is built; the constructor checks the rest.
+        does an exponent given twice. Only the half-degree is checked here,
+        before the dense list is built; the constructor checks the rest.
         """
         _json_object(data, "knot")
         label = _json_str(data.get("label", ""), "knot label")
@@ -94,16 +92,24 @@ class KnotDescriptor(_Record):
             terms[e] = _json_int(term["coef"], "coefficient")
         nonzero = {e: c for e, c in terms.items() if c}
         low, high = min(nonzero, default=0), max(nonzero, default=-1)  # zero: no coeffs
-        half = (high - low) // 2
-        if _h1_work(half, 1, 0) > MAX_H1_WORK:
-            raise ValueError(f"Alexander polynomial half-degree {half} needs |H_1| work > {MAX_H1_WORK}")
+        _check_half_degree((high - low) // 2)
         coeffs = [nonzero.get(e, 0) for e in range(low, high + 1)]
         return cls(label, coeffs, low, names[0])
 
 
+def _check_half_degree(half: int) -> None:
+    """ValueError when _h1_work(half, 1, 0), the least |H_1| work at any p, exceeds MAX_H1_WORK."""
+    if _h1_work(half, 1, 0) > MAX_H1_WORK:
+        raise ValueError(f"Alexander polynomial half-degree {half} needs |H_1| work > {MAX_H1_WORK}")
+
+
 def h1_order(knot: KnotDescriptor, p: int) -> int:
-    """|H_1| of the p-fold branched cyclic cover; 0 encodes positive Betti number."""
-    return abs(resultant_with_cyclotomic(knot.coeffs, p))
+    """|H_1| of the p-fold branched cyclic cover; 0 encodes positive Betti number.
+
+    Computed, as each row of _priced_rows is, from the fold check_bounds priced.
+    """
+    folded = check_bounds(knot.coeffs, p)[0]
+    return abs(_checked_product(folded, len(knot.coeffs) // 2, p))
 
 
 def h1_orders(knot: KnotDescriptor, p_values: range) -> list[tuple[int, int]]:
@@ -135,10 +141,12 @@ def wheel_knot(n: int) -> KnotDescriptor:
     As (1 - t)(1 - 1/t) = -(1 - t)^2 / t, the coefficient of t^j and of t^-j
     is (-1)^j (C(2n, n + j) - C(n, j)) for 0 <= j <= n. One pass down from
     C(2n, 2n) = C(n, n) = 1 steps both binomials by the ratio
-    C(m, k - 1) = C(m, k) k / (m - k + 1).
+    C(m, k - 1) = C(m, k) k / (m - k + 1). The half-degree n - 1 is checked as
+    the JSON reader checks it, before any of the 2n - 1 coefficients is built.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_half_degree(n - 1)
     half = []  # at t^(n-1) down to t^0; t^n has C(2n, 2n) - C(n, n) = 0
     wide = narrow = 1  # C(2n, n + j) and C(n, j)
     for j in range(n, 0, -1):
@@ -171,18 +179,6 @@ def trefoil() -> KnotDescriptor:
 
 def figure_eight() -> KnotDescriptor:
     return KnotDescriptor("figure-eight", (-1, 3, -1), -1)
-
-
-def resultant_with_cyclotomic(coeffs: Sequence[int], p: int) -> int:
-    """prod over p-th roots of unity z of A(z) = sum_k coeffs[k] z^k, as an exact integer.
-
-    ``coeffs`` is a palindrome a_0..a_2n with a_0 nonzero, as a knot holds it.
-    check_bounds refuses first; then _checked_product runs _trace_product, one
-    subresultant sequence of degree n, whose first remainder comes from a Lucas
-    ladder in O(n^2 log p) operations and whose square gives the product. The
-    unit shift changes the sign, so only the absolute value is meaningful.
-    """
-    return _checked_product(check_bounds(coeffs, p)[0], len(coeffs) // 2, p)
 
 
 def check_bounds(coeffs: Sequence[int], p: int) -> tuple[Sequence[int], int]:

@@ -44,10 +44,14 @@ _set = object.__setattr__  # how a record's __init__ sets its fields
 
 
 def _json_int(value, what: str) -> int:
-    """An integer from a JSON integer or decimal string; anything else raises ValueError."""
+    """An integer from a JSON integer or decimal string; anything else raises ValueError.
+
+    A decimal string is an optional "-" and ASCII digits: not " 12 ", "+5" or "1_000".
+    """
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, str):
+    digits = value.removeprefix("-") if isinstance(value, str) else ""
+    if digits.isascii() and digits.isdigit():
         try:
             return int(value)
         except ValueError:

@@ -1,7 +1,7 @@
 """Shared fixture builders: reference diagrams, random generators, relabeling,
 Hypothesis strategies for the JSON input schemas, a guard on the |H_1| paths,
 one-token variants of knots functions, the trace path called on unfolded
-coefficients, polynomial oracles for |H_1|
+coefficients and the checked product on any palindrome, polynomial oracles for |H_1|
 (a product, a float evaluation, the t-world resultant Res(t^p - 1, A) and
 the circulant determinant), the leg-state enumeration, grouped-product and
 tuple-keyed per-leg oracles for the multiplier, the indicator sum checked on
@@ -293,6 +293,12 @@ def trace_product(coeffs, p: int) -> int:
     """knots._trace_product on the palindrome coeffs, folded mod t^p - 1 as check_bounds folds it."""
     folded = knots._folded(coeffs, p) if len(coeffs) > p else coeffs
     return knots._trace_product(folded, len(coeffs) // 2, p)
+
+
+def checked_product(coeffs, p: int) -> int:
+    """The signed product h1_order takes the absolute value of, for any palindrome coeffs with a_0 != 0."""
+    folded = knots.check_bounds(coeffs, p)[0]
+    return knots._checked_product(folded, len(coeffs) // 2, p)
 
 
 def subresultant_product(coeffs: list[int], p: int) -> int:

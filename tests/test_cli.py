@@ -101,7 +101,7 @@ def test_output_past_the_int_to_str_digit_limit(capsys, tmp_path):
     path = tmp_path / "figure-eight.json"
     path.write_text(json.dumps(figure_eight().to_json_dict()))
     knot_file = str(path)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    limit = sys.get_int_max_str_digits()
     want = lucas(22000) - 2
     code, out, err = run(capsys, ["h1", knot_file, "--p", "11000"])
     assert (code, err) == (0, "")
@@ -116,10 +116,9 @@ def test_output_past_the_int_to_str_digit_limit(capsys, tmp_path):
     assert (code, err) == (0, "")
     assert _decimal(json.loads(out)["magnitude"]) % want == 0
     # the limit is back in place afterwards
-    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    assert sys.get_int_max_str_digits() == limit
 
 
-@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
 def test_input_keeps_the_int_to_str_digit_limit(capsys, tmp_path):
     knot_file = tmp_path / "figure-eight.json"
     knot_file.write_text(json.dumps(figure_eight().to_json_dict()))
@@ -300,6 +299,17 @@ def test_malformed_json_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_a_file_that_is_not_utf8_exits_2(capsys, tmp_path, trefoil_file):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"label": "\xff"}')
+    diagram = write_diagram(tmp_path, theta())
+    for argv in (["h1", str(path), "--p", "2"], ["cwl", str(path), diagram, "--p", "2"],
+                 ["cwl", trefoil_file, str(path), "--p", "2"], ["lift", str(path)]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff"), err
+
+
 def test_bad_p_range_exits_1(capsys, trefoil_file):
     code, _, _ = run(capsys, ["h1", trefoil_file, "--p-range", "5..2"])
     assert code == 1
@@ -427,13 +437,33 @@ def test_wrongly_shaped_json_exits_1(capsys, tmp_path, trefoil_file, command, da
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text", [" 12 ", "\t7\n", "+5", "1_000", "\u0663"],
+                         ids=["spaces", "tab-newline", "plus", "underscore", "arabic-indic-digit"])
+def test_a_decimal_string_is_an_optional_minus_and_ascii_digits(capsys, tmp_path, trefoil_file, text):
+    # int() reads each of these as a number; every field it would land in accepts that number
+    path = tmp_path / "input.json"
+    for argv, what, data in (
+        (["h1", str(path), "--p", "2"], "exponent", {"vars": ["t"], "terms": [{"exp": [text], "coef": 1}]}),
+        (["cwl", trefoil_file, str(path), "--p", "2"], "edge winding", _diagram_json(edges=_wound_edge(text))),
+        (["lift", str(path)], "edge winding", _lift_json(edges=[{"tail": 1, "head": 2, "winding": text}])),
+    ):
+        path.write_text(json.dumps(data))
+        message = f"error: {what} must be an integer or a decimal string, got {text!r}\n"
+        assert run(capsys, argv) == (1, "", message), argv
+
+
 def test_decimal_string_numbers_still_load(capsys, tmp_path, trefoil_file):
+    # a minus sign and leading zeros are kept
+    knot = tmp_path / "trefoil.json"
+    terms = [{"exp": [e], "coef": c} for e, c in (("-12", "00001"), ("-11", "-1"), ("-00010", "1"))]
+    knot.write_text(json.dumps({"vars": ["t"], "terms": terms}))
+    assert run(capsys, ["h1", str(knot), "--p", "2"]) == (0, "p,h1\n2,3\n", "")
     diagram = tmp_path / "diagram.json"
-    diagram.write_text(json.dumps(_diagram_json(edges=_wound_edge("1"))))
+    diagram.write_text(json.dumps(_diagram_json(edges=_wound_edge("-1"))))
     code, out, _ = run(capsys, ["cwl", trefoil_file, str(diagram), "--p", "2"])
     assert code == 0 and json.loads(out)["p"] == 2
     system = tmp_path / "sys.json"
-    system.write_text(json.dumps(_lift_json(p="2", edges=[{"tail": 1, "head": 2, "winding": "1"}])))
+    system.write_text(json.dumps(_lift_json(p="00002", edges=[{"tail": 1, "head": 2, "winding": "-1"}])))
     code, out, _ = run(capsys, ["lift", str(system)])
     assert code == 0 and json.loads(out) == [{"1": 0, "2": 1}, {"1": 1, "2": 0}]
 

@@ -79,6 +79,22 @@ def test_wheel_rejects_nonpositive():
         wheel_knot(0)
 
 
+def test_wheel_knot_is_bounded_as_the_json_reader_is_before_it_allocates():
+    # wheel-n has half-degree n - 1: wheel-23170, of 46,339 coefficients of up to
+    # 46,340 bits, is the widest knot any p accepts, and some p does accept it
+    knot = wheel_knot(23170)
+    assert len(knot.coeffs) == 46339 and h1_order(knot, 1) == 1
+    del knot
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^Alexander polynomial half-degree 23170 needs \|H_1\| work > 536870912$"):
+            wheel_knot(23171)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**14
+
+
 def test_f_table_values():
     table = f_table(2, 5)
     assert table == [(1, 1), (2, 9), (3, 49), (4, 225), (5, 961)]

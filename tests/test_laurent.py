@@ -10,11 +10,12 @@ from hypothesis import example, given, strategies as st
 
 from covercalc import knots
 from covercalc.engine import lmo_leading_multiplier
-from covercalc.knots import KnotDescriptor, h1_order, resultant_with_cyclotomic, wheel_knot
+from covercalc.knots import KnotDescriptor, h1_order, wheel_knot
 from covercalc.records import _Record
 
 from helpers import (
     bareiss_det,
+    checked_product,
     circulant_product,
     forbid_resultant_paths,
     indicator_sum,
@@ -53,22 +54,22 @@ def _dense(terms):
 
 
 def test_resultant_identity_polynomial():
-    assert abs(resultant_with_cyclotomic((1,), 5)) == 1
+    assert h1_order(knots.unknot(), 5) == 1
 
 
 def test_resultant_trefoil_p2():
-    assert abs(resultant_with_cyclotomic(TREFOIL, 2)) == 3
+    assert h1_order(knots.trefoil(), 2) == 3
 
 
 def test_resultant_refuses_p_below_one(monkeypatch):
     forbid_resultant_paths(monkeypatch)
     with pytest.raises(ValueError, match="^p must be >= 1$"):
-        resultant_with_cyclotomic(TREFOIL, 0)
+        h1_order(knots.trefoil(), 0)
 
 
 def test_resultant_vanishes_at_root_of_unity():
     # 1 + t + t^2 vanishes at the primitive cube roots of unity
-    assert resultant_with_cyclotomic((1, 1, 1), 3) == 0
+    assert checked_product((1, 1, 1), 3) == 0
 
 
 def test_resultant_rejects_zero_polynomial():
@@ -133,7 +134,7 @@ def test_resultant_invariant_under_units_and_inversion():
     for _ in range(30):
         coeffs = _random_alexander(rng, 3)
         order = rng.randint(1, 8)
-        base = abs(resultant_with_cyclotomic(coeffs, order))
+        base = abs(checked_product(coeffs, order))
         k = rng.randint(-3, 3)
         for sign, step in ((1, 1), (-1, 1), (1, -1)):
             terms = (([k + step * i], sign * c) for i, c in enumerate(coeffs))
@@ -148,8 +149,8 @@ def test_resultant_multiplicative():
     for _ in range(30):
         a, b = _random_palindromic_poly(rng, 2), _random_palindromic_poly(rng, 2)
         order = rng.randint(1, 7)
-        lhs = abs(resultant_with_cyclotomic(poly_mul(a, b), order))
-        rhs = abs(resultant_with_cyclotomic(a, order)) * abs(resultant_with_cyclotomic(b, order))
+        lhs = abs(checked_product(poly_mul(a, b), order))
+        rhs = abs(checked_product(a, order)) * abs(checked_product(b, order))
         assert lhs == rhs
 
 
@@ -241,7 +242,7 @@ def test_resultant_matches_sympy_oracle():
     for poly, p in cases:
         dense = sum(c * t**k for k, c in enumerate(poly))
         want = abs(sympy.resultant(sympy.Poly(dense, t), sympy.Poly(t**p - 1, t)))
-        assert abs(resultant_with_cyclotomic(poly, p)) == want, (poly, p)
+        assert abs(checked_product(poly, p)) == want, (poly, p)
 
 
 def _count_paths(monkeypatch):
@@ -278,7 +279,7 @@ def _count_paths(monkeypatch):
 )
 def test_resultant_path_selection(monkeypatch, coeffs, p, trace, check):
     calls = _count_paths(monkeypatch)
-    resultant_with_cyclotomic(_dense(coeffs), p)
+    checked_product(_dense(coeffs), p)
     assert calls == {"_trace_product": trace, "_product_mod_q": check}
 
 
@@ -290,7 +291,7 @@ def test_a_zero_fold_gives_zero_on_both_paths(p):
     assert trace_product(coeffs, p) == 0 == subresultant_product(coeffs, p)
     if p <= knots.CROSS_CHECK_MAX_P:
         assert knots._product_mod_q(knots._folded(coeffs, p), p) == 0
-    assert resultant_with_cyclotomic(coeffs, p) == 0
+    assert checked_product(coeffs, p) == 0
 
 
 def test_wrong_trace_product_is_caught_by_the_check_mod_q(monkeypatch):
@@ -298,9 +299,9 @@ def test_wrong_trace_product_is_caught_by_the_check_mod_q(monkeypatch):
     poly = wheel_knot(10).coeffs
     for p in (5, 16):
         with pytest.raises(RuntimeError, match=r"^internal disagreement: trace path 12345 vs \d+ mod 1068827761$"):
-            resultant_with_cyclotomic(poly, p)
+            checked_product(poly, p)
     # above the threshold nothing checks it
-    assert resultant_with_cyclotomic(poly, 17) == 12345
+    assert checked_product(poly, 17) == 12345
 
 
 # one-token bugs in functions the trace path and the t-world resultant shared:
@@ -316,13 +317,13 @@ ONE_TOKEN_BUGS = {
 @pytest.mark.parametrize("bug", ONE_TOKEN_BUGS)
 def test_a_one_token_bug_in_the_trace_path_is_caught_by_the_check_mod_q(monkeypatch, bug):
     name, old, new, coeffs, p, right, wrong = ONE_TOKEN_BUGS[bug]
-    assert resultant_with_cyclotomic(coeffs, p) == right == circulant_product(list(coeffs), p)
+    assert checked_product(coeffs, p) == right == circulant_product(list(coeffs), p)
     monkeypatch.setattr(knots, name, one_token_variant(name, old, new))
     message = f"^internal disagreement: trace path {wrong} vs {right % knots._Q} mod 1068827761$"
     with pytest.raises(RuntimeError, match=message):
-        resultant_with_cyclotomic(coeffs, p)
+        checked_product(coeffs, p)
     monkeypatch.setattr(knots, "CROSS_CHECK_MAX_P", 0)  # unchecked, the bug is silent
-    assert resultant_with_cyclotomic(coeffs, p) == wrong
+    assert checked_product(coeffs, p) == wrong
 
 
 def _refuse(*args):
@@ -491,7 +492,7 @@ def test_a_knot_stays_on_the_half_degree_sequence(monkeypatch):
         n = len(poly) // 2
         for p in (1, 2, 3, 7, 16, 17, 40, 101, 256):
             divisors.clear()
-            resultant_with_cyclotomic(poly, p)
+            checked_product(poly, p)
             assert max(divisors, default=0) <= n, (poly, p)
             if n > 1 and p > 2 * n:
                 assert max(divisors) == n  # the ladder reduces by B itself
@@ -506,7 +507,7 @@ def test_output_bound_covers_the_product():
         if not any(folded):
             continue
         bound = knots._h1_bits_bound(folded, p)
-        assert abs(resultant_with_cyclotomic(poly, p)).bit_length() <= bound, (poly, p)
+        assert abs(checked_product(poly, p)).bit_length() <= bound, (poly, p)
 
 
 def test_output_bound_refuses_before_any_path_runs(monkeypatch):
@@ -514,25 +515,25 @@ def test_output_bound_refuses_before_any_path_runs(monkeypatch):
     forbid_resultant_paths(monkeypatch)
     for n in (10, 30):
         with pytest.raises(ValueError, match="over the output bound of 2097152"):
-            resultant_with_cyclotomic(wheel_knot(n).coeffs, 10**6)
+            h1_order(wheel_knot(n), 10**6)
 
 
 def test_output_bound_accepts_trefoil_at_p_a_million(monkeypatch):
     monkeypatch.setattr(knots, "_trace_product", lambda folded, n, p: 4)
-    assert resultant_with_cyclotomic(TREFOIL, 10**6) == 4
+    assert h1_order(knots.trefoil(), 10**6) == 4
 
 
 def test_output_bound_is_read_on_the_folded_polynomial(monkeypatch):
     monkeypatch.setattr(knots, "MAX_H1_BITS", 3)
     # 5 + t - 10t^2 + t^3 + 5t^4 at p = 2 folds to 2t: 3 bits, where the
     # unfolded sum a_i^2 = 152 would give 8
-    assert abs(resultant_with_cyclotomic((5, 1, -10, 1, 5), 2)) == 4
+    assert abs(checked_product((5, 1, -10, 1, 5), 2)) == 4
     monkeypatch.setattr(knots, "MAX_H1_BITS", 8)
     # 1 - 6t + t^2 at p = 3: floor(3 log2(38) / 2) + 1 = 8 bits, and 196 has 8
-    assert abs(resultant_with_cyclotomic((1, -6, 1), 3)) == 196
+    assert abs(checked_product((1, -6, 1), 3)) == 196
     monkeypatch.setattr(knots, "MAX_H1_BITS", 7)
     with pytest.raises(ValueError, match="may need 8 bits"):
-        resultant_with_cyclotomic((1, -6, 1), 3)
+        checked_product((1, -6, 1), 3)
 
 
 def test_work_bound_refuses_before_any_path_runs(monkeypatch):
@@ -541,16 +542,17 @@ def test_work_bound_refuses_before_any_path_runs(monkeypatch):
     for n, p, work in ((40, 4000, 4519110611), (80, 1000, 4740044483)):
         message = f"|H_1| at p = {p} needs work {work}, over the work bound of 536870912"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            resultant_with_cyclotomic(wheel_knot(n).coeffs, p)
+            h1_order(wheel_knot(n), p)
 
 
 def test_output_bound_is_checked_before_the_work_bound(monkeypatch):
     forbid_resultant_paths(monkeypatch)
+    wheel, trefoil = wheel_knot(80), knots.trefoil()  # built first: wheel_knot reads the work bound
     monkeypatch.setattr(knots, "MAX_H1_WORK", 0)
     with pytest.raises(ValueError, match="over the output bound"):
-        resultant_with_cyclotomic(wheel_knot(80).coeffs, 10**6)
+        h1_order(wheel, 10**6)
     with pytest.raises(ValueError, match="over the work bound of 0$"):
-        resultant_with_cyclotomic(TREFOIL, 5)
+        h1_order(trefoil, 5)
 
 
 def test_a_range_is_priced_by_its_summed_work(monkeypatch):
@@ -598,9 +600,10 @@ def test_knots_imports_and_definitions():
                     if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
         for node in functions
     }
-    assert {name for name, called in callers.items() if "check_bounds" in called} == {
-        "resultant_with_cyclotomic", "_priced_rows"
-    }
+    # every |H_1| starts from a knot: no entry takes raw coefficients past the constructor's check
+    assert "resultant_with_cyclotomic" not in defined
+    for checked in ("check_bounds", "_checked_product"):
+        assert {name for name, called in callers.items() if checked in called} == {"h1_order", "_priced_rows"}
     assert "_priced_rows" in callers["h1_orders"] & callers["f_table"]
     # the check mod q shares no function with the trace path, and only _checked_product runs it
     assert "_t_world_product" not in defined
