@@ -194,7 +194,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text = args.func(args)
+        _emit(args.func(args), args.out)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -210,7 +210,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    _emit(text, getattr(args, "out", None))
     return 0
 
 

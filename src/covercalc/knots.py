@@ -7,8 +7,9 @@ positive first Betti number. A knot holds A as the dense palindrome a_0..a_2n,
 shifted by a unit t^k so that both ends are nonzero and checked once at
 construction, so the functions here only compute. As A(t) = t^n B(t + 1/t),
 roots of unity z and 1/z give the same value: the product is the square of one
-Collins subresultant sequence of B, of degree n, up to A(1) and A(-1), and for
-p <= 16 A's values at the p-th roots of unity in F_q check it mod q. Each reads
+Collins subresultant sequence of B, of degree n, up to A(1) and A(-1), or, where
+B is about as wide as G_p, of one small sequence per factor Psi_d of G_p, d | p.
+For p <= 16 A's values at the p-th roots of unity in F_q check it mod q. Each reads
 a knot's fold of A mod t^p - 1 that check_bounds priced: it refuses a product
 whose size bound exceeds MAX_H1_BITS or whose estimated work (_h1_work) exceeds
 MAX_H1_WORK. A range of p (h1_orders) and a wheel table (f_table) are each one
@@ -17,6 +18,7 @@ come from binomial coefficients.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 
@@ -26,6 +28,7 @@ CROSS_CHECK_MAX_P = 16  # every |H_1| is also computed mod _Q up to this p
 _Q, _Q_GENERATOR = 1_068_827_761, 19  # the prime 1483 lcm(1..16) + 1 and a generator of its units
 MAX_H1_BITS = 2**21  # refuse a resultant whose a-priori size bound exceeds this many bits
 MAX_H1_WORK = 2**29  # estimated word operations (_h1_work) of one |H_1| request or wheel table
+_PSI_MEMO = 64  # factors Psi_d kept, least recently used out: d <= 4,595 under MAX_H1_WORK, at most 24 MiB
 
 
 class KnotDescriptor(_Record):
@@ -251,6 +254,8 @@ def _h1_work(h: int, p: int, bits: int) -> int:
     remainder sequence of degree k = min(h, p // 2) on s-bit integers, s =
     bits / 2 as its result is squared, (k s)^2 / 2^13: fitted to CPython 3.11
     on a 2-CPU x86-64 machine. The check is at most 16 * 16 small products.
+    The trace term prices the one sequence against G_p, so it over-prices a
+    call that _trace_product splits over the factors Psi_d.
     """
     trace = min(h, p // 2) * bits // 2
     return 2**12 + (h + 1) ** 2 + (trace * trace >> 13)
@@ -270,8 +275,13 @@ def _trace_product(folded: Sequence[int], n: int, p: int) -> int:
     <= p // 2, and B mod G_p is read off the fold, of min(2n + 1, p) entries:
     folded[(n + j) % p], the sum of a_(n+k) over |k| <= n with k = j mod p,
     is the coefficient of V_j (of 1 at j = 0) but twice it at j = p / 2,
-    where k = j and k = -j meet. R comes from _collins, whose first remainder
-    _lucas_remainder builds.
+    where k = j and k = -j meet. B is read in powers of x by _from_lucas.
+    G_p is the product of x - 2, of x + 2 for even p, and of Psi_d (_psi) for
+    each d | p with d >= 3, so where 2 <= deg B and g <= 2 deg B the product
+    is A(1) A(-1)^[p even] times each Res(Psi_d, B mod Psi_d)^2, each from a
+    _collins sequence of degree phi(d) / 2, and 0 at the first that is 0.
+    Elsewhere R comes from _collins, whose first remainder _lucas_remainder
+    builds.
     """
     divisor = sum(folded)
     if not p & 1:
@@ -281,19 +291,71 @@ def _trace_product(folded: Sequence[int], n: int, p: int) -> int:
     trace = [folded[(n + j) % p] for j in range(min(n, p // 2) + 1)]  # of V_j, and of 1 at j = 0
     if 2 * n >= p and not p & 1:
         trace[-1] //= 2
-    b = [trace[0]] + [0] * (len(trace) - 1)
-    low, high = [2], [0, 1]  # V_(j-1), V_j
-    for j in range(1, len(trace)):
-        for i, v in enumerate(high):
-            b[i] += trace[j] * v
-        step = [0] + high
-        for i, v in enumerate(low):
-            step[i] -= v
-        low, high = high, step
-    b = _trim(b)  # not zero: B = 0 mod G_p would make A(1) = 0
+    b = _trim(_from_lucas(trace))  # not zero: B = 0 mod G_p would make A(1) = 0
     g = p // 2 + 1
+    if len(b) > 2 and g < 2 * len(b) - 1:  # 2 <= deg B and g <= 2 deg B: one resultant per Psi_d
+        product = divisor
+        for d in range(3, p + 1):
+            if not p % d:
+                psi = _psi(d)
+                r, m = _pseudo_remainder(b, psi), len(psi) - 1  # B mod Psi_d, exactly: Psi_d is monic
+                root = _collins(m, r, _pseudo_remainder(psi, r)) if len(r) > 1 else (r[0] if r else 0) ** m
+                if not root:
+                    return 0
+                product *= root * root
+        return product
     root = _collins(g, b, _lucas_remainder(b, p)) if len(b) > 1 else b[0] ** g
     return root * root // divisor
+
+
+def _from_lucas(trace: Sequence[int]) -> list[int]:
+    """trace[0] + sum_(j >= 1) trace[j] V_j in powers of x, untrimmed.
+
+    Clenshaw's recurrence b_j = trace[j] + x b_(j+1) - b_(j+2), down from
+    b_(m+1) = b_(m+2) = 0, gives the sum as b_0 - b_2 = trace[0] + x b_1 - 2 b_2
+    in about m^2 / 2 additions for m = len(trace) - 1.
+    """
+    high, low = [], []  # b_(j+1), b_(j+2)
+    for c in trace[:0:-1]:
+        b = [c] + high
+        for i, v in enumerate(low):
+            b[i] -= v
+        high, low = b, high
+    b = [trace[0]] + high
+    for i, v in enumerate(low):
+        b[i] -= 2 * v
+    return b
+
+
+@functools.lru_cache(maxsize=_PSI_MEMO)
+def _psi(d: int) -> tuple[int, ...]:
+    """Psi_d, monic of degree phi(d) / 2 with the roots 2 cos(2 pi k / d), gcd(k, d) = 1, for d >= 3.
+
+    The cyclotomic polynomial Phi_d(z) = z^(phi(d) / 2) Psi_d(z + 1/z) is the
+    product of the sparse (z^e - 1)^mu(d / e) over e | d, here over the
+    squarefree divisors s of d with e = d / s, each factor multiplied in or
+    divided out exactly in O(d); its upper half is then the trace of Psi_d.
+    """
+    signed, k, q = [(1, 1)], d, 2  # (s, mu(s)) for s | d squarefree
+    while k > 1:
+        q = q if q * q <= k else k
+        if not k % q:
+            signed += [(s * q, -mu) for s, mu in signed]
+            while not k % q:
+                k //= q
+        q += 1
+    phi = [1]
+    for s, mu in sorted(signed, key=lambda pair: -pair[1]):  # every product before any quotient
+        e = d // s
+        if mu > 0:
+            phi = [(phi[i - e] if i >= e else 0) - (phi[i] if i < len(phi) else 0)
+                   for i in range(len(phi) + e)]
+        else:
+            quotient = []
+            for i in range(len(phi) - e):
+                quotient.append((quotient[i - e] if i >= e else 0) - phi[i])
+            phi = quotient
+    return tuple(_from_lucas(phi[len(phi) // 2:]))
 
 
 def _collins(da: int, b: list[int], r: list[int]) -> int:
@@ -386,7 +448,7 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     """The remainder of lead(b)^(len(a) - len(b) + 1) a on division by b, trimmed."""
     d = len(b) - 1
     lead, lower = b[d], b[:d]
-    r = a[:]
+    r = list(a)
     for top in range(len(a) - 1, d - 1, -1):
         c = r.pop()
         if lead != 1:

@@ -1,12 +1,14 @@
 """Shared fixture builders: reference diagrams, random generators, relabeling,
 Hypothesis strategies for the JSON input schemas, a guard on the |H_1| paths,
 one-token variants of knots functions, the trace path called on unfolded
-coefficients and the checked product on any palindrome, polynomial oracles for |H_1|
-(a product, a float evaluation, the t-world resultant Res(t^p - 1, A) and
-the circulant determinant), the leg-state enumeration, grouped-product and
-tuple-keyed per-leg oracles for the multiplier, the indicator sum checked on
-both multiplier paths and the oracles, and search oracles for cycle windings
-and for edge maps that respect adjacency."""
+coefficients, which of its two ways it takes, and the checked product on any
+palindrome, polynomial oracles for |H_1| (a product, a float evaluation, G_p
+from the Lucas recurrence, the trace product with its Lucas ladder at any p,
+the t-world resultant Res(t^p - 1, A) and the circulant determinant), the
+leg-state enumeration, grouped-product and tuple-keyed per-leg oracles for the
+multiplier, the indicator sum checked on both multiplier paths and the
+oracles, and search oracles for cycle windings and for edge maps that respect
+adjacency."""
 from __future__ import annotations
 
 import copy
@@ -16,6 +18,7 @@ import math
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import strategies as st
 
 from covercalc import engine, knots
@@ -295,10 +298,50 @@ def trace_product(coeffs, p: int) -> int:
     return knots._trace_product(folded, len(coeffs) // 2, p)
 
 
+def takes_factored_path(coeffs, p: int) -> bool:
+    """Whether knots._trace_product splits the product over the factors Psi_d of G_p for coeffs at p."""
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(knots, "_psi", lambda d, psi=knots._psi: calls.append(d) or psi(d))
+        trace_product(coeffs, p)
+    return bool(calls)
+
+
 def checked_product(coeffs, p: int) -> int:
     """The signed product h1_order takes the absolute value of, for any palindrome coeffs with a_0 != 0."""
     folded = knots.check_bounds(coeffs, p)[0]
     return knots._checked_product(folded, len(coeffs) // 2, p)
+
+
+def lucas_g(p: int) -> list[int]:
+    """G_p in powers of x: V_(m+1) - V_m for p = 2m + 1, V_(q+1) - V_(q-1) for p = 2q.
+
+    The Lucas polynomials from V_0 = 2, V_1 = x and V_(j+1) = x V_j - V_(j-1).
+    """
+    v = [[2], [0, 1]]
+    while len(v) < p // 2 + 2:
+        step = [0] + v[-1]
+        for i, c in enumerate(v[-2]):
+            step[i] -= c
+        v.append(step)
+    low = v[p // 2 if p & 1 else p // 2 - 1]
+    return [c - (low[i] if i < len(low) else 0) for i, c in enumerate(v[p // 2 + 1])]
+
+
+def ladder_product(coeffs, p: int) -> int:
+    """The trace path's product R^2 / (A(1) A(-1)^[p even]) on the palindrome coeffs, at any p.
+
+    R = Res(G_p, B) always comes from the Lucas ladder: B, formed by
+    knots._from_lucas from a_n..a_2n, is reduced by lucas_g(p), which is monic.
+    """
+    n = len(coeffs) // 2
+    divisor = sum(coeffs) * (1 if p & 1 else sum(c * (-1) ** k for k, c in enumerate(coeffs)))
+    if not divisor:
+        return 0
+    b = knots._pseudo_remainder(knots._from_lucas(coeffs[n:]), lucas_g(p))
+    g = p // 2 + 1
+    root = knots._collins(g, b, knots._lucas_remainder(b, p)) if len(b) > 1 else b[0] ** g
+    return root * root // divisor
 
 
 def subresultant_product(coeffs: list[int], p: int) -> int:

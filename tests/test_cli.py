@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import random
 import sys
 from pathlib import Path
@@ -662,3 +664,20 @@ def test_output_to_file_is_deterministic(capsys, tmp_path, trefoil_file):
     assert main(["h1", trefoil_file, "--p-range", "2..6", "--out", str(out2)]) == 0
     capsys.readouterr()
     assert out1.read_text() == out2.read_text()
+
+
+@pytest.mark.parametrize("command", ["h1", "cwl", "lift", "window"])
+def test_an_out_path_that_cannot_be_written_exits_2(capsys, tmp_path, trefoil_file, command):
+    system = tmp_path / "sys.json"
+    edge = {"id": "e", "tail": 1, "head": 2, "winding": 0}
+    system.write_text(json.dumps({"vertices": [1, 2], "edges": [edge], "p": 3}))
+    argv = {
+        "h1": ["h1", trefoil_file, "--p", "3"],
+        "cwl": ["cwl", trefoil_file, write_diagram(tmp_path, theta()), "--p", "2"],
+        "lift": ["lift", str(system)],
+        "window": ["window", "--p", "3", "--l-start", "1", "--count", "4"],
+    }[command]
+    assert run(capsys, argv)[0] == 0
+    for out, code in ((tmp_path / "missing" / "table.csv", errno.ENOENT), (tmp_path, errno.EISDIR)):
+        message = f"error: [Errno {code}] {os.strerror(code)}: {str(out)!r}\n"
+        assert run(capsys, [*argv, "--out", str(out)]) == (2, "", message)

@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from covercalc import knots
 from covercalc.knots import (
@@ -22,7 +22,15 @@ from covercalc.knots import (
     unknot,
     wheel_knot,
 )
-from helpers import evaluate, forbid_resultant_paths, lucas, poly_mul, subresultant_product, trace_product
+from helpers import (
+    evaluate,
+    forbid_resultant_paths,
+    lucas,
+    poly_mul,
+    subresultant_product,
+    takes_factored_path,
+    trace_product,
+)
 
 
 def test_unknot_h1_is_one_for_all_p():
@@ -200,6 +208,31 @@ def test_wheel_table_is_symmetric_and_vanishes_exactly_at_multiples_of_six():
         for n in range(1, 41):
             assert f[p][n] == f[n][p], (p, n)
             assert (f[p][n] == 0) == (p % 6 == 0 and n % 6 == 0), (p, n)
+
+
+# (n, p, whether wheel-n at p takes the factored path): on each side of its
+# rule, 2 <= deg B and p // 2 + 1 <= 2 deg B, at prime and composite p, and
+# at 6 | n and 6 | p, where the product is 0
+SYMMETRY_EXAMPLES = [(10, 17, True), (17, 10, True), (4, 37, False), (5, 40, False), (12, 18, True), (6, 36, False)]
+
+
+@given(st.integers(1, 60), st.integers(1, 60))
+@example(n=10, p=17)
+@example(n=17, p=10)
+@example(n=4, p=37)
+@example(n=5, p=40)
+@example(n=12, p=18)
+@example(n=6, p=36)
+def test_a_wheel_knot_at_p_is_wheel_p_at_n(n, p):
+    # above p = 16 no check mod q runs, so this symmetry is the only oracle of either path
+    # there; past the 40 x 40 table above, both sides are single h1_order calls
+    assert h1_order(wheel_knot(n), p) == h1_order(wheel_knot(p), n)
+
+
+@pytest.mark.parametrize("n, p, factored", SYMMETRY_EXAMPLES)
+def test_the_symmetry_examples_take_the_path_they_name(n, p, factored):
+    assert takes_factored_path(wheel_knot(n).coeffs, p) == factored
+    assert (h1_order(wheel_knot(n), p) == 0) == (n % 6 == 0 and p % 6 == 0)
 
 
 def _g(n):

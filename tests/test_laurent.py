@@ -19,9 +19,12 @@ from helpers import (
     circulant_product,
     forbid_resultant_paths,
     indicator_sum,
+    ladder_product,
+    lucas_g,
     one_token_variant,
     poly_mul,
     subresultant_product,
+    takes_factored_path,
     trace_product,
 )
 
@@ -305,25 +308,33 @@ def test_wrong_trace_product_is_caught_by_the_check_mod_q(monkeypatch):
 
 
 # one-token bugs in functions the trace path and the t-world resultant shared:
-# through that second resultant, each returned its wrong value with no error
+# through that second resultant, each returned its wrong value with no error.
+# Each runs on one input the Lucas ladder takes and one the factored path takes.
 ONE_TOKEN_BUGS = {
-    "collins-initial-g-h-sign": ("_collins", "g = h = sign = 1", "g = h = sign = 2", (-2, 3, -2), 2, 7, 2),
-    "collins-delta": ("_collins", "delta = da - db", "delta = da + db", (1, 4, -4, -3, -4, 4, 1), 7, -528529, -1),
-    "prem-degree": ("_pseudo_remainder", "d = len(b) - 1", "d = len(b) - 2", (-4, -2, 13, -2, -4), 4, 3969, 0),
-    "prem-lead-test": ("_pseudo_remainder", "if lead != 1", "if lead == 1", (2, 0, -3, 0, 2), 7, 169, 0),
+    "collins-initial-g-h-sign": ("_collins", "g = h = sign = 1", "g = h = sign = 2", [
+        ((-2, 3, -2), 2, 7, 2), ((1, 4, -4, -3, -4, 4, 1), 7, -528529, -3844)]),
+    "collins-delta": ("_collins", "delta = da - db", "delta = da + db", [
+        ((-4, -2, 13, -2, -4), 8, 102880449, 0), ((1, 4, -4, -3, -4, 4, 1), 7, -528529, 0)]),
+    "prem-degree": ("_pseudo_remainder", "d = len(b) - 1", "d = len(b) - 2", [
+        ((-4, -2, 13, -2, -4), 8, 102880449, 0), ((-4, -2, 13, -2, -4), 4, 3969, 0)]),
+    "prem-lead-test": ("_pseudo_remainder", "if lead != 1", "if lead == 1", [
+        ((-4, -2, 13, -2, -4), 8, 102880449, 717436225), ((2, 0, -3, 0, 2), 7, 169, 256)]),
 }
 
 
 @pytest.mark.parametrize("bug", ONE_TOKEN_BUGS)
 def test_a_one_token_bug_in_the_trace_path_is_caught_by_the_check_mod_q(monkeypatch, bug):
-    name, old, new, coeffs, p, right, wrong = ONE_TOKEN_BUGS[bug]
-    assert checked_product(coeffs, p) == right == circulant_product(list(coeffs), p)
+    name, old, new, cases = ONE_TOKEN_BUGS[bug]
+    assert [takes_factored_path(coeffs, p) for coeffs, p, _, _ in cases] == [False, True]
+    for coeffs, p, right, _ in cases:
+        assert checked_product(coeffs, p) == right == circulant_product(list(coeffs), p)
     monkeypatch.setattr(knots, name, one_token_variant(name, old, new))
-    message = f"^internal disagreement: trace path {wrong} vs {right % knots._Q} mod 1068827761$"
-    with pytest.raises(RuntimeError, match=message):
-        checked_product(coeffs, p)
+    for coeffs, p, right, wrong in cases:
+        message = f"^internal disagreement: trace path {wrong} vs {right % knots._Q} mod 1068827761$"
+        with pytest.raises(RuntimeError, match=message):
+            checked_product(coeffs, p)
     monkeypatch.setattr(knots, "CROSS_CHECK_MAX_P", 0)  # unchecked, the bug is silent
-    assert checked_product(coeffs, p) == wrong
+    assert [checked_product(coeffs, p) for coeffs, p, _, _ in cases] == [wrong for _, _, _, wrong in cases]
 
 
 def _refuse(*args):
@@ -341,7 +352,8 @@ def test_check_mod_q_matches_circulant_with_the_trace_path_gone(lower, top, p):
     want = circulant_product(coeffs, p) % knots._Q
     folded = knots.check_bounds(coeffs, p)[0]
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("_collins", "_pseudo_remainder", "_lucas_remainder", "_trim", "_trace_product"):
+        for name in ("_collins", "_pseudo_remainder", "_lucas_remainder", "_trim", "_trace_product", "_from_lucas",
+                     "_psi"):
             patch.setattr(knots, name, _refuse)
         assert knots._product_mod_q(folded, p) == want
 
@@ -475,6 +487,47 @@ def test_trace_product_matches_the_t_world_path():
             assert trace_product(coeffs, p) == subresultant_product(coeffs, p), (coeffs, p)
 
 
+def test_psi_d_is_monic_of_degree_half_phi_d():
+    assert [knots._psi(d) for d in (3, 4, 5, 6, 8)] == [(1, 1), (0, 1), (-1, 1, 1), (-1, 1), (-2, 0, 1)]
+    for d in range(3, 301):
+        psi = knots._psi(d)
+        assert psi[-1] == 1 and 2 * (len(psi) - 1) == sum(math.gcd(k, d) == 1 for k in range(d)), d
+
+
+def test_the_psi_d_of_the_divisors_of_p_multiply_to_g_p():
+    # with Psi_1 = x - 2 and Psi_2 = x + 2; G_p comes from V_(j+1) = x V_j - V_(j-1)
+    for p in range(1, 201):
+        product = [1]
+        for d in range(1, p + 1):
+            if not p % d:
+                product = poly_mul(product, {1: [-2, 1], 2: [2, 1]}.get(d) or knots._psi(d))
+        assert product == lucas_g(p), p
+
+
+def test_the_factored_product_matches_the_ladder_and_the_circulant_with_sign():
+    rng = random.Random(53)
+    factored = vanishing = 0
+    for p in range(3, 121):
+        g = p // 2 + 1
+        for case in range(3):
+            n = rng.randint(-(-g // 2), g + 2)  # deg B mod G_p = min(n, p // 2) >= g / 2, mostly
+            half = [rng.choice([-3, -2, 2, 5])] + _random_coeffs(rng, n)  # non-monic, sparse
+            coeffs = half + half[-2::-1]
+            if case == 1:  # A(-1) = 0 at even p, A(1) = 0 at odd p: 0 at the divisor test
+                sign = -1 if p % 2 == 0 else 1
+                coeffs[n] -= sign**n * sum(c * sign**k for k, c in enumerate(coeffs))
+            elif case == 2 and p % 6 == 0:
+                coeffs = poly_mul(coeffs, [1, -1, 1])  # the trefoil's factor: B = 0 mod Psi_6
+            want = ladder_product(coeffs, p)
+            assert trace_product(coeffs, p) == want, (coeffs, p)
+            if p <= 40 or p in (60, 120):
+                assert want == circulant_product(coeffs, p), (coeffs, p)
+            if takes_factored_path(coeffs, p):
+                factored += 1
+                vanishing += want == 0
+    assert factored >= 200 and vanishing >= 20
+
+
 def test_a_knot_stays_on_the_half_degree_sequence(monkeypatch):
     # every pseudo-remainder is the trace path's: the check mod q divides by nothing
     divisors = []
@@ -488,14 +541,23 @@ def test_a_knot_stays_on_the_half_degree_sequence(monkeypatch):
     polys = [TREFOIL, (-1, 3, -1)]
     polys += [wheel_knot(n).coeffs for n in (2, 5, 9)]
     polys += [(2, -3, 3, -3, 2)]  # non-monic, 2 - 3t + 3t^2 - 3t^3 + 2t^4
+    paths = set()
     for poly in polys:
         n = len(poly) // 2
         for p in (1, 2, 3, 7, 16, 17, 40, 101, 256):
+            factored = takes_factored_path(poly, p)
+            paths.add(factored)
             divisors.clear()
             checked_product(poly, p)
+            if factored:
+                # B by each Psi_d, d | p, of degree phi(d) / 2 <= p // 2 < 2 deg B, then on down
+                psi = max(len(knots._psi(d)) - 1 for d in range(3, p + 1) if not p % d)
+                assert max(divisors) == psi < 2 * n, (poly, p)
+                continue
             assert max(divisors, default=0) <= n, (poly, p)
             if n > 1 and p > 2 * n:
                 assert max(divisors) == n  # the ladder reduces by B itself
+    assert paths == {False, True}
 
 
 def test_output_bound_covers_the_product():
@@ -589,7 +651,7 @@ def test_knots_imports_and_definitions():
     nodes = list(ast.walk(ast.parse((SRC / "knots.py").read_text(encoding="utf-8"))))
     modules = [node.module for node in nodes if isinstance(node, ast.ImportFrom)]
     modules += [alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names]
-    assert set(modules) == {"__future__", "math", "collections.abc", "records"}
+    assert set(modules) == {"__future__", "functools", "math", "collections.abc", "records"}
     assert [node.name for node in nodes if isinstance(node, ast.ClassDef)] == ["KnotDescriptor"]
     functions = [node for node in nodes if isinstance(node, ast.FunctionDef)]
     defined = {node.name for node in functions}
@@ -607,9 +669,8 @@ def test_knots_imports_and_definitions():
     assert "_priced_rows" in callers["h1_orders"] & callers["f_table"]
     # the check mod q shares no function with the trace path, and only _checked_product runs it
     assert "_t_world_product" not in defined
-    assert not {"_trace_product", "_collins", "_pseudo_remainder", "_lucas_remainder", "_trim"} & callers[
-        "_product_mod_q"
-    ]
+    trace_path = {"_trace_product", "_collins", "_pseudo_remainder", "_lucas_remainder", "_trim", "_from_lucas", "_psi"}
+    assert trace_path <= defined and not trace_path & callers["_product_mod_q"]
     assert {name for name, called in callers.items() if "_product_mod_q" in called} == {"_checked_product"}
     for path in SRC.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
